@@ -38,6 +38,7 @@ from .numerics import (
     orthonormal_range,
     principal_angles,
     pseudo_inverse,
+    snapshot_factor,
     subspace_equal,
 )
 from .ssd import (

@@ -61,27 +61,23 @@ class MatchedEvolution:
     data_defect: float
 
 
-def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
+def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward", rows=None):
     """Least-squares EDMD matrix K minimizing ||DY - DX @ K||_F.
 
     Rank deficiency of DX (including N < N_d) triggers a RankWarning; the
-    computation still goes through the pseudo-inverse.
+    computation still goes through the pseudo-inverse.  With ``rows`` given,
+    DX and DY are the blocks of :func:`numerics.snapshot_factor`.
     """
-    DX = numerics._as_matrix(DX, "DX")
-    DY = numerics._as_matrix(DY, "DY")
-    if DX.shape != DY.shape:
-        raise InvalidInput(
-            f"snapshot matrices must have equal shapes, got {DX.shape} and {DY.shape}"
-        )
-    if numerics.numerical_rank(DX, tol) < DX.shape[1]:
+    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
+    if numerics.numerical_rank(RX, tol, rows) < RX.shape[1]:
         warnings.warn(
             "source dictionary matrix is rank deficient (needs N >= N_d and "
             "independent samples); proceeding via pseudo-inverse",
             RankWarning,
             stacklevel=2,
         )
-    K = numerics.pseudo_inverse(DX, tol) @ DY
-    residual = float(np.linalg.norm(DY - DX @ K))
+    K = numerics.pseudo_inverse(RX, tol, rows) @ RY
+    residual = float(np.linalg.norm(RY - RX @ K))
     return KoopmanMatrix(matrix=K, direction=direction, residual_fro=residual)
 
 
@@ -122,16 +118,23 @@ def check_linear_evolution(DX, DY, v, lam, tol=DEFAULT_TOL):
     return defect <= tol.eig_match_atol, defect
 
 
-def _require_full_rank(DX, DY, tol):
-    n_d = DX.shape[1]
-    if DX.shape[0] < n_d:
-        raise AssumptionViolation(
-            f"need at least N_d = {n_d} snapshots, got {DX.shape[0]}"
-        )
-    if numerics.numerical_rank(DX, tol) < n_d:
+def _require_full_rank(RX, RY, tol, rows):
+    n_d = RX.shape[1]
+    if rows < n_d:
+        raise AssumptionViolation(f"need at least N_d = {n_d} snapshots, got {rows}")
+    if numerics.numerical_rank(RX, tol, rows) < n_d:
         raise AssumptionViolation("D(X) is not of full column rank")
-    if numerics.numerical_rank(DY, tol) < n_d:
+    if numerics.numerical_rank(RY, tol, rows) < n_d:
         raise AssumptionViolation("D(Y) is not of full column rank")
+
+
+def _negligible(lam, count=1):
+    """True, and logged, when |lam| is too small for 1/lam to mean anything."""
+    if abs(lam) >= SMALL_EIGENVALUE:
+        return False
+    logger.info("skipping %d eigenpair(s) with |lambda| = %.3e < %.0e",
+                count, abs(lam), SMALL_EIGENVALUE)
+    return True
 
 
 def _cluster_indices(values, indices, atol):
@@ -176,7 +179,7 @@ def _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
     return [E_f @ U[:, i] for i in range(E_f.shape[1]) if i < keep.size and keep[i]]
 
 
-def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
+def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, rows=None):
     """All dictionary-space vectors that evolve linearly on the data.
 
     Computes the forward and backward EDMD matrices, then keeps every
@@ -187,14 +190,11 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
 
     Requires both dictionary matrices to have full column rank.
     """
-    DX = numerics._as_matrix(DX, "DX")
-    DY = numerics._as_matrix(DY, "DY")
-    if DX.shape != DY.shape:
-        raise InvalidInput("snapshot matrices must have equal shapes")
-    _require_full_rank(DX, DY, tol)
+    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
+    _require_full_rank(RX, RY, tol, rows)
 
-    k_f = edmd_matrix(DX, DY, tol, direction="forward")
-    k_b = edmd_matrix(DY, DX, tol, direction="backward")
+    k_f = edmd_matrix(RX, RY, tol, direction="forward", rows=rows)
+    k_b = edmd_matrix(RY, RX, tol, direction="backward", rows=rows)
     f_pairs = numerics.eig(k_f.matrix)
     b_pairs = numerics.eig(k_b.matrix)
     norm_kb = np.linalg.norm(k_b.matrix)
@@ -207,11 +207,7 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
     for cluster in (_cluster_indices(f_pairs.values, real_idx, atol)
                     + _cluster_indices(f_pairs.values, upper_idx, atol)):
         lam = complex(np.mean(f_pairs.values[cluster]))
-        if abs(lam) < SMALL_EIGENVALUE:
-            logger.info(
-                "skipping %d eigenpair(s) with |lambda| = %.3e < %.0e",
-                len(cluster), abs(lam), SMALL_EIGENVALUE,
-            )
+        if _negligible(lam, len(cluster)):
             continue
         for v in _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
             v = numerics._normalize_eigenvector(v)
@@ -222,7 +218,7 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
             if abs(lam_b - 1.0 / lam) > atol * (1.0 + 1.0 / abs(lam)):
                 continue
             forward_defect = float(np.linalg.norm(k_f.matrix @ v - lam * v))
-            ok, data_defect = check_linear_evolution(DX, DY, v, lam, tol)
+            ok, data_defect = check_linear_evolution(RX, RY, v, lam, tol)
             if not ok:
                 raise InternalInvariantViolation(
                     "vector passed the forward-backward test but violates the "

@@ -35,9 +35,5 @@ class ArtifactIOError(KoopidError):
     """Reading or writing a snapshot/result artifact failed."""
 
 
-# Keep the short name used throughout the CLI error reporting.
-IoError = ArtifactIOError
-
-
 class RankWarning(UserWarning):
     """Rank deficiency detected where computation can still proceed."""

@@ -16,6 +16,7 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "EigenpairSet",
+    "snapshot_factor",
     "numerical_rank",
     "null_space_basis",
     "pseudo_inverse",
@@ -34,7 +35,8 @@ class ToleranceConfig:
     ----------
     rank_rtol : float
         Relative singular-value threshold.  A singular value counts toward
-        the rank when it exceeds ``rank_rtol * sigma_max * max(rows, cols)``.
+        the rank when it exceeds ``rank_rtol * sigma_max * max(N, cols)``,
+        N being the sample count, also for blocks of the R factor.
     eig_match_atol : float
         Absolute tolerance for matching eigenvalues and eigenvector residuals
         in the forward-backward comparison.
@@ -56,14 +58,6 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
-# The Gram (normal-equations) route squares the condition number, so its
-# singular values for near-null directions sit on a noise floor of about
-# sqrt(eps) * sigma_max.  It is only safe when the rank threshold
-# rank_rtol * sigma_max * rows lies well above that floor, which for the
-# default rank_rtol needs a few thousand rows.
-_GRAM_MIN_ROWS = 4096
-_GRAM_MIN_ASPECT = 8
-
 
 def _as_matrix(M, name="matrix", allow_complex=False):
     arr = np.asarray(M)
@@ -80,71 +74,87 @@ def _as_matrix(M, name="matrix", allow_complex=False):
     return arr
 
 
-def _use_gram(shape):
-    rows, cols = shape
-    return rows >= _GRAM_MIN_ROWS and rows >= _GRAM_MIN_ASPECT * cols
-
-
 def _rank_threshold(s, shape, tol):
     smax = s[0] if s.size else 0.0
     return tol.rank_rtol * smax * max(shape)
 
 
-def _singular_values(M):
-    """All ``cols`` singular values of M, descending (padded with zeros)."""
-    rows, cols = M.shape
-    if _use_gram(M.shape):
-        w = np.linalg.eigvalsh(M.conj().T @ M)
-        return np.sqrt(np.clip(w[::-1], 0.0, None))
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size < cols:
-        s = np.concatenate([s, np.zeros(cols - s.size)])
-    return s
+def _shape(M, rows):
+    # rank thresholds see the sample count behind an R-factor block, if given
+    return (M.shape[0] if rows is None else rows, M.shape[1])
 
 
 def _right_singular_pairs(M):
-    """Singular values (descending, length cols) and all right singular vectors."""
-    rows, cols = M.shape
-    if _use_gram(M.shape):
-        w, V = np.linalg.eigh(M.conj().T @ M)
-        s = np.sqrt(np.clip(w[::-1], 0.0, None))
-        return s, V[:, ::-1]
-    _, s, Vt = np.linalg.svd(M, full_matrices=rows < cols)
-    if s.size < cols:
-        s = np.concatenate([s, np.zeros(cols - s.size)])
-    return s, Vt.conj().T
+    """Singular values (descending, zero-padded to cols), all right singular vectors."""
+    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return np.pad(s, (0, M.shape[1] - s.size)), Vt.conj().T
 
 
-def numerical_rank(M, tol=DEFAULT_TOL):
+def _pair(DX, DY):
+    DX = _as_matrix(DX, "DX")
+    DY = _as_matrix(DY, "DY")
+    if DX.shape != DY.shape:
+        raise InvalidInput(f"snapshot matrices differ in shape: {DX.shape} vs {DY.shape}")
+    return DX, DY
+
+
+def snapshot_factor(DX, DY):
+    """Blocks ``(RX, RY)``, ``min(N, 2N_d)`` rows each, of ``[DX, DY] = Q [RX, RY]``.
+
+    The single validation point for N-row data: DX and DY are copied once into
+    a Fortran-ordered N x 2N_d array that LAPACK factors in place.  Spans,
+    angles, residuals, EDMD matrices and data defects are the same on the
+    blocks as on the data, given the sample count as ``rows=N``.
+    """
+    DX, DY = _pair(DX, DY)
+    rows, n_d = DX.shape
+    if DX.size == 0:
+        return np.zeros((0, n_d)), np.zeros((0, n_d))
+    M = np.empty((rows, 2 * n_d), order="F")
+    M[:, :n_d], M[:, n_d:] = DX, DY
+    # compact-WY Householder QR; narrow blocks keep the panel work cache-sized
+    qr, _, _ = scipy.linalg.lapack.dgeqrt(min(16, rows, 2 * n_d), M, overwrite_a=True)
+    R = np.triu(qr[:min(rows, 2 * n_d)])
+    return R[:, :n_d], R[:, n_d:]
+
+
+def _snapshot_blocks(DX, DY, rows):
+    """``(RX, RY, rows)``: DX, DY factored, or as given if they are blocks of ``rows``."""
+    if rows is None:
+        return (*snapshot_factor(DX, DY), np.shape(DX)[0])
+    return (*_pair(DX, DY), int(rows))
+
+
+def numerical_rank(M, tol=DEFAULT_TOL, rows=None):
     """Number of singular values of M above the relative rank threshold."""
     M = _as_matrix(M, "M", allow_complex=True)
     if M.size == 0:
         return 0
-    s = _singular_values(M)
-    return int(np.sum(s > _rank_threshold(s, M.shape, tol)))
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > _rank_threshold(s, _shape(M, rows), tol)))
 
 
-def null_space_basis(M, tol=DEFAULT_TOL):
+def null_space_basis(M, tol=DEFAULT_TOL, rows=None):
     """Orthonormal basis of the numerical null space of M.
 
     Returns an array of shape ``(cols, cols - rank)`` whose columns are the
     trailing right singular vectors of M; the array has zero columns when
     the null space is trivial.  ``M @ Z`` is tolerance-small by construction
-    and ``numerical_rank(M) + Z.shape[1] == cols`` always holds.
+    and ``numerical_rank(M, tol, rows) + Z.shape[1] == cols`` always holds.
     """
     M = _as_matrix(M, "M", allow_complex=True)
     s, V = _right_singular_pairs(M)
-    rank = int(np.sum(s > _rank_threshold(s, M.shape, tol)))
+    rank = int(np.sum(s > _rank_threshold(s, _shape(M, rows), tol)))
     return V[:, rank:]
 
 
-def pseudo_inverse(M, tol=DEFAULT_TOL):
+def pseudo_inverse(M, tol=DEFAULT_TOL, rows=None):
     """Moore-Penrose pseudo-inverse with singular values truncated at the
     same relative threshold used for rank decisions."""
     M = _as_matrix(M, "M", allow_complex=True)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]))
-    return np.linalg.pinv(M, rcond=tol.rank_rtol * max(M.shape))
+    return np.linalg.pinv(M, rcond=tol.rank_rtol * max(_shape(M, rows)))
 
 
 @dataclass(frozen=True)
@@ -220,49 +230,45 @@ def eig(M):
                         conj_partner=partner)
 
 
-def orthonormal_range(M, tol=DEFAULT_TOL):
+def orthonormal_range(M, tol=DEFAULT_TOL, rows=None):
     """Orthonormal basis (columns) of the numerical column span of M."""
     M = _as_matrix(M, "M", allow_complex=True)
     if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=M.dtype)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > _rank_threshold(s, M.shape, tol)))
+    rank = int(np.sum(s > _rank_threshold(s, _shape(M, rows), tol)))
     return U[:, :rank]
 
 
-def principal_angles(P, Q, tol=DEFAULT_TOL):
+def _range_angles(P, Q, tol, rows):
+    """Dimensions of the numerical spans of P and Q, and their principal
+    angles (ascending; empty when either span is trivial)."""
+    P = _as_matrix(P, "P", allow_complex=True)
+    Q = _as_matrix(Q, "Q", allow_complex=True)
+    if P.shape[0] != Q.shape[0]:
+        raise InvalidInput("P and Q must have the same number of rows")
+    QP = orthonormal_range(P, tol, rows)
+    QQ = orthonormal_range(Q, tol, rows)
+    if QP.shape[1] == 0 or QQ.shape[1] == 0:
+        return QP.shape[1], QQ.shape[1], np.zeros(0)
+    return QP.shape[1], QQ.shape[1], np.sort(scipy.linalg.subspace_angles(QP, QQ))
+
+
+def principal_angles(P, Q, tol=DEFAULT_TOL, rows=None):
     """Principal angles (radians, ascending) between the column spans of P and Q.
 
     The spans are orthonormalized at the shared rank threshold first; the
     angles themselves come from the cosine/sine-composite algorithm, which
     stays accurate for angles far below sqrt(machine eps).
     """
-    P = _as_matrix(P, "P", allow_complex=True)
-    Q = _as_matrix(Q, "Q", allow_complex=True)
-    if P.shape[0] != Q.shape[0]:
-        raise InvalidInput("P and Q must have the same number of rows")
-    QP = orthonormal_range(P, tol)
-    QQ = orthonormal_range(Q, tol)
-    if QP.shape[1] == 0 or QQ.shape[1] == 0:
-        return np.zeros(0)
-    return np.sort(scipy.linalg.subspace_angles(QP, QQ))
+    return _range_angles(P, Q, tol, rows)[2]
 
 
-def subspace_equal(P, Q, tol=DEFAULT_TOL):
+def subspace_equal(P, Q, tol=DEFAULT_TOL, rows=None):
     """True iff the column spans of P and Q coincide.
 
     Spans of different dimension are unequal; otherwise equality means every
     principal angle is at most ``tol.subspace_atol``.
     """
-    P = _as_matrix(P, "P", allow_complex=True)
-    Q = _as_matrix(Q, "Q", allow_complex=True)
-    if P.shape[0] != Q.shape[0]:
-        raise InvalidInput("P and Q must have the same number of rows")
-    QP = orthonormal_range(P, tol)
-    QQ = orthonormal_range(Q, tol)
-    if QP.shape[1] != QQ.shape[1]:
-        return False
-    if QP.shape[1] == 0:
-        return True
-    angles = scipy.linalg.subspace_angles(QP, QQ)
-    return bool(np.max(angles) <= tol.subspace_atol)
+    dim_p, dim_q, angles = _range_angles(P, Q, tol, rows)
+    return bool(dim_p == dim_q and (angles.size == 0 or angles.max() <= tol.subspace_atol))

@@ -22,8 +22,8 @@ import numpy as np
 from . import dictionary as dict_mod
 from . import numerics
 from .edmd import (
-    SMALL_EIGENVALUE,
     MatchedEvolution,
+    _negligible,
     _require_full_rank,
     check_linear_evolution,
     edmd_matrix,
@@ -102,19 +102,13 @@ class ReducedKoopman:
     dictionary: dict_mod.DerivedDictionary = None
 
 
-def _check_preconditions(DX, DY, tol):
-    DX = numerics._as_matrix(DX, "DX")
-    DY = numerics._as_matrix(DY, "DY")
-    if DX.shape != DY.shape:
-        raise InvalidInput("snapshot matrices must have equal shapes")
-    _require_full_rank(DX, DY, tol)
-    if DX.shape[0] < 2 * DX.shape[1]:
-        warnings.warn(
-            "fewer than 2 * N_d snapshots; rank decisions may be fragile",
-            UserWarning,
-            stacklevel=3,
-        )
-    return DX, DY
+def _check_preconditions(DX, DY, tol, rows):
+    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
+    _require_full_rank(RX, RY, tol, rows)
+    if rows < 2 * RX.shape[1]:
+        warnings.warn("fewer than 2 * N_d snapshots; rank decisions may be fragile",
+                      UserWarning, stacklevel=3)
+    return RX, RY, rows
 
 
 def _truncation_split(s, epsilon, shape, tol):
@@ -140,18 +134,19 @@ def _truncation_split(s, epsilon, shape, tol):
     return k, float(tail_ratios[k]), False
 
 
-def _finish(C, iterations, log, mode, epsilon, DX, DY, tol):
+def _finish(C, iterations, log, mode, epsilon, RX, RY, rows, tol):
     max_angle = None
     if C is not None:
-        angles = numerics.principal_angles(DX @ C, DY @ C, tol)
+        angles = numerics.principal_angles(RX @ C, RY @ C, tol, rows)
         max_angle = float(angles.max()) if angles.size else 0.0
     return SsdResult(C=C, iterations=iterations, log=tuple(log), mode=mode,
                      epsilon=epsilon, max_range_angle=max_angle)
 
 
-def _ssd_loop(DX, DY, tol, epsilon):
-    n_d = DX.shape[1]
-    A, B = DX, DY
+def _ssd_loop(RX, RY, rows, tol, epsilon):
+    # iterates are [RX, RY] @ G: the same singular pairs as [D(X), D(Y)] @ G
+    n_d = RX.shape[1]
+    A, B = RX, RY
     C = np.eye(n_d)
     mode = "exact" if epsilon is None else "approximate"
     log = []
@@ -167,12 +162,12 @@ def _ssd_loop(DX, DY, tol, epsilon):
         kept_rank = truncation_ratio = None
         fallback = False
         if epsilon is None:
-            Z = numerics.null_space_basis(M, tol)
+            Z = numerics.null_space_basis(M, tol, rows)
             next_A, next_B = A, B
         else:
             s, V = numerics._right_singular_pairs(M)
             kept_rank, truncation_ratio, fallback = _truncation_split(
-                s, epsilon, M.shape, tol
+                s, epsilon, (rows, 2 * m), tol
             )
             if fallback:
                 logger.info(
@@ -190,7 +185,7 @@ def _ssd_loop(DX, DY, tol, epsilon):
         if c == 0:
             log.append(SsdIteration(m, 0, "empty", kept_rank, truncation_ratio,
                                     fallback))
-            return _finish(None, iteration, log, mode, epsilon, DX, DY, tol)
+            return _finish(None, iteration, log, mode, epsilon, RX, RY, rows, tol)
         Z_A = Z[:m, :]
         if epsilon is None and c > m:
             raise InternalInvariantViolation(
@@ -200,7 +195,7 @@ def _ssd_loop(DX, DY, tol, epsilon):
         if m <= c:
             log.append(SsdIteration(m, c, "complete", kept_rank,
                                     truncation_ratio, fallback))
-            return _finish(C, iteration, log, mode, epsilon, DX, DY, tol)
+            return _finish(C, iteration, log, mode, epsilon, RX, RY, rows, tol)
         log.append(SsdIteration(m, c, "reduce", kept_rank, truncation_ratio,
                                 fallback))
         if epsilon is None:
@@ -217,19 +212,21 @@ def _ssd_loop(DX, DY, tol, epsilon):
         B = next_B @ Z_A
 
 
-def ssd(DX, DY, tol=DEFAULT_TOL):
+def ssd(DX, DY, tol=DEFAULT_TOL, rows=None):
     """Maximal subspace of the dictionary span evolving linearly on the data.
 
     Requires both dictionary matrices to have full column rank.  Returns an
     :class:`SsdResult` whose ``C`` satisfies range(DX @ C) == range(DY @ C)
     (tolerance-exactly) and is maximal among all such recombinations; ``C``
-    is None when no nonzero linear evolution exists in the span.
+    is None when no nonzero linear evolution exists in the span.  Here and
+    below, DX and DY are factored first unless ``rows`` is given, in which
+    case they are the blocks of :func:`numerics.snapshot_factor`.
     """
-    DX, DY = _check_preconditions(DX, DY, tol)
-    return _ssd_loop(DX, DY, tol, epsilon=None)
+    RX, RY, rows = _check_preconditions(DX, DY, tol, rows)
+    return _ssd_loop(RX, RY, rows, tol, epsilon=None)
 
 
-def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
+def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL, rows=None):
     """Epsilon-truncated decomposition for approximately invariant subspaces.
 
     At every round the stacked matrix is replaced by the rank-deficient
@@ -242,11 +239,11 @@ def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie strictly between 0 and 1")
-    DX, DY = _check_preconditions(DX, DY, tol)
-    return _ssd_loop(DX, DY, tol, epsilon=float(epsilon))
+    RX, RY, rows = _check_preconditions(DX, DY, tol, rows)
+    return _ssd_loop(RX, RY, rows, tol, epsilon=float(epsilon))
 
 
-def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
+def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None, rows=None):
     """Least-squares Koopman matrix on the identified subspace.
 
     ``K = pinv(DX @ C) @ (DY @ C)`` together with the relative residual of
@@ -257,11 +254,9 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
-    DX = numerics._as_matrix(DX, "DX")
-    DY = numerics._as_matrix(DY, "DY")
-    DXC = DX @ result.C
-    DYC = DY @ result.C
-    K = numerics.pseudo_inverse(DXC, tol) @ DYC
+    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
+    DXC, DYC = RX @ result.C, RY @ result.C
+    K = numerics.pseudo_inverse(DXC, tol, rows) @ DYC
     e_r = relative_residual(DXC, DYC, K)
     if result.mode == "exact":
         if e_r > 10.0 * tol.subspace_atol:
@@ -280,7 +275,7 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
     return ReducedKoopman(matrix=K, e_r=e_r, dictionary=reduced_dict)
 
 
-def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
+def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL, rows=None):
     """Eigenvectors of the reduced Koopman matrix mapped back to the
     original dictionary's coordinates.
 
@@ -291,20 +286,18 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
-    DX = numerics._as_matrix(DX, "DX")
-    DY = numerics._as_matrix(DY, "DY")
-    k_f = edmd_matrix(DX, DY, tol, direction="forward")
-    k_b = edmd_matrix(DY, DX, tol, direction="backward")
+    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
+    k_f = edmd_matrix(RX, RY, tol, direction="forward", rows=rows)
+    k_b = edmd_matrix(RY, RX, tol, direction="backward", rows=rows)
     lifted = []
     for lam, w in numerics.eig(reduced.matrix).pairs():
         lam = complex(lam)
-        if abs(lam) < SMALL_EIGENVALUE:
-            logger.info("skipping lifted eigenpair with |lambda| = %.3e", abs(lam))
+        if _negligible(lam):
             continue
         v = numerics._normalize_eigenvector(result.C @ w)
         forward_defect = float(np.linalg.norm(k_f.matrix @ v - lam * v))
         backward_defect = float(np.linalg.norm(k_b.matrix @ v - v / lam))
-        _, data_defect = check_linear_evolution(DX, DY, v, lam, tol)
+        _, data_defect = check_linear_evolution(RX, RY, v, lam, tol)
         lifted.append(MatchedEvolution(
             eigenvalue=lam, coefficients=v,
             forward_defect=forward_defect,

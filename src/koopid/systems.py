@@ -9,7 +9,9 @@ reproduces bit-identical data on any platform.
 
 import csv
 import json
+import logging
 import pathlib
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,8 @@ __all__ = [
     "write_snapshot_csv",
     "read_snapshot_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 PRNG_NAME = "PCG64"
 
@@ -215,12 +219,13 @@ def write_snapshot_csv(snapshots, path, provenance_path=None):
     path = pathlib.Path(path)
     n = snapshots.state_dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
+    # the bytes csv.writer would produce: plain fields, CRLF line endings
+    row = ",".join(["%.17g"] * (2 * n)) + "\r\n"
+    data = np.hstack([snapshots.X, snapshots.Y]).tolist()
+    text = ",".join(header) + "\r\n" + "".join([row % tuple(r) for r in data])
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for xi, yi in zip(snapshots.X, snapshots.Y):
-                writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi])
+            fh.write(text)
         if provenance_path is None:
             provenance_path = path.with_suffix(".provenance.json")
         with open(provenance_path, "w") as fh:
@@ -237,22 +242,21 @@ def read_snapshot_csv(path):
     path = pathlib.Path(path)
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise InvalidInput(f"{path}: empty snapshot file")
-            rows = [row for row in reader if row]
+            names = [h.strip() for h in header]
+            n = sum(1 for h in names if h.startswith("x_"))
+            if n == 0 or names != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
+                raise InvalidInput(f"{path}: header must be x_1..x_n,y_1..y_n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # no data rows is checked below
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except OSError as exc:
         raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
-    names = [h.strip() for h in header]
-    n = sum(1 for h in names if h.startswith("x_"))
-    if n == 0 or names != [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]:
-        raise InvalidInput(f"{path}: header must be x_1..x_n,y_1..y_n")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: non-numeric entry: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2 * n or data.shape[0] == 0:
+    except ValueError as exc:  # a non-numeric entry or a ragged row
+        raise InvalidInput(f"{path}: {exc}") from exc
+    if data.shape[1] != 2 * n or data.shape[0] == 0:
         raise InvalidInput(f"{path}: expected nonempty rows of {2*n} values")
     prov = {"system": "ingested", "path": str(path)}
     sidecar = path.with_suffix(".provenance.json")
@@ -260,6 +264,7 @@ def read_snapshot_csv(path):
         try:
             with open(sidecar) as fh:
                 prov.update(json.load(fh))
-        except (OSError, json.JSONDecodeError):
-            pass  # provenance is advisory; a broken sidecar never blocks ingestion
+        except (OSError, json.JSONDecodeError) as exc:
+            # provenance is advisory; a broken sidecar never blocks ingestion
+            logger.warning("ignoring unreadable provenance sidecar %s: %s", sidecar, exc)
     return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=prov)

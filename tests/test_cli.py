@@ -254,3 +254,11 @@ class TestConfigFile:
                          "--method", "fb-edmd", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["method"] == "fb-edmd"
+
+
+def test_tolerance_defaults_follow_tolerance_config():
+    defaults = cli._OPTION_DEFAULTS["identify"]
+    config = koopid.ToleranceConfig()
+    assert defaults["rank_rtol"] == config.rank_rtol
+    assert defaults["eig_atol"] == config.eig_match_atol
+    assert defaults["subspace_atol"] == config.subspace_atol

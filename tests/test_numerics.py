@@ -238,3 +238,71 @@ class TestSubspaceEqual:
         oracle = np.sort(scipy.linalg.subspace_angles(
             np.linalg.qr(P)[0], np.linalg.qr(Q)[0]))
         np.testing.assert_allclose(ours, oracle, atol=1e-10)
+
+
+class TestSnapshotFactor:
+    @pytest.mark.parametrize("rows,n_d", [(500, 6), (12, 6), (8, 6), (3, 6)])
+    def test_r_reproduces_the_gram_matrix(self, rows, n_d):
+        rng = np.random.Generator(np.random.PCG64(600 + rows))
+        DX = rng.standard_normal((rows, n_d))
+        DY = rng.standard_normal((rows, n_d))
+        DX_before, DY_before = DX.copy(), DY.copy()
+        RX, RY = koopid.snapshot_factor(DX, DY)
+        R = np.hstack([RX, RY])
+        M = np.hstack([DX, DY])
+        assert R.shape == (min(rows, 2 * n_d), 2 * n_d)
+        assert np.array_equal(R, np.triu(R))
+        np.testing.assert_allclose(R.T @ R, M.T @ M,
+                                   atol=1e-13 * np.linalg.norm(M) ** 2)
+        # the inputs are copied, never overwritten
+        assert np.array_equal(DX, DX_before) and np.array_equal(DY, DY_before)
+
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(InvalidInput):
+            koopid.snapshot_factor(np.ones((5, 2)), np.ones((5, 3)))
+
+    def test_rejects_nonfinite(self):
+        DX = np.ones((5, 2))
+        DX[3, 1] = np.inf
+        with pytest.raises(InvalidInput):
+            koopid.snapshot_factor(DX, np.ones((5, 2)))
+
+    @pytest.mark.parametrize("seed,rows,cols,rank", [
+        (0, 3000, 12, 7), (1, 5000, 20, 13), (2, 800, 16, 16), (3, 400, 10, 3),
+    ])
+    def test_block_rank_decisions_equal_full_data(self, seed, rows, cols, rank,
+                                                  tol):
+        rng = np.random.Generator(np.random.PCG64(700 + seed))
+        M = rank_deficient_matrix(rng, rows, cols, rank)
+        half = cols // 2
+        RX, RY = koopid.snapshot_factor(M[:, :half], M[:, half:])
+        R = np.hstack([RX, RY])
+        assert koopid.numerical_rank(R, tol, rows=rows) == \
+            koopid.numerical_rank(M, tol) == rank
+        assert koopid.numerical_rank(RX, tol, rows=rows) == \
+            koopid.numerical_rank(M[:, :half], tol)
+        Z_r = koopid.null_space_basis(R, tol, rows=rows)
+        Z_m = koopid.null_space_basis(M, tol)
+        assert Z_r.shape == Z_m.shape == (cols, cols - rank)
+        if Z_r.shape[1]:
+            assert koopid.subspace_equal(Z_r, Z_m, tol)
+
+    def test_threshold_uses_the_sample_count_not_the_block_rows(self, tol):
+        # one singular value sits between the threshold at the block's own
+        # 2 * N_d rows and the threshold at N rows: only rows=N reproduces
+        # the full-data decision
+        rows, cols = 5000, 8
+        rng = np.random.Generator(np.random.PCG64(710))
+        U, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+        V, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+        s = np.array([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 1e-8])
+        M = (U * s) @ V.T
+        RX, RY = koopid.snapshot_factor(M[:, :4], M[:, 4:])
+        R = np.hstack([RX, RY])
+        assert koopid.numerical_rank(M, tol) == 7
+        assert koopid.numerical_rank(R, tol, rows=rows) == 7
+        assert koopid.numerical_rank(R, tol) == 8
+        assert koopid.null_space_basis(R, tol, rows=rows).shape[1] == 1
+        np.testing.assert_allclose(
+            koopid.pseudo_inverse(R, tol, rows=rows) @ R,
+            koopid.pseudo_inverse(M, tol) @ M, atol=1e-8)

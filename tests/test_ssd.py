@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,103 @@ class TestEigenfunctionGrid:
         lines = path.read_text().splitlines()
         assert lines[0] == "x_1,x_2,abs,angle"
         assert len(lines) == 1 + 16
+
+
+def _run_route(DX, DY, epsilon, tol, rows=None):
+    """Decomposition, reduced matrix and lifted modes through one route."""
+    if epsilon is None:
+        result = koopid.ssd(DX, DY, tol, rows=rows)
+    else:
+        result = koopid.approximate_ssd(DX, DY, epsilon, tol, rows=rows)
+    if result.is_zero:
+        return result, None, []
+    reduced = koopid.reduced_koopman(DX, DY, result, tol, rows=rows)
+    return result, reduced, koopid.lift_eigenvectors(DX, DY, result, reduced,
+                                                     tol, rows=rows)
+
+
+def _log_key(result):
+    return [(it.subspace_dim, it.null_dim, it.action, it.kept_rank)
+            for it in result.log]
+
+
+def _assert_same_outcome(a, b, tol):
+    (res_a, red_a, lift_a), (res_b, red_b, lift_b) = a, b
+    assert _log_key(res_a) == _log_key(res_b)
+    assert res_a.subspace_dim == res_b.subspace_dim
+    if res_a.is_zero:
+        return
+    assert koopid.principal_angles(res_a.C, res_b.C).max() <= 1e-6
+    # e_r to 4 digits; exact fits leave only rounding-level residuals
+    assert red_a.e_r == pytest.approx(red_b.e_r, rel=1e-4, abs=1e-12)
+    assert len(lift_a) == len(lift_b)
+    lam_a = np.sort_complex(np.array([ev.eigenvalue for ev in lift_a]))
+    lam_b = np.sort_complex(np.array([ev.eigenvalue for ev in lift_b]))
+    np.testing.assert_allclose(lam_a, lam_b, atol=1e-6)
+    defects_a = sorted(ev.data_defect for ev in lift_a)
+    defects_b = sorted(ev.data_defect for ev in lift_b)
+    np.testing.assert_allclose(defects_a, defects_b, atol=tol.eig_match_atol)
+
+
+class TestFactorRoute:
+    """The CLI route (one QR, then blocks with rows=N) against the public
+    full-data calls and against the same loop run on the N-row data itself
+    (the data as its own blocks, Q = I)."""
+
+    @pytest.mark.parametrize("case,epsilon", [
+        ("ex2", None), ("vdp", None), ("vdp", 1e-4),
+    ])
+    def test_same_decisions_spans_and_modes(self, case, epsilon, ex2_matrices,
+                                            vdp_matrices, tol):
+        DX, DY = ex2_matrices if case == "ex2" else vdp_matrices
+        rows = DX.shape[0]
+        RX, RY = numerics.snapshot_factor(DX, DY)
+        blocks = _run_route(RX, RY, epsilon, tol, rows=rows)
+        _assert_same_outcome(_run_route(DX, DY, epsilon, tol), blocks, tol)
+        _assert_same_outcome(_run_route(DX, DY, epsilon, tol, rows=rows),
+                             blocks, tol)
+        expected = {"ex2": 6, "vdp": 1 if epsilon is None else None}[case]
+        if expected is not None:
+            assert blocks[0].subspace_dim == expected
+        else:
+            assert 20 <= blocks[0].subspace_dim <= 28
+
+    def test_lifting_checks_each_mode_on_the_blocks(self, ex2_matrices,
+                                                    monkeypatch):
+        # lifting calls the data-defect check once per mode, on 2 * N_d rows
+        DX, DY = ex2_matrices
+        RX, RY = numerics.snapshot_factor(DX, DY)
+        result = koopid.ssd(RX, RY, rows=DX.shape[0])
+        reduced = koopid.reduced_koopman(RX, RY, result, rows=DX.shape[0])
+        ssd_mod = importlib.import_module("koopid.ssd")  # koopid.ssd is the function
+        seen = []
+        original = ssd_mod.check_linear_evolution
+
+        def spy(A, B, *args, **kwargs):
+            seen.append(A.shape)
+            return original(A, B, *args, **kwargs)
+
+        monkeypatch.setattr(ssd_mod, "check_linear_evolution", spy)
+        lifted = koopid.lift_eigenvectors(RX, RY, result, reduced,
+                                          rows=DX.shape[0])
+        assert len(seen) == len(lifted) == 6
+        assert all(shape == (18, 9) for shape in seen)
+
+    def test_few_samples_warn_on_blocks(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        DX = rng.standard_normal((5, 3))
+        DY = rng.standard_normal((5, 3))
+        RX, RY = numerics.snapshot_factor(DX, DY)
+        assert RX.shape == (5, 3)
+        with pytest.warns(UserWarning, match="snapshots"):
+            koopid.ssd(RX, RY, rows=5)
+
+    def test_fewer_samples_than_functions_violate_the_assumption(self):
+        rng = np.random.Generator(np.random.PCG64(15))
+        DX = rng.standard_normal((2, 3))
+        DY = rng.standard_normal((2, 3))
+        RX, RY = numerics.snapshot_factor(DX, DY)
+        with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
+            koopid.ssd(RX, RY, rows=2)
+        with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
+            koopid.approximate_ssd(DX, DY, 1e-4)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -175,3 +178,68 @@ class TestSnapshotCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactIOError):
             koopid.read_snapshot_csv(tmp_path / "nope.csv")
+
+
+def _csv_writer_reference(snapshots):
+    """The bytes the stdlib csv module writes for a snapshot set."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    n = snapshots.state_dim
+    writer.writerow([f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)])
+    for xi, yi in zip(snapshots.X, snapshots.Y):
+        writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi])
+    return buf.getvalue().encode()
+
+
+class TestSnapshotCsvFormat:
+    EDGE = np.array([
+        [-0.0, 5e-324, 1e300, -1.7976931348623157e308],
+        [2.2250738585072014e-308, -1e-310, 0.1, 1.0 / 3.0],
+        [123456789.0, -2.5e-300, 1e-5, 0.0],
+    ])
+
+    def test_bytes_equal_csv_writer_output(self, tmp_path):
+        snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
+        path = tmp_path / "edge.csv"
+        koopid.write_snapshot_csv(snap, path)
+        assert path.read_bytes() == _csv_writer_reference(snap)
+        assert b"\r\n" in path.read_bytes()
+
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
+        path = tmp_path / "edge.csv"
+        koopid.write_snapshot_csv(snap, path)
+        back = koopid.read_snapshot_csv(path)
+        assert back.X.tobytes() == snap.X.tobytes()
+        assert back.Y.tobytes() == snap.Y.tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "1,2,3,4\n5,6,7\n",          # ragged row
+        "1,2,3,4\n5,6,7,8,9\n",      # ragged row
+        "1,2,3,4\n5,abc,7,8\n",      # non-numeric entry
+        "1,2\n3,4\n",                # rows too short for the header
+        "",                          # header only
+        "\n\n",                      # blank lines only
+    ])
+    def test_malformed_bodies_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n" + body)
+        with pytest.raises(InvalidInput):
+            koopid.read_snapshot_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(InvalidInput, match="empty"):
+            koopid.read_snapshot_csv(path)
+
+    def test_broken_sidecar_is_logged_not_fatal(self, tmp_path, caplog):
+        spec = koopid.SystemSpec.discrete_linear(EX2_A, [(-2, 2), (-2, 2)])
+        path = tmp_path / "snap.csv"
+        koopid.write_snapshot_csv(koopid.generate(spec, 4), path)
+        path.with_suffix(".provenance.json").write_text("{not json")
+        with caplog.at_level("WARNING", logger="koopid.systems"):
+            back = koopid.read_snapshot_csv(path)
+        assert back.count == 4
+        assert back.provenance["system"] == "ingested"
+        assert any("provenance" in rec.getMessage() for rec in caplog.records)
