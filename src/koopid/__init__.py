@@ -31,6 +31,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     EigenpairSet,
+    SnapshotFactor,
     ToleranceConfig,
     eig,
     null_space_basis,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 """
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -267,17 +268,7 @@ def _ssd_dict(result):
         "subspace_dim": result.subspace_dim,
         "C": _json_matrix(result.C),
         "max_range_angle": result.max_range_angle,
-        "log": [
-            {
-                "subspace_dim": it.subspace_dim,
-                "null_dim": it.null_dim,
-                "action": it.action,
-                "kept_rank": it.kept_rank,
-                "truncation_ratio": it.truncation_ratio,
-                "exact_fallback": it.exact_fallback,
-            }
-            for it in result.log
-        ],
+        "log": [dataclasses.asdict(it) for it in result.log],
     }
 
 
@@ -316,17 +307,12 @@ def cmd_identify(args):
         raise InvalidInput("--eps is only valid with --method ssd-approx")
 
     # every step below works on the R-factor blocks of [D(X), D(Y)]
-    RX, RY = numerics.snapshot_factor(dict_mod.evaluate(dictionary, snapshots.X),
+    factor = numerics.snapshot_factor(dict_mod.evaluate(dictionary, snapshots.X),
                                       dict_mod.evaluate(dictionary, snapshots.Y))
-    rows = snapshots.count
 
     result = {
         "method": args.method,
-        "tolerances": {
-            "rank_rtol": tol.rank_rtol,
-            "eig_match_atol": tol.eig_match_atol,
-            "subspace_atol": tol.subspace_atol,
-        },
+        "tolerances": dataclasses.asdict(tol),
         "snapshots": {
             "path": str(args.snapshots),
             "count": snapshots.count,
@@ -341,22 +327,22 @@ def cmd_identify(args):
     }
 
     if args.method == "fb-edmd":
-        evolutions = edmd.forward_backward_eigenpairs(RX, RY, tol, rows)
-        k_f = edmd.edmd_matrix(RX, RY, tol, rows=rows)
-        result["e_r"] = edmd.relative_residual(RX, RY, k_f.matrix)
+        evolutions = edmd.forward_backward_eigenpairs(factor, None, tol)
+        k_f = edmd.edmd_matrix(factor, None, tol)
+        result["e_r"] = edmd.relative_residual(factor.RX, factor.RY, k_f.matrix)
     else:
         if args.method == "ssd":
-            decomposition = ssd(RX, RY, tol, rows)
+            decomposition = ssd(factor, None, tol)
         else:
-            decomposition = approximate_ssd(RX, RY, args.eps, tol, rows)
+            decomposition = approximate_ssd(factor, None, args.eps, tol)
         result["ssd"] = _ssd_dict(decomposition)
         evolutions = []
         if not decomposition.is_zero:
-            reduced = reduced_koopman(RX, RY, decomposition, tol,
-                                      dictionary=dictionary, rows=rows)
+            reduced = reduced_koopman(factor, None, decomposition, tol,
+                                      dictionary=dictionary)
             result["reduced_koopman"] = _json_matrix(reduced.matrix)
             result["e_r"] = reduced.e_r
-            evolutions = lift_eigenvectors(RX, RY, decomposition, reduced, tol, rows)
+            evolutions = lift_eigenvectors(factor, None, decomposition, reduced, tol)
     result["evolutions"] = [_evolution_dict(ev) for ev in evolutions]
 
     out_path = pathlib.Path(args.out)
@@ -409,9 +395,8 @@ def cmd_verify(args):
     if dictionary.state_dim != snapshots.state_dim:
         raise InvalidInput("result dictionary does not match the snapshot state dim")
 
-    RX, RY = numerics.snapshot_factor(dict_mod.evaluate(dictionary, snapshots.X),
+    factor = numerics.snapshot_factor(dict_mod.evaluate(dictionary, snapshots.X),
                                       dict_mod.evaluate(dictionary, snapshots.Y))
-    rows = snapshots.count
 
     checks = []
 
@@ -423,7 +408,7 @@ def cmd_verify(args):
         v = np.array(entry["coefficients_re"]) + 1j * np.array(entry["coefficients_im"])
         if v.size != dictionary.size:
             raise InvalidInput("stored coefficients do not match the dictionary size")
-        _, defect = edmd.check_linear_evolution(RX, RY, v, lam, tol)
+        _, defect = edmd.check_linear_evolution(factor.RX, factor.RY, v, lam, tol)
         stored_defect = float(entry["data_defect"])
         bound = max(tol.eig_match_atol, 2.0 * stored_defect + 1e-15)
         worst = max(worst, defect)
@@ -440,8 +425,8 @@ def cmd_verify(args):
         full_rank = numerics.numerical_rank(C, tol) == C.shape[1]
         checks.append(("C has full column rank", full_rank))
         # one orthonormalisation of each span serves both range checks
-        XC, YC = RX @ C, RY @ C
-        dim_x, dim_y, angles = numerics._range_angles(XC, YC, tol, rows)
+        XC, YC = factor.RX @ C, factor.RY @ C
+        dim_x, dim_y, angles = numerics._range_angles(XC, YC, tol, factor.rows)
         max_angle = float(angles.max()) if angles.size else 0.0
         if ssd_block["mode"] == "exact":
             checks.append((

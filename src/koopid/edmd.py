@@ -61,24 +61,28 @@ class MatchedEvolution:
     data_defect: float
 
 
-def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward", rows=None):
+def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
     """Least-squares EDMD matrix K minimizing ||DY - DX @ K||_F.
 
     Rank deficiency of DX (including N < N_d) triggers a RankWarning; the
-    computation still goes through the pseudo-inverse.  With ``rows`` given,
-    DX and DY are the blocks of :func:`numerics.snapshot_factor`.
+    computation still goes through the pseudo-inverse.  Here and below, DX
+    may instead be the :class:`numerics.SnapshotFactor` of both matrices,
+    with DY None; N-row DX, DY are factored first.
     """
-    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
-    if numerics.numerical_rank(RX, tol, rows) < RX.shape[1]:
-        warnings.warn(
-            "source dictionary matrix is rank deficient (needs N >= N_d and "
-            "independent samples); proceeding via pseudo-inverse",
-            RankWarning,
-            stacklevel=2,
-        )
-    K = numerics.pseudo_inverse(RX, tol, rows) @ RY
-    residual = float(np.linalg.norm(RY - RX @ K))
+    F = numerics.snapshot_factor(DX, DY)
+    if numerics.numerical_rank(F.RX, tol, F.rows) < F.RX.shape[1]:
+        warnings.warn("source dictionary matrix is rank deficient (needs N >= N_d and "
+                      "independent samples); proceeding via pseudo-inverse",
+                      RankWarning, stacklevel=2)
+    K = numerics.pseudo_inverse(F.RX, tol, F.rows) @ F.RY
+    residual = float(np.linalg.norm(F.RY - F.RX @ K))
     return KoopmanMatrix(matrix=K, direction=direction, residual_fro=residual)
+
+
+def _edmd_pair(F, tol):
+    """Forward and backward EDMD matrices of one factor."""
+    return (edmd_matrix(F, None, tol, "forward"),
+            edmd_matrix(numerics.SnapshotFactor(F.RY, F.RX, F.rows), None, tol, "backward"))
 
 
 def relative_residual(DX, DY, K):
@@ -118,13 +122,13 @@ def check_linear_evolution(DX, DY, v, lam, tol=DEFAULT_TOL):
     return defect <= tol.eig_match_atol, defect
 
 
-def _require_full_rank(RX, RY, tol, rows):
-    n_d = RX.shape[1]
-    if rows < n_d:
-        raise AssumptionViolation(f"need at least N_d = {n_d} snapshots, got {rows}")
-    if numerics.numerical_rank(RX, tol, rows) < n_d:
+def _require_full_rank(F, tol):
+    n_d = F.RX.shape[1]
+    if F.rows < n_d:
+        raise AssumptionViolation(f"need at least N_d = {n_d} snapshots, got {F.rows}")
+    if numerics.numerical_rank(F.RX, tol, F.rows) < n_d:
         raise AssumptionViolation("D(X) is not of full column rank")
-    if numerics.numerical_rank(RY, tol, rows) < n_d:
+    if numerics.numerical_rank(F.RY, tol, F.rows) < n_d:
         raise AssumptionViolation("D(Y) is not of full column rank")
 
 
@@ -179,7 +183,7 @@ def _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
     return [E_f @ U[:, i] for i in range(E_f.shape[1]) if i < keep.size and keep[i]]
 
 
-def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, rows=None):
+def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
     """All dictionary-space vectors that evolve linearly on the data.
 
     Computes the forward and backward EDMD matrices, then keeps every
@@ -190,11 +194,10 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, rows=None):
 
     Requires both dictionary matrices to have full column rank.
     """
-    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
-    _require_full_rank(RX, RY, tol, rows)
+    F = numerics.snapshot_factor(DX, DY)
+    _require_full_rank(F, tol)
 
-    k_f = edmd_matrix(RX, RY, tol, direction="forward", rows=rows)
-    k_b = edmd_matrix(RY, RX, tol, direction="backward", rows=rows)
+    k_f, k_b = _edmd_pair(F, tol)
     f_pairs = numerics.eig(k_f.matrix)
     b_pairs = numerics.eig(k_b.matrix)
     norm_kb = np.linalg.norm(k_b.matrix)
@@ -218,7 +221,7 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, rows=None):
             if abs(lam_b - 1.0 / lam) > atol * (1.0 + 1.0 / abs(lam)):
                 continue
             forward_defect = float(np.linalg.norm(k_f.matrix @ v - lam * v))
-            ok, data_defect = check_linear_evolution(RX, RY, v, lam, tol)
+            ok, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
             if not ok:
                 raise InternalInvariantViolation(
                     "vector passed the forward-backward test but violates the "

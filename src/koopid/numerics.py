@@ -5,6 +5,7 @@ functions here, parameterized by a single :class:`ToleranceConfig`, so that
 the iterative subspace pruning never mixes inconsistent thresholds.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "EigenpairSet",
+    "SnapshotFactor",
     "snapshot_factor",
     "numerical_rank",
     "null_space_basis",
@@ -81,6 +83,8 @@ def _rank_threshold(s, shape, tol):
 
 def _shape(M, rows):
     # rank thresholds see the sample count behind an R-factor block, if given
+    if rows is not None and rows < M.shape[0]:
+        raise InvalidInput(f"rows = {rows} is below the matrix's {M.shape[0]} rows")
     return (M.shape[0] if rows is None else rows, M.shape[1])
 
 
@@ -98,31 +102,38 @@ def _pair(DX, DY):
     return DX, DY
 
 
+@dataclass(frozen=True)
+class SnapshotFactor:
+    """Blocks of ``min(N, 2N_d)`` rows, ``[DX, DY] = Q [RX, RY]``, and the
+    sample count N (``rows``) that every rank threshold on them needs."""
+
+    RX: np.ndarray
+    RY: np.ndarray
+    rows: int
+
+
 def snapshot_factor(DX, DY):
-    """Blocks ``(RX, RY)``, ``min(N, 2N_d)`` rows each, of ``[DX, DY] = Q [RX, RY]``.
+    """The :class:`SnapshotFactor` of N-row snapshot matrices DX, DY.
 
     The single validation point for N-row data: DX and DY are copied once into
-    a Fortran-ordered N x 2N_d array that LAPACK factors in place.  Spans,
-    angles, residuals, EDMD matrices and data defects are the same on the
-    blocks as on the data, given the sample count as ``rows=N``.
+    a Fortran-ordered N x 2N_d array that LAPACK factors in place.  A factor
+    passed as DX, with DY None, is returned as it is.
     """
+    if isinstance(DX, SnapshotFactor) and DY is None:
+        return DX
     DX, DY = _pair(DX, DY)
     rows, n_d = DX.shape
     if DX.size == 0:
-        return np.zeros((0, n_d)), np.zeros((0, n_d))
+        return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)), rows)
     M = np.empty((rows, 2 * n_d), order="F")
     M[:, :n_d], M[:, n_d:] = DX, DY
+    if 1 < rows <= 2 * n_d and not np.tril(M, -1).any():
+        warnings.warn(f"DX, DY look like factor blocks, taken here as {rows} "
+                      "samples; pass the SnapshotFactor instead", stacklevel=2)
     # compact-WY Householder QR; narrow blocks keep the panel work cache-sized
     qr, _, _ = scipy.linalg.lapack.dgeqrt(min(16, rows, 2 * n_d), M, overwrite_a=True)
     R = np.triu(qr[:min(rows, 2 * n_d)])
-    return R[:, :n_d], R[:, n_d:]
-
-
-def _snapshot_blocks(DX, DY, rows):
-    """``(RX, RY, rows)``: DX, DY factored, or as given if they are blocks of ``rows``."""
-    if rows is None:
-        return (*snapshot_factor(DX, DY), np.shape(DX)[0])
-    return (*_pair(DX, DY), int(rows))
+    return SnapshotFactor(R[:, :n_d], R[:, n_d:], rows)
 
 
 def numerical_rank(M, tol=DEFAULT_TOL, rows=None):
@@ -264,11 +275,11 @@ def principal_angles(P, Q, tol=DEFAULT_TOL, rows=None):
     return _range_angles(P, Q, tol, rows)[2]
 
 
-def subspace_equal(P, Q, tol=DEFAULT_TOL, rows=None):
+def subspace_equal(P, Q, tol=DEFAULT_TOL):
     """True iff the column spans of P and Q coincide.
 
     Spans of different dimension are unequal; otherwise equality means every
     principal angle is at most ``tol.subspace_atol``.
     """
-    dim_p, dim_q, angles = _range_angles(P, Q, tol, rows)
+    dim_p, dim_q, angles = _range_angles(P, Q, tol, None)
     return bool(dim_p == dim_q and (angles.size == 0 or angles.max() <= tol.subspace_atol))

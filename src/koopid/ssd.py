@@ -23,10 +23,10 @@ from . import dictionary as dict_mod
 from . import numerics
 from .edmd import (
     MatchedEvolution,
+    _edmd_pair,
     _negligible,
     _require_full_rank,
     check_linear_evolution,
-    edmd_matrix,
     relative_residual,
 )
 from .errors import InternalInvariantViolation, InvalidInput
@@ -102,13 +102,13 @@ class ReducedKoopman:
     dictionary: dict_mod.DerivedDictionary = None
 
 
-def _check_preconditions(DX, DY, tol, rows):
-    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
-    _require_full_rank(RX, RY, tol, rows)
-    if rows < 2 * RX.shape[1]:
+def _check_preconditions(DX, DY, tol):
+    F = numerics.snapshot_factor(DX, DY)
+    _require_full_rank(F, tol)
+    if F.rows < 2 * F.RX.shape[1]:
         warnings.warn("fewer than 2 * N_d snapshots; rank decisions may be fragile",
                       UserWarning, stacklevel=3)
-    return RX, RY, rows
+    return F
 
 
 def _truncation_split(s, epsilon, shape, tol):
@@ -134,19 +134,19 @@ def _truncation_split(s, epsilon, shape, tol):
     return k, float(tail_ratios[k]), False
 
 
-def _finish(C, iterations, log, mode, epsilon, RX, RY, rows, tol):
+def _finish(C, iterations, log, mode, epsilon, F, tol):
     max_angle = None
     if C is not None:
-        angles = numerics.principal_angles(RX @ C, RY @ C, tol, rows)
+        angles = numerics.principal_angles(F.RX @ C, F.RY @ C, tol, F.rows)
         max_angle = float(angles.max()) if angles.size else 0.0
     return SsdResult(C=C, iterations=iterations, log=tuple(log), mode=mode,
                      epsilon=epsilon, max_range_angle=max_angle)
 
 
-def _ssd_loop(RX, RY, rows, tol, epsilon):
+def _ssd_loop(F, tol, epsilon):
     # iterates are [RX, RY] @ G: the same singular pairs as [D(X), D(Y)] @ G
-    n_d = RX.shape[1]
-    A, B = RX, RY
+    n_d = F.RX.shape[1]
+    A, B = F.RX, F.RY
     C = np.eye(n_d)
     mode = "exact" if epsilon is None else "approximate"
     log = []
@@ -162,12 +162,12 @@ def _ssd_loop(RX, RY, rows, tol, epsilon):
         kept_rank = truncation_ratio = None
         fallback = False
         if epsilon is None:
-            Z = numerics.null_space_basis(M, tol, rows)
+            Z = numerics.null_space_basis(M, tol, F.rows)
             next_A, next_B = A, B
         else:
             s, V = numerics._right_singular_pairs(M)
             kept_rank, truncation_ratio, fallback = _truncation_split(
-                s, epsilon, (rows, 2 * m), tol
+                s, epsilon, (F.rows, 2 * m), tol
             )
             if fallback:
                 logger.info(
@@ -185,7 +185,7 @@ def _ssd_loop(RX, RY, rows, tol, epsilon):
         if c == 0:
             log.append(SsdIteration(m, 0, "empty", kept_rank, truncation_ratio,
                                     fallback))
-            return _finish(None, iteration, log, mode, epsilon, RX, RY, rows, tol)
+            return _finish(None, iteration, log, mode, epsilon, F, tol)
         Z_A = Z[:m, :]
         if epsilon is None and c > m:
             raise InternalInvariantViolation(
@@ -195,7 +195,7 @@ def _ssd_loop(RX, RY, rows, tol, epsilon):
         if m <= c:
             log.append(SsdIteration(m, c, "complete", kept_rank,
                                     truncation_ratio, fallback))
-            return _finish(C, iteration, log, mode, epsilon, RX, RY, rows, tol)
+            return _finish(C, iteration, log, mode, epsilon, F, tol)
         log.append(SsdIteration(m, c, "reduce", kept_rank, truncation_ratio,
                                 fallback))
         if epsilon is None:
@@ -212,21 +212,20 @@ def _ssd_loop(RX, RY, rows, tol, epsilon):
         B = next_B @ Z_A
 
 
-def ssd(DX, DY, tol=DEFAULT_TOL, rows=None):
+def ssd(DX, DY, tol=DEFAULT_TOL):
     """Maximal subspace of the dictionary span evolving linearly on the data.
 
     Requires both dictionary matrices to have full column rank.  Returns an
     :class:`SsdResult` whose ``C`` satisfies range(DX @ C) == range(DY @ C)
     (tolerance-exactly) and is maximal among all such recombinations; ``C``
     is None when no nonzero linear evolution exists in the span.  Here and
-    below, DX and DY are factored first unless ``rows`` is given, in which
-    case they are the blocks of :func:`numerics.snapshot_factor`.
+    below, DX may instead be the :class:`numerics.SnapshotFactor` of both
+    matrices, with DY None; N-row DX, DY are factored first.
     """
-    RX, RY, rows = _check_preconditions(DX, DY, tol, rows)
-    return _ssd_loop(RX, RY, rows, tol, epsilon=None)
+    return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=None)
 
 
-def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL, rows=None):
+def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
     """Epsilon-truncated decomposition for approximately invariant subspaces.
 
     At every round the stacked matrix is replaced by the rank-deficient
@@ -239,11 +238,10 @@ def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL, rows=None):
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie strictly between 0 and 1")
-    RX, RY, rows = _check_preconditions(DX, DY, tol, rows)
-    return _ssd_loop(RX, RY, rows, tol, epsilon=float(epsilon))
+    return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=float(epsilon))
 
 
-def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None, rows=None):
+def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
     """Least-squares Koopman matrix on the identified subspace.
 
     ``K = pinv(DX @ C) @ (DY @ C)`` together with the relative residual of
@@ -254,9 +252,9 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None, rows=None)
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
-    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
-    DXC, DYC = RX @ result.C, RY @ result.C
-    K = numerics.pseudo_inverse(DXC, tol, rows) @ DYC
+    F = numerics.snapshot_factor(DX, DY)
+    DXC, DYC = F.RX @ result.C, F.RY @ result.C
+    K = numerics.pseudo_inverse(DXC, tol, F.rows) @ DYC
     e_r = relative_residual(DXC, DYC, K)
     if result.mode == "exact":
         if e_r > 10.0 * tol.subspace_atol:
@@ -275,7 +273,7 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None, rows=None)
     return ReducedKoopman(matrix=K, e_r=e_r, dictionary=reduced_dict)
 
 
-def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL, rows=None):
+def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
     """Eigenvectors of the reduced Koopman matrix mapped back to the
     original dictionary's coordinates.
 
@@ -286,9 +284,8 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL, rows=None):
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
-    RX, RY, rows = numerics._snapshot_blocks(DX, DY, rows)
-    k_f = edmd_matrix(RX, RY, tol, direction="forward", rows=rows)
-    k_b = edmd_matrix(RY, RX, tol, direction="backward", rows=rows)
+    F = numerics.snapshot_factor(DX, DY)
+    k_f, k_b = _edmd_pair(F, tol)
     lifted = []
     for lam, w in numerics.eig(reduced.matrix).pairs():
         lam = complex(lam)
@@ -297,7 +294,7 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL, rows=None):
         v = numerics._normalize_eigenvector(result.C @ w)
         forward_defect = float(np.linalg.norm(k_f.matrix @ v - lam * v))
         backward_defect = float(np.linalg.norm(k_b.matrix @ v - v / lam))
-        _, data_defect = check_linear_evolution(RX, RY, v, lam, tol)
+        _, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
         lifted.append(MatchedEvolution(
             eigenvalue=lam, coefficients=v,
             forward_defect=forward_defect,

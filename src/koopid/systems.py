@@ -221,11 +221,12 @@ def write_snapshot_csv(snapshots, path, provenance_path=None):
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
     # the bytes csv.writer would produce: plain fields, CRLF line endings
     row = ",".join(["%.17g"] * (2 * n)) + "\r\n"
-    data = np.hstack([snapshots.X, snapshots.Y]).tolist()
-    text = ",".join(header) + "\r\n" + "".join([row % tuple(r) for r in data])
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(",".join(header) + "\r\n")
+            data = np.hstack([snapshots.X, snapshots.Y])
+            for start in range(0, len(data), 65536):  # Python objects per chunk only
+                fh.write("".join([row % tuple(r) for r in data[start:start + 65536].tolist()]))
         if provenance_path is None:
             provenance_path = path.with_suffix(".provenance.json")
         with open(provenance_path, "w") as fh:
@@ -251,7 +252,8 @@ def read_snapshot_csv(path):
                 raise InvalidInput(f"{path}: header must be x_1..x_n,y_1..y_n")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # no data rows is checked below
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  quotechar='"')
     except OSError as exc:
         raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
     except ValueError as exc:  # a non-numeric entry or a ragged row

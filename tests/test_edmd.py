@@ -246,30 +246,32 @@ class TestFactorRoute:
                                     ex2_matrices, tol):
         DX, DY = (counterexample_matrices if case == "counterexample"
                   else ex2_matrices)
-        rows = DX.shape[0]
-        RX, RY = koopid.snapshot_factor(DX, DY)
+        factor = koopid.snapshot_factor(DX, DY)
+        # the data as its own blocks (Q = I), with the same sample count
+        as_blocks = koopid.SnapshotFactor(DX, DY, DX.shape[0])
         def by_eigenvalue(matched):
             return sorted(matched, key=lambda e: (e.eigenvalue.real, e.eigenvalue.imag))
 
         on_blocks = by_eigenvalue(
-            koopid.forward_backward_eigenpairs(RX, RY, tol, rows=rows))
+            koopid.forward_backward_eigenpairs(factor, None, tol))
         for other in (koopid.forward_backward_eigenpairs(DX, DY, tol),
-                      koopid.forward_backward_eigenpairs(DX, DY, tol, rows=rows)):
+                      koopid.forward_backward_eigenpairs(as_blocks, None, tol)):
             assert len(other) == len(on_blocks)
             for a, b in zip(by_eigenvalue(other), on_blocks):
                 assert abs(a.eigenvalue - b.eigenvalue) <= 1e-6
                 assert abs(abs(np.vdot(a.coefficients, b.coefficients)) - 1.0) <= 1e-6
                 assert abs(a.data_defect - b.data_defect) <= tol.eig_match_atol
-        k_blocks = koopid.edmd_matrix(RX, RY, tol, rows=rows)
-        k_full = koopid.edmd_matrix(DX, DY, tol, rows=rows)
+        k_blocks = koopid.edmd_matrix(factor, None, tol)
+        k_full = koopid.edmd_matrix(DX, DY, tol)
         np.testing.assert_allclose(k_blocks.matrix, k_full.matrix, atol=1e-8)
-        assert koopid.relative_residual(RX, RY, k_blocks.matrix) == pytest.approx(
+        assert koopid.relative_residual(factor.RX, factor.RY,
+                                        k_blocks.matrix) == pytest.approx(
             koopid.relative_residual(DX, DY, k_full.matrix), rel=1e-6, abs=1e-14)
 
     def test_defect_is_the_same_on_blocks(self, ex2_matrices):
         DX, DY = ex2_matrices
-        RX, RY = koopid.snapshot_factor(DX, DY)
+        factor = koopid.snapshot_factor(DX, DY)
         for v, lam in [(V_QUADRATIC_RADIUS, 0.89), (V_X1_SQUARED, 0.89)]:
             _, full = koopid.check_linear_evolution(DX, DY, v, lam)
-            _, block = koopid.check_linear_evolution(RX, RY, v, lam)
+            _, block = koopid.check_linear_evolution(factor.RX, factor.RY, v, lam)
             assert block == pytest.approx(full, rel=1e-6, abs=1e-13)

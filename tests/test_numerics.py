@@ -247,9 +247,10 @@ class TestSnapshotFactor:
         DX = rng.standard_normal((rows, n_d))
         DY = rng.standard_normal((rows, n_d))
         DX_before, DY_before = DX.copy(), DY.copy()
-        RX, RY = koopid.snapshot_factor(DX, DY)
-        R = np.hstack([RX, RY])
+        factor = koopid.snapshot_factor(DX, DY)
+        R = np.hstack([factor.RX, factor.RY])
         M = np.hstack([DX, DY])
+        assert factor.rows == rows
         assert R.shape == (min(rows, 2 * n_d), 2 * n_d)
         assert np.array_equal(R, np.triu(R))
         np.testing.assert_allclose(R.T @ R, M.T @ M,
@@ -275,11 +276,11 @@ class TestSnapshotFactor:
         rng = np.random.Generator(np.random.PCG64(700 + seed))
         M = rank_deficient_matrix(rng, rows, cols, rank)
         half = cols // 2
-        RX, RY = koopid.snapshot_factor(M[:, :half], M[:, half:])
-        R = np.hstack([RX, RY])
+        factor = koopid.snapshot_factor(M[:, :half], M[:, half:])
+        R = np.hstack([factor.RX, factor.RY])
         assert koopid.numerical_rank(R, tol, rows=rows) == \
             koopid.numerical_rank(M, tol) == rank
-        assert koopid.numerical_rank(RX, tol, rows=rows) == \
+        assert koopid.numerical_rank(factor.RX, tol, rows=rows) == \
             koopid.numerical_rank(M[:, :half], tol)
         Z_r = koopid.null_space_basis(R, tol, rows=rows)
         Z_m = koopid.null_space_basis(M, tol)
@@ -297,8 +298,8 @@ class TestSnapshotFactor:
         V, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
         s = np.array([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 1e-8])
         M = (U * s) @ V.T
-        RX, RY = koopid.snapshot_factor(M[:, :4], M[:, 4:])
-        R = np.hstack([RX, RY])
+        factor = koopid.snapshot_factor(M[:, :4], M[:, 4:])
+        R = np.hstack([factor.RX, factor.RY])
         assert koopid.numerical_rank(M, tol) == 7
         assert koopid.numerical_rank(R, tol, rows=rows) == 7
         assert koopid.numerical_rank(R, tol) == 8
@@ -306,3 +307,22 @@ class TestSnapshotFactor:
         np.testing.assert_allclose(
             koopid.pseudo_inverse(R, tol, rows=rows) @ R,
             koopid.pseudo_inverse(M, tol) @ M, atol=1e-8)
+
+    def test_blocks_passed_as_data_warn(self, tol):
+        # the blocks alone carry no sample count: factoring them again takes
+        # 2 * N_d as N, which is why they travel in a SnapshotFactor
+        rng = np.random.Generator(np.random.PCG64(720))
+        factor = koopid.snapshot_factor(rng.standard_normal((300, 4)),
+                                        rng.standard_normal((300, 4)))
+        with pytest.warns(UserWarning, match="SnapshotFactor"):
+            again = koopid.snapshot_factor(factor.RX, factor.RY)
+        assert again.rows == 8
+
+    def test_rows_below_the_matrix_rows_rejected(self, tol):
+        M = np.random.Generator(np.random.PCG64(730)).standard_normal((10, 4))
+        for fn in (koopid.numerical_rank, koopid.null_space_basis,
+                   koopid.pseudo_inverse, koopid.orthonormal_range):
+            with pytest.raises(InvalidInput, match="rows"):
+                fn(M, tol, rows=9)
+        with pytest.raises(InvalidInput, match="rows"):
+            koopid.principal_angles(M, M, tol, rows=9)

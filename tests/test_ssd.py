@@ -305,17 +305,16 @@ class TestEigenfunctionGrid:
         assert len(lines) == 1 + 16
 
 
-def _run_route(DX, DY, epsilon, tol, rows=None):
+def _run_route(DX, DY, epsilon, tol):
     """Decomposition, reduced matrix and lifted modes through one route."""
     if epsilon is None:
-        result = koopid.ssd(DX, DY, tol, rows=rows)
+        result = koopid.ssd(DX, DY, tol)
     else:
-        result = koopid.approximate_ssd(DX, DY, epsilon, tol, rows=rows)
+        result = koopid.approximate_ssd(DX, DY, epsilon, tol)
     if result.is_zero:
         return result, None, []
-    reduced = koopid.reduced_koopman(DX, DY, result, tol, rows=rows)
-    return result, reduced, koopid.lift_eigenvectors(DX, DY, result, reduced,
-                                                     tol, rows=rows)
+    reduced = koopid.reduced_koopman(DX, DY, result, tol)
+    return result, reduced, koopid.lift_eigenvectors(DX, DY, result, reduced, tol)
 
 
 def _log_key(result):
@@ -342,7 +341,7 @@ def _assert_same_outcome(a, b, tol):
 
 
 class TestFactorRoute:
-    """The CLI route (one QR, then blocks with rows=N) against the public
+    """The CLI route (one QR, then the blocks with N) against the public
     full-data calls and against the same loop run on the N-row data itself
     (the data as its own blocks, Q = I)."""
 
@@ -352,12 +351,10 @@ class TestFactorRoute:
     def test_same_decisions_spans_and_modes(self, case, epsilon, ex2_matrices,
                                             vdp_matrices, tol):
         DX, DY = ex2_matrices if case == "ex2" else vdp_matrices
-        rows = DX.shape[0]
-        RX, RY = numerics.snapshot_factor(DX, DY)
-        blocks = _run_route(RX, RY, epsilon, tol, rows=rows)
+        blocks = _run_route(numerics.snapshot_factor(DX, DY), None, epsilon, tol)
         _assert_same_outcome(_run_route(DX, DY, epsilon, tol), blocks, tol)
-        _assert_same_outcome(_run_route(DX, DY, epsilon, tol, rows=rows),
-                             blocks, tol)
+        as_blocks = numerics.SnapshotFactor(DX, DY, DX.shape[0])
+        _assert_same_outcome(_run_route(as_blocks, None, epsilon, tol), blocks, tol)
         expected = {"ex2": 6, "vdp": 1 if epsilon is None else None}[case]
         if expected is not None:
             assert blocks[0].subspace_dim == expected
@@ -368,9 +365,9 @@ class TestFactorRoute:
                                                     monkeypatch):
         # lifting calls the data-defect check once per mode, on 2 * N_d rows
         DX, DY = ex2_matrices
-        RX, RY = numerics.snapshot_factor(DX, DY)
-        result = koopid.ssd(RX, RY, rows=DX.shape[0])
-        reduced = koopid.reduced_koopman(RX, RY, result, rows=DX.shape[0])
+        factor = numerics.snapshot_factor(DX, DY)
+        result = koopid.ssd(factor, None)
+        reduced = koopid.reduced_koopman(factor, None, result)
         ssd_mod = importlib.import_module("koopid.ssd")  # koopid.ssd is the function
         seen = []
         original = ssd_mod.check_linear_evolution
@@ -380,8 +377,7 @@ class TestFactorRoute:
             return original(A, B, *args, **kwargs)
 
         monkeypatch.setattr(ssd_mod, "check_linear_evolution", spy)
-        lifted = koopid.lift_eigenvectors(RX, RY, result, reduced,
-                                          rows=DX.shape[0])
+        lifted = koopid.lift_eigenvectors(factor, None, result, reduced)
         assert len(seen) == len(lifted) == 6
         assert all(shape == (18, 9) for shape in seen)
 
@@ -389,17 +385,27 @@ class TestFactorRoute:
         rng = np.random.Generator(np.random.PCG64(13))
         DX = rng.standard_normal((5, 3))
         DY = rng.standard_normal((5, 3))
-        RX, RY = numerics.snapshot_factor(DX, DY)
-        assert RX.shape == (5, 3)
+        factor = numerics.snapshot_factor(DX, DY)
+        assert factor.RX.shape == (5, 3)
         with pytest.warns(UserWarning, match="snapshots"):
-            koopid.ssd(RX, RY, rows=5)
+            koopid.ssd(factor, None)
 
     def test_fewer_samples_than_functions_violate_the_assumption(self):
         rng = np.random.Generator(np.random.PCG64(15))
         DX = rng.standard_normal((2, 3))
         DY = rng.standard_normal((2, 3))
-        RX, RY = numerics.snapshot_factor(DX, DY)
+        factor = numerics.snapshot_factor(DX, DY)
         with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
-            koopid.ssd(RX, RY, rows=2)
+            koopid.ssd(factor, None)
         with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
             koopid.approximate_ssd(DX, DY, 1e-4)
+
+    def test_blocks_without_their_sample_count_warn(self, vdp_matrices, tol):
+        # taken as data, RX and RY would count as 2 * N_d samples and every
+        # rank threshold would use that count instead of N
+        factor = numerics.snapshot_factor(*vdp_matrices)
+        assert koopid.ssd(factor, None, tol).subspace_dim == 1
+        with pytest.warns(UserWarning, match="SnapshotFactor"):
+            koopid.ssd(factor.RX, factor.RY, tol)
+        with pytest.raises(InvalidInput, match="DX"):
+            koopid.ssd(factor, factor.RY, tol)

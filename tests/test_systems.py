@@ -205,6 +205,26 @@ class TestSnapshotCsvFormat:
         assert path.read_bytes() == _csv_writer_reference(snap)
         assert b"\r\n" in path.read_bytes()
 
+    def test_bytes_equal_csv_writer_output_across_write_chunks(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(21))
+        snap = koopid.SnapshotSet(X=rng.standard_normal((70000, 1)),
+                                  Y=rng.standard_normal((70000, 1)))
+        path = tmp_path / "long.csv"
+        koopid.write_snapshot_csv(snap, path)
+        assert path.read_bytes() == _csv_writer_reference(snap)
+
+    def test_quoted_fields_parse(self, tmp_path):
+        snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
+        buf = io.StringIO()
+        writer = csv.writer(buf, quoting=csv.QUOTE_ALL)
+        writer.writerow(["x_1", "x_2", "y_1", "y_2"])
+        writer.writerows([f"{v:.17g}" for v in row] for row in self.EDGE)
+        path = tmp_path / "quoted.csv"
+        path.write_text(buf.getvalue())
+        back = koopid.read_snapshot_csv(path)
+        assert back.X.tobytes() == snap.X.tobytes()
+        assert back.Y.tobytes() == snap.Y.tobytes()
+
     def test_edge_values_round_trip_bitwise(self, tmp_path):
         snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
         path = tmp_path / "edge.csv"
