@@ -13,7 +13,6 @@ from .edmd import (
     KoopmanMatrix,
     MatchedEvolution,
     check_linear_evolution,
-    consistency_sweep,
     edmd_matrix,
     forward_backward_eigenpairs,
     relative_residual,

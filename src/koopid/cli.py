@@ -349,7 +349,10 @@ def cmd_identify(args):
     if args.grid_box is not None and evolutions:
         grid_box = _parse_box(args.grid_box, expected_dim=snapshots.state_dim)
         grid_dir = pathlib.Path(args.out_dir) if args.out_dir else out_path.parent
-        grid_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            grid_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot create grid directory: {exc}") from exc
         for idx in _select_grid_evolutions(evolutions, args.grid_eigenvalues):
             ev = evolutions[idx]
             grid = eigenfunction_grid(dictionary, ev.coefficients, grid_box,

@@ -10,7 +10,7 @@ when ``D(Y) v = lambda D(X) v``.
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "forward_backward_eigenpairs",
     "relative_residual",
     "check_linear_evolution",
-    "consistency_sweep",
 ]
 
 logger = logging.getLogger(__name__)
@@ -41,7 +40,6 @@ class KoopmanMatrix:
 
     matrix: np.ndarray
     direction: str
-    residual_fro: float
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,8 @@ def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
         warnings.warn("source dictionary matrix is rank deficient (needs N >= N_d and "
                       "independent samples); proceeding via pseudo-inverse",
                       RankWarning, stacklevel=2)
-    K = numerics.pseudo_inverse(F.RX, tol, F.rows) @ F.RY
-    residual = float(np.linalg.norm(F.RY - F.RX @ K))
-    return KoopmanMatrix(matrix=K, direction=direction, residual_fro=residual)
+    return KoopmanMatrix(matrix=numerics.pseudo_inverse(F.RX, tol, F.rows) @ F.RY,
+                         direction=direction)
 
 
 def _edmd_pair(F, tol):
@@ -120,6 +117,17 @@ def check_linear_evolution(DX, DY, v, lam, tol=DEFAULT_TOL):
         raise InvalidInput("D(X) v vanishes on the data; defect undefined")
     defect = float(np.linalg.norm(DY @ v - lam * fx) / norm_fx)
     return defect <= tol.eig_match_atol, defect
+
+
+def _evolution(k_f, k_b, lam, v, data_defect):
+    """The record of unit vector v evolving with factor lam, with its
+    forward and backward EDMD defects."""
+    return MatchedEvolution(
+        eigenvalue=lam, coefficients=v,
+        forward_defect=float(np.linalg.norm(k_f.matrix @ v - lam * v)),
+        backward_defect=float(np.linalg.norm(k_b.matrix @ v - v / lam)),
+        data_defect=data_defect,
+    )
 
 
 def _require_full_rank(F, tol):
@@ -220,7 +228,6 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
                 continue
             if abs(lam_b - 1.0 / lam) > atol * (1.0 + 1.0 / abs(lam)):
                 continue
-            forward_defect = float(np.linalg.norm(k_f.matrix @ v - lam * v))
             ok, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
             if not ok:
                 raise InternalInvariantViolation(
@@ -228,46 +235,11 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
                     f"data relation (defect {data_defect:.3e}); inconsistent "
                     "tolerances or rank decisions"
                 )
-            matched.append(MatchedEvolution(
-                eigenvalue=lam, coefficients=v,
-                forward_defect=forward_defect,
-                backward_defect=backward_defect,
-                data_defect=data_defect,
-            ))
+            ev = _evolution(k_f, k_b, lam, v, data_defect)
+            matched.append(ev)
             if lam.imag != 0.0:
                 # conjugate partner: exact by symmetry of the real-data problem
-                matched.append(MatchedEvolution(
-                    eigenvalue=lam.conjugate(), coefficients=np.conj(v),
-                    forward_defect=forward_defect,
-                    backward_defect=backward_defect,
-                    data_defect=data_defect,
-                ))
+                matched.append(replace(
+                    ev, eigenvalue=lam.conjugate(), coefficients=np.conj(v)))
     return matched
 
-
-def consistency_sweep(DX, DY, tol=DEFAULT_TOL, fractions=(0.25, 0.5, 1.0)):
-    """Re-run the forward-backward matching on nested data prefixes.
-
-    A matched eigenvalue that only appears at the full sample count is
-    suspect; this reports, for every eigenvalue matched on the full data,
-    whether a matching eigenvalue (within the matching tolerance) was found
-    at every smaller prefix as well.
-    """
-    DX = numerics._as_matrix(DX, "DX")
-    DY = numerics._as_matrix(DY, "DY")
-    n_d = DX.shape[1]
-    counts = sorted({max(n_d, int(round(f * DX.shape[0]))) for f in fractions})
-    per_count = {
-        m: [ev.eigenvalue for ev in forward_backward_eigenpairs(DX[:m], DY[:m], tol)]
-        for m in counts
-    }
-    full = per_count[counts[-1]]
-    atol = tol.eig_match_atol
-    report = []
-    for lam in full:
-        stable = all(
-            any(abs(lam - mu) <= atol * (1.0 + abs(lam)) for mu in per_count[m])
-            for m in counts
-        )
-        report.append({"eigenvalue": lam, "stable": stable, "counts": counts})
-    return report

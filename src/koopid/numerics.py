@@ -1,8 +1,8 @@
 """Tolerance-aware dense linear algebra primitives.
 
 All rank, null-space and subspace decisions in this package flow through the
-functions here, parameterized by a single :class:`ToleranceConfig`, so that
-the iterative subspace pruning never mixes inconsistent thresholds.
+one SVD helper here, parameterized by a single :class:`ToleranceConfig`, so
+that the iterative subspace pruning never mixes inconsistent thresholds.
 """
 
 import warnings
@@ -76,22 +76,23 @@ def _as_matrix(M, name="matrix", allow_complex=False):
     return arr
 
 
-def _rank_threshold(s, shape, tol):
+def _svd(M, tol, rows=None):
+    """``(U, s, V, rank)`` of M under the one rank rule of the package.
+
+    s is descending and zero-padded to cols, V holds all cols right singular
+    vectors, and ``rank`` counts the s above ``rank_rtol * sigma_max *
+    max(N, cols)``, N being ``rows`` (the sample count behind an R-factor
+    block) or else M's own row count.
+    """
+    M = _as_matrix(M, "M", allow_complex=True)
+    n, cols = M.shape
+    if rows is not None and rows < n:
+        raise InvalidInput(f"rows = {rows} is below the matrix's {n} rows")
+    U, s, Vh = np.linalg.svd(M, full_matrices=n < cols)
+    s = np.pad(s, (0, cols - s.size))
     smax = s[0] if s.size else 0.0
-    return tol.rank_rtol * smax * max(shape)
-
-
-def _shape(M, rows):
-    # rank thresholds see the sample count behind an R-factor block, if given
-    if rows is not None and rows < M.shape[0]:
-        raise InvalidInput(f"rows = {rows} is below the matrix's {M.shape[0]} rows")
-    return (M.shape[0] if rows is None else rows, M.shape[1])
-
-
-def _right_singular_pairs(M):
-    """Singular values (descending, zero-padded to cols), all right singular vectors."""
-    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    return np.pad(s, (0, M.shape[1] - s.size)), Vt.conj().T
+    rank = int(np.sum(s > tol.rank_rtol * smax * max(n if rows is None else rows, cols)))
+    return U, s, Vh.conj().T, rank
 
 
 def _pair(DX, DY):
@@ -138,11 +139,7 @@ def snapshot_factor(DX, DY):
 
 def numerical_rank(M, tol=DEFAULT_TOL, rows=None):
     """Number of singular values of M above the relative rank threshold."""
-    M = _as_matrix(M, "M", allow_complex=True)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > _rank_threshold(s, _shape(M, rows), tol)))
+    return _svd(M, tol, rows)[3]
 
 
 def null_space_basis(M, tol=DEFAULT_TOL, rows=None):
@@ -153,19 +150,16 @@ def null_space_basis(M, tol=DEFAULT_TOL, rows=None):
     the null space is trivial.  ``M @ Z`` is tolerance-small by construction
     and ``numerical_rank(M, tol, rows) + Z.shape[1] == cols`` always holds.
     """
-    M = _as_matrix(M, "M", allow_complex=True)
-    s, V = _right_singular_pairs(M)
-    rank = int(np.sum(s > _rank_threshold(s, _shape(M, rows), tol)))
+    _, _, V, rank = _svd(M, tol, rows)
     return V[:, rank:]
 
 
 def pseudo_inverse(M, tol=DEFAULT_TOL, rows=None):
     """Moore-Penrose pseudo-inverse with singular values truncated at the
     same relative threshold used for rank decisions."""
-    M = _as_matrix(M, "M", allow_complex=True)
-    if M.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    return np.linalg.pinv(M, rcond=tol.rank_rtol * max(_shape(M, rows)))
+    U, s, V, r = _svd(M, tol, rows)
+    # U^H scaled by the reciprocals, as numpy.linalg.pinv does, to round the same
+    return V[:, :r] @ ((1.0 / s[:r, None]) * U[:, :r].conj().T)
 
 
 @dataclass(frozen=True)
@@ -243,11 +237,7 @@ def eig(M):
 
 def orthonormal_range(M, tol=DEFAULT_TOL, rows=None):
     """Orthonormal basis (columns) of the numerical column span of M."""
-    M = _as_matrix(M, "M", allow_complex=True)
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=M.dtype)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > _rank_threshold(s, _shape(M, rows), tol)))
+    U, _, _, rank = _svd(M, tol, rows)
     return U[:, :rank]
 
 

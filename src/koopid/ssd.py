@@ -11,9 +11,7 @@ reduction, which identifies subspaces that evolve only approximately
 linearly.
 """
 
-import csv
 import logging
-import pathlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,8 +20,8 @@ import numpy as np
 from . import dictionary as dict_mod
 from . import numerics
 from .edmd import (
-    MatchedEvolution,
     _edmd_pair,
+    _evolution,
     _negligible,
     _require_full_rank,
     check_linear_evolution,
@@ -31,6 +29,7 @@ from .edmd import (
 )
 from .errors import InternalInvariantViolation, InvalidInput
 from .numerics import DEFAULT_TOL
+from .systems import _write_csv
 
 __all__ = [
     "SsdIteration",
@@ -111,7 +110,7 @@ def _check_preconditions(DX, DY, tol):
     return F
 
 
-def _truncation_split(s, epsilon, shape, tol):
+def _truncation_split(s, epsilon, rank):
     """Index k of the first singular value to zero out under the trailing
     sum-ratio rule, plus the achieved ratio and whether the rule had no
     admissible k and the exact rank decision was used instead.
@@ -122,7 +121,6 @@ def _truncation_split(s, epsilon, shape, tol):
     truncated regardless of how measurement noise inflated them.
     """
     total = float(np.sum(s))
-    rank = int(np.sum(s > numerics._rank_threshold(s, shape, tol)))
     if total == 0.0:
         return 0, 0.0, False
     tail_ratios = np.cumsum(s[::-1])[::-1] / total
@@ -159,28 +157,27 @@ def _ssd_loop(F, tol, epsilon):
             )
         m = A.shape[1]
         M = np.hstack([A, B])
+        _, s, V, rank = numerics._svd(M, tol, F.rows)
         kept_rank = truncation_ratio = None
         fallback = False
         if epsilon is None:
-            Z = numerics.null_space_basis(M, tol, F.rows)
+            k = rank
             next_A, next_B = A, B
         else:
-            s, V = numerics._right_singular_pairs(M)
-            kept_rank, truncation_ratio, fallback = _truncation_split(
-                s, epsilon, (F.rows, 2 * m), tol
-            )
+            k, truncation_ratio, fallback = _truncation_split(s, epsilon, rank)
+            kept_rank = k
             if fallback:
                 logger.info(
                     "iteration %d: no truncation index satisfies the ratio "
                     "condition for epsilon=%g; using the exact rank decision",
                     iteration, epsilon,
                 )
-            Z = V[:, kept_rank:]
             # continue with the rank-deficient replacement of [A, B]: project
             # out the truncated trailing directions
-            kept = V[:, :kept_rank]
+            kept = V[:, :k]
             M_trunc = M @ (kept @ kept.T)
             next_A, next_B = M_trunc[:, :m], M_trunc[:, m:]
+        Z = V[:, k:]
         c = Z.shape[1]
         if c == 0:
             log.append(SsdIteration(m, 0, "empty", kept_rank, truncation_ratio,
@@ -292,15 +289,8 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
         if _negligible(lam):
             continue
         v = numerics._normalize_eigenvector(result.C @ w)
-        forward_defect = float(np.linalg.norm(k_f.matrix @ v - lam * v))
-        backward_defect = float(np.linalg.norm(k_b.matrix @ v - v / lam))
         _, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
-        lifted.append(MatchedEvolution(
-            eigenvalue=lam, coefficients=v,
-            forward_defect=forward_defect,
-            backward_defect=backward_defect,
-            data_defect=data_defect,
-        ))
+        lifted.append(_evolution(k_f, k_b, lam, v, data_defect))
     return lifted
 
 
@@ -341,12 +331,6 @@ def eigenfunction_grid(dictionary, v, box, resolution):
 
 def write_grid_csv(grid, path):
     """Write a grid as CSV with columns x_1..x_n,abs,angle."""
-    path = pathlib.Path(path)
     n = grid.points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{i+1}" for i in range(n)] + ["abs", "angle"])
-        for point, a, theta in zip(grid.points, grid.abs_values, grid.angles):
-            writer.writerow([f"{p:.17g}" for p in point]
-                            + [f"{a:.17g}", f"{theta:.17g}"])
-    return path
+    return _write_csv(path, [f"x_{i+1}" for i in range(n)] + ["abs", "angle"],
+                      np.column_stack([grid.points, grid.abs_values, grid.angles]))

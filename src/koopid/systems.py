@@ -209,6 +209,21 @@ def generate(spec, n_samples):
     return SnapshotSet(X=X, Y=Y, provenance=prov)
 
 
+def _write_csv(path, header, data):
+    """Write a header and the rows of a float matrix as csv.writer would
+    (plain fields, CRLF line endings), each value in 17 significant digits."""
+    path = pathlib.Path(path)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, len(data), 65536):  # Python objects per chunk only
+                fh.write("".join([row % tuple(r) for r in data[start:start + 65536].tolist()]))
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
+    return path
+
+
 def write_snapshot_csv(snapshots, path, provenance_path=None):
     """Write snapshots as CSV with header x_1..x_n,y_1..y_n.
 
@@ -216,24 +231,17 @@ def write_snapshot_csv(snapshots, path, provenance_path=None):
     reproduces the exact IEEE-754 doubles.  A provenance JSON sidecar is
     written next to the CSV (or at ``provenance_path``).
     """
-    path = pathlib.Path(path)
     n = snapshots.state_dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-    # the bytes csv.writer would produce: plain fields, CRLF line endings
-    row = ",".join(["%.17g"] * (2 * n)) + "\r\n"
+    path = _write_csv(path, header, np.hstack([snapshots.X, snapshots.Y]))
+    if provenance_path is None:
+        provenance_path = path.with_suffix(".provenance.json")
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            data = np.hstack([snapshots.X, snapshots.Y])
-            for start in range(0, len(data), 65536):  # Python objects per chunk only
-                fh.write("".join([row % tuple(r) for r in data[start:start + 65536].tolist()]))
-        if provenance_path is None:
-            provenance_path = path.with_suffix(".provenance.json")
         with open(provenance_path, "w") as fh:
             json.dump(snapshots.provenance, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise ArtifactIOError(f"cannot write snapshot file: {exc}") from exc
+        raise ArtifactIOError(f"cannot write provenance file: {exc}") from exc
     return path
 
 

@@ -165,6 +165,14 @@ class TestIdentify:
             data = np.loadtxt(grid_file, delimiter=",", skiprows=1)
             assert np.all(np.isfinite(data))
 
+    def test_grid_dir_under_a_file_is_io_error(self, workdir, capsys):
+        (workdir / "blocker").write_text("")
+        code, _ = run_identify(workdir, "--method", "ssd",
+                               "--grid-box", "-2,2,-2,2", "--grid-resolution", "5",
+                               "--out-dir", str(workdir / "blocker" / "sub"))
+        assert code == cli.EXIT_IO_ERROR
+        assert "error[io-error]" in capsys.readouterr().err
+
     def test_grid_eigenvalue_selector_must_match(self, workdir):
         code, _ = run_identify(workdir, "--method", "ssd",
                                "--grid-box", "-2,2,-2,2",

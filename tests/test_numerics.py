@@ -81,12 +81,24 @@ class TestNullSpaceBasis:
         M = rank_deficient_matrix(rng, rows, cols, min(rank, rows, cols))
         Z = koopid.null_space_basis(M)
         assert koopid.numerical_rank(M) + Z.shape[1] == cols
+        assert koopid.orthonormal_range(M).shape[1] == koopid.numerical_rank(M)
         if Z.shape[1]:
             np.testing.assert_allclose(Z.conj().T @ Z, np.eye(Z.shape[1]),
                                        atol=1e-12)
             sigma_max = np.linalg.norm(M, 2)
             bound = 10.0 * tol.rank_rtol * sigma_max * np.sqrt(Z.shape[1])
             assert np.linalg.norm(M @ Z) <= bound
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrices_through_every_rank_primitive(shape):
+    rows, cols = shape
+    M = np.zeros(shape)
+    assert koopid.numerical_rank(M) == 0
+    assert koopid.null_space_basis(M).shape == (cols, cols)
+    assert koopid.orthonormal_range(M).shape == (rows, 0)
+    P = koopid.pseudo_inverse(M)
+    assert P.shape == (cols, rows) and not P.any()
 
 
 class TestPseudoInverse:
@@ -104,6 +116,18 @@ class TestPseudoInverse:
         M = rng.standard_normal((100, 5))
         np.testing.assert_allclose(koopid.pseudo_inverse(M) @ M, np.eye(5),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("rows,cols", [(80, 12), (12, 80)])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_equals_numpy_pinv_at_the_rank_threshold(self, rows, cols, is_complex, tol):
+        rng = np.random.Generator(np.random.PCG64(150 + rows))
+        M = rank_deficient_matrix(rng, rows, cols, 7)
+        if is_complex:
+            M = M @ (np.eye(cols) + 1j * rng.standard_normal((cols, cols)))
+        assert koopid.numerical_rank(M, tol) == 7
+        reference = np.linalg.pinv(M, rcond=tol.rank_rtol * max(M.shape))
+        P = koopid.pseudo_inverse(M, tol)
+        assert np.linalg.norm(P - reference) <= 1e-13 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("seed,rows,cols,rank", [
         (0, 50, 20, 20), (1, 200, 50, 50), (2, 60, 60, 25), (3, 20, 45, 12),

@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 
 import numpy as np
 import pytest
@@ -303,6 +305,18 @@ class TestEigenfunctionGrid:
         lines = path.read_text().splitlines()
         assert lines[0] == "x_1,x_2,abs,angle"
         assert len(lines) == 1 + 16
+
+    def test_grid_csv_bytes_equal_csv_writer(self, ex2_dictionary, tmp_path):
+        v = np.arange(9.0) - 4.0 + 1j * np.arange(9.0)
+        grid = koopid.eigenfunction_grid(ex2_dictionary, v, [(-1, 1), (0, 1e-300)], 5)
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, path)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["x_1", "x_2", "abs", "angle"])
+        for point, a, theta in zip(grid.points, grid.abs_values, grid.angles):
+            writer.writerow([f"{p:.17g}" for p in point] + [f"{a:.17g}", f"{theta:.17g}"])
+        assert path.read_bytes() == reference.getvalue().encode()
 
 
 def _run_route(DX, DY, epsilon, tol):
