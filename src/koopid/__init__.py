@@ -6,6 +6,7 @@ from .dictionary import (
     DerivedDictionary,
     MonomialDictionary,
     evaluate,
+    evaluate_factor,
     monomials_up_to_degree,
     restrict,
 )

@@ -307,8 +307,7 @@ def cmd_identify(args):
         raise InvalidInput("--eps is only valid with --method ssd-approx")
 
     # every step below works on the R-factor blocks of [D(X), D(Y)]
-    factor = numerics.snapshot_factor(dict_mod.evaluate(dictionary, snapshots.X),
-                                      dict_mod.evaluate(dictionary, snapshots.Y))
+    factor = dict_mod.evaluate_factor(dictionary, snapshots.X, snapshots.Y)
 
     result = {
         "method": args.method,
@@ -398,8 +397,7 @@ def cmd_verify(args):
     if dictionary.state_dim != snapshots.state_dim:
         raise InvalidInput("result dictionary does not match the snapshot state dim")
 
-    factor = numerics.snapshot_factor(dict_mod.evaluate(dictionary, snapshots.X),
-                                      dict_mod.evaluate(dictionary, snapshots.Y))
+    factor = dict_mod.evaluate_factor(dictionary, snapshots.X, snapshots.Y)
 
     checks = []
 

@@ -20,6 +20,7 @@ __all__ = [
     "DerivedDictionary",
     "monomials_up_to_degree",
     "evaluate",
+    "evaluate_factor",
     "restrict",
 ]
 
@@ -137,7 +138,7 @@ def monomials_up_to_degree(n, degree):
     return MonomialDictionary(state_dim=n, exponents=tuple(exps))
 
 
-def _evaluate_monomials(dictionary, X):
+def _evaluate_monomials(dictionary, X, out):
     n_samples, n = X.shape
     max_deg = max((max(e) for e in dictionary.exponents), default=0)
     # power tables per state variable keep the evaluation at one multiply
@@ -151,17 +152,16 @@ def _evaluate_monomials(dictionary, X):
             for k in range(1, max_deg + 1):
                 table[k] = table[k - 1] * X[:, i]
             powers.append(table)
-        out = np.empty((n_samples, dictionary.size))
         for j, e in enumerate(dictionary.exponents):
-            col = np.ones(n_samples)
+            col = out[:, j]
+            col[:] = 1.0
             for i, k in enumerate(e):
                 if k:
-                    col = col * powers[i][k]
-            out[:, j] = col
+                    col *= powers[i][k]
     return out
 
 
-def evaluate(dictionary, X):
+def evaluate(dictionary, X, out=None):
     """Evaluate a dictionary on a sample matrix.
 
     Parameters
@@ -169,11 +169,18 @@ def evaluate(dictionary, X):
     dictionary : MonomialDictionary or DerivedDictionary
     X : ndarray, shape (N, n)
         One state per row; ``n`` must equal the dictionary's state dimension.
+    out : ndarray, shape (N, size), optional
+        Array the values are written into (and returned).
 
     Returns
     -------
     ndarray, shape (N, size)
         Row i holds the dictionary evaluated at ``X[i]``.
+
+    Raises
+    ------
+    EvaluationOverflow
+        If a value is not finite; ``row`` is the first such row of X.
     """
     X = numerics._as_matrix(X, "X")
     if X.shape[1] != dictionary.state_dim:
@@ -181,9 +188,13 @@ def evaluate(dictionary, X):
             f"X has {X.shape[1]} columns but the dictionary expects "
             f"{dictionary.state_dim}"
         )
+    if out is None:
+        out = np.empty((X.shape[0], dictionary.size))
     if isinstance(dictionary, DerivedDictionary):
-        return evaluate(dictionary.base, X) @ dictionary.coeffs
-    values = _evaluate_monomials(dictionary, X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.matmul(evaluate(dictionary.base, X), dictionary.coeffs, out=out)
+    else:
+        values = _evaluate_monomials(dictionary, X, out)
     bad = ~np.all(np.isfinite(values), axis=1)
     if bad.any():
         raise EvaluationOverflow(
@@ -191,6 +202,28 @@ def evaluate(dictionary, X):
             row=int(np.nonzero(bad)[0][0]),
         )
     return values
+
+
+def evaluate_factor(dictionary, X, Y):
+    """The :class:`~koopid.numerics.SnapshotFactor` of ``[D(X), D(Y)]``.
+
+    The dictionary is evaluated on one row block of X and Y at a time,
+    straight into the block the QR factors, so ``D(X)`` and ``D(Y)`` are
+    never held in full.  An EvaluationOverflow names the row of X or Y.
+    """
+    X, Y = numerics._pair(X, Y, ("X", "Y"))
+    n_d = dictionary.size
+
+    def fill(M, start):
+        for name, S, out in (("X", X, M[:, :n_d]), ("Y", Y, M[:, n_d:])):
+            try:
+                evaluate(dictionary, S[start:start + len(M)], out=out)
+            except EvaluationOverflow as exc:
+                raise EvaluationOverflow(
+                    f"dictionary evaluation on {name} produced a non-finite value",
+                    row=start + exc.row) from None
+
+    return numerics._factor_blocks(X.shape[0], n_d, fill)
 
 
 def restrict(dictionary, C, tol=numerics.DEFAULT_TOL):

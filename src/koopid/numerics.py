@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InternalInvariantViolation, InvalidInput
 
@@ -95,12 +94,13 @@ def _svd(M, tol, rows=None):
     return U, s, Vh.conj().T, rank
 
 
-def _pair(DX, DY):
-    DX = _as_matrix(DX, "DX")
-    DY = _as_matrix(DY, "DY")
-    if DX.shape != DY.shape:
-        raise InvalidInput(f"snapshot matrices differ in shape: {DX.shape} vs {DY.shape}")
-    return DX, DY
+def _pair(A, B, names=("DX", "DY")):
+    A = _as_matrix(A, names[0])
+    B = _as_matrix(B, names[1])
+    if A.shape != B.shape:
+        raise InvalidInput(f"{names[0]} and {names[1]} differ in shape: "
+                           f"{A.shape} vs {B.shape}")
+    return A, B
 
 
 @dataclass(frozen=True)
@@ -113,28 +113,51 @@ class SnapshotFactor:
     rows: int
 
 
+# Rows per block of the streamed QR: one 16,384 x 2N_d block of the degree-7
+# dictionary (N_d = 36) takes 9.4 MB.
+_BLOCK_ROWS = 16_384
+
+
+def _factor_blocks(rows, n_d, fill):
+    """The :class:`SnapshotFactor` of the N x 2N_d matrix ``[DX, DY]``, built
+    one row block at a time (TSQR).
+
+    ``fill(M, start)`` writes rows ``start : start + len(M)`` of ``[DX, DY]``
+    into the Fortran-ordered block M.  Each block is reduced to its R factor;
+    the stacked block factors are merged by one more QR.
+    """
+    if rows == 0 or n_d == 0:
+        return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)), rows)
+    M = np.empty((min(rows, _BLOCK_ROWS), 2 * n_d), order="F")
+    factors = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = M[:min(_BLOCK_ROWS, rows - start)]
+        fill(block, start)
+        factors.append(np.linalg.qr(block, mode="r"))
+    R = np.linalg.qr(np.vstack(factors), mode="r")
+    return SnapshotFactor(R[:, :n_d], R[:, n_d:], rows)
+
+
 def snapshot_factor(DX, DY):
     """The :class:`SnapshotFactor` of N-row snapshot matrices DX, DY.
 
-    The single validation point for N-row data: DX and DY are copied once into
-    a Fortran-ordered N x 2N_d array that LAPACK factors in place.  A factor
-    passed as DX, with DY None, is returned as it is.
+    DX and DY are validated, then read one row block at a time and never
+    overwritten.  A factor passed as DX, with DY
+    None, is returned as it is.
     """
     if isinstance(DX, SnapshotFactor) and DY is None:
         return DX
     DX, DY = _pair(DX, DY)
     rows, n_d = DX.shape
-    if DX.size == 0:
-        return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)), rows)
-    M = np.empty((rows, 2 * n_d), order="F")
-    M[:, :n_d], M[:, n_d:] = DX, DY
-    if 1 < rows <= 2 * n_d and not np.tril(M, -1).any():
+    if 1 < rows <= 2 * n_d and not np.tril(np.hstack([DX, DY]), -1).any():
         warnings.warn(f"DX, DY look like factor blocks, taken here as {rows} "
                       "samples; pass the SnapshotFactor instead", stacklevel=2)
-    # compact-WY Householder QR; narrow blocks keep the panel work cache-sized
-    qr, _, _ = scipy.linalg.lapack.dgeqrt(min(16, rows, 2 * n_d), M, overwrite_a=True)
-    R = np.triu(qr[:min(rows, 2 * n_d)])
-    return SnapshotFactor(R[:, :n_d], R[:, n_d:], rows)
+
+    def fill(M, start):
+        M[:, :n_d] = DX[start:start + len(M)]
+        M[:, n_d:] = DY[start:start + len(M)]
+
+    return _factor_blocks(rows, n_d, fill)
 
 
 def numerical_rank(M, tol=DEFAULT_TOL, rows=None):
@@ -167,10 +190,11 @@ class EigenpairSet:
     """Right eigenpairs of a real square matrix.
 
     Eigenvectors are unit 2-norm columns with the largest-magnitude entry
-    rotated onto the positive real axis.  Non-real eigenvalues appear in
-    exactly conjugate adjacent pairs (the second member's eigenvector is the
-    exact conjugate of the first's); ``conj_partner[i]`` gives the index of
-    the pair member, or -1 for real eigenvalues.
+    (the first within a relative 1e-8 of it) rotated onto the positive real
+    axis.  Non-real eigenvalues appear in exactly conjugate adjacent pairs
+    (the second member's eigenvector is the exact conjugate of the first's);
+    ``conj_partner[i]`` gives the index of the pair member, or -1 for real
+    eigenvalues.
     """
 
     values: np.ndarray
@@ -189,7 +213,11 @@ class EigenpairSet:
 
 def _normalize_eigenvector(v):
     v = v / np.linalg.norm(v)
-    j = int(np.argmax(np.abs(v)))
+    mag = np.abs(v)
+    # the first entry within a relative 1e-8 of the largest magnitude, so
+    # equal-magnitude entries (x1 and i x2 of x1 - i x2) do not trade places
+    # under rounding
+    j = int(np.argmax(mag >= (1.0 - 1e-8) * mag.max()))
     phase = v[j] / abs(v[j])
     return v * np.conj(phase)
 
@@ -252,7 +280,19 @@ def _range_angles(P, Q, tol, rows):
     QQ = orthonormal_range(Q, tol, rows)
     if QP.shape[1] == 0 or QQ.shape[1] == 0:
         return QP.shape[1], QQ.shape[1], np.zeros(0)
-    return QP.shape[1], QQ.shape[1], np.sort(scipy.linalg.subspace_angles(QP, QQ))
+    # cosine/sine composite (Knyazev & Argentati 2002): cosines resolve the
+    # large angles, sines of the residual of one basis against the other the
+    # angles below pi/4, which cosines lose to rounding
+    cross = QP.conj().T @ QQ
+    cos = np.linalg.svd(cross, compute_uv=False)
+    if QP.shape[1] >= QQ.shape[1]:
+        residual = QQ - QP @ cross
+    else:
+        residual = QP - QQ @ cross.conj().T
+    sin = np.linalg.svd(residual, compute_uv=False)[::-1]
+    angles = np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
+                      np.arccos(np.clip(cos, -1.0, 1.0)))
+    return QP.shape[1], QQ.shape[1], np.sort(angles)
 
 
 def principal_angles(P, Q, tol=DEFAULT_TOL, rows=None):

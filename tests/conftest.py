@@ -18,6 +18,13 @@ EX2_SPECTRUM = np.sort_complex(np.array(
     [1.0, 0.89, 0.8 + 0.5j, 0.8 - 0.5j, 0.39 + 0.8j, 0.39 - 0.8j]))
 
 
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Streamed factors take 64-row blocks, so small data spans several."""
+    monkeypatch.setattr(koopid.numerics, "_BLOCK_ROWS", 64)
+    return 64
+
+
 @pytest.fixture(scope="session")
 def tol():
     return koopid.ToleranceConfig()

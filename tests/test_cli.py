@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,3 +274,14 @@ def test_tolerance_defaults_follow_tolerance_config():
     assert defaults["rank_rtol"] == config.rank_rtol
     assert defaults["eig_atol"] == config.eig_match_atol
     assert defaults["subspace_atol"] == config.subspace_atol
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    src = pathlib.Path(koopid.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, koopid; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

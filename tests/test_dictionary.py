@@ -82,6 +82,19 @@ class TestEvaluate:
             koopid.evaluate(d, X)
         assert excinfo.value.row == 1
 
+    def test_overflow_in_a_derived_recombination_reports_row(self):
+        base = koopid.MonomialDictionary(1, [(1,), (2,)])
+        derived = koopid.restrict(base, np.array([[1.0], [1e300]]))
+        with pytest.raises(EvaluationOverflow) as excinfo:
+            koopid.evaluate(derived, np.array([[1.0], [1e10]]))
+        assert excinfo.value.row == 1
+
+    def test_writes_into_out(self, ex2_dictionary):
+        X = np.random.Generator(np.random.PCG64(5)).uniform(-2, 2, size=(7, 2))
+        out = np.empty((7, 20), order="F")[:, 3:12]
+        assert koopid.evaluate(ex2_dictionary, X, out=out) is out
+        np.testing.assert_array_equal(out, koopid.evaluate(ex2_dictionary, X))
+
     def test_full_column_rank_on_generic_samples(self):
         d = koopid.monomials_up_to_degree(2, 3)
         rng = np.random.Generator(np.random.PCG64(4))
@@ -142,3 +155,40 @@ class TestRestrict:
         rebuilt = dictionary_from_descriptor(derived.descriptor())
         np.testing.assert_array_equal(rebuilt.coeffs, derived.coeffs)
         assert rebuilt.base == ex2_dictionary
+
+
+class TestEvaluateFactor:
+    @pytest.mark.parametrize("rows", [63, 64, 65, 131])
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_matches_the_factor_of_the_evaluations(self, rows, derived,
+                                                   ex2_dictionary, small_blocks):
+        rng = np.random.Generator(np.random.PCG64(rows))
+        X = rng.uniform(-2, 2, size=(rows, 2))
+        Y = rng.uniform(-2, 2, size=(rows, 2))
+        X_before, Y_before = X.copy(), Y.copy()
+        d = ex2_dictionary
+        if derived:
+            d = koopid.restrict(d, rng.standard_normal((d.size, 4)))
+        streamed = koopid.evaluate_factor(d, X, Y)
+        DX, DY = koopid.evaluate(d, X), koopid.evaluate(d, Y)
+        full = koopid.snapshot_factor(DX, DY)
+        R_s = np.hstack([streamed.RX, streamed.RY])
+        R_f = np.hstack([full.RX, full.RY])
+        assert streamed.rows == rows and R_s.shape == R_f.shape
+        scale = np.linalg.norm(np.hstack([DX, DY])) ** 2
+        np.testing.assert_allclose(R_s.T @ R_s, R_f.T @ R_f, rtol=0,
+                                   atol=1e-13 * scale)
+        assert np.array_equal(X, X_before) and np.array_equal(Y, Y_before)
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_overflow_reports_the_global_row(self, side, small_blocks):
+        d = koopid.monomials_up_to_degree(1, 2)
+        data = {"X": np.ones((150, 1)), "Y": np.ones((150, 1))}
+        data[side][100, 0] = 1e200  # second block, row 36 within it
+        with pytest.raises(EvaluationOverflow, match=f"on {side}") as excinfo:
+            koopid.evaluate_factor(d, data["X"], data["Y"])
+        assert excinfo.value.row == 100
+
+    def test_rejects_unequal_shapes(self, ex2_dictionary):
+        with pytest.raises(InvalidInput):
+            koopid.evaluate_factor(ex2_dictionary, np.ones((5, 2)), np.ones((4, 2)))

@@ -4,6 +4,7 @@ import scipy.linalg
 
 import koopid
 from koopid.errors import InvalidInput
+from koopid.numerics import _normalize_eigenvector
 
 
 def rank_deficient_matrix(rng, rows, cols, rank):
@@ -203,6 +204,19 @@ class TestEig:
         with pytest.raises(InvalidInput):
             koopid.eig(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("tied", [1, 2])
+    def test_phase_ignores_one_ulp_between_tied_entries(self, tied):
+        # x1 - i x2 has entries 1/sqrt(2) and -i/sqrt(2): a last-bit change
+        # in either must not move the phase onto the other entry
+        h = np.sqrt(0.5)
+        v = np.array([0.1, h, -1j * h, 0.05j])
+        nudged = v.copy()
+        nudged[tied] = nudged[tied] * np.nextafter(1.0, 2.0)
+        reference = _normalize_eigenvector(v)
+        assert reference[1].imag == 0.0 and reference[1].real > 0.0
+        np.testing.assert_allclose(_normalize_eigenvector(nudged), reference,
+                                   rtol=0, atol=1e-15)
+
 
 class TestSubspaceEqual:
     def test_same_span_different_basis(self):
@@ -253,6 +267,15 @@ class TestSubspaceEqual:
         angles = koopid.principal_angles(base, plane(1e-7))
         np.testing.assert_allclose(angles[-1], 1e-7, rtol=1e-3)
 
+    def test_small_angle_beside_a_large_one(self):
+        # each angle takes the sine or the cosine by its own size: a 1e-10
+        # angle keeps its sine when the other angle is 1 rad
+        P = np.eye(4)[:, :2]
+        Q = np.array([[np.cos(1e-10), 0.0], [0.0, np.cos(1.0)],
+                      [np.sin(1e-10), 0.0], [0.0, np.sin(1.0)]])
+        np.testing.assert_allclose(koopid.principal_angles(P, Q), [1e-10, 1.0],
+                                   rtol=1e-6)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_principal_angles_against_scipy(self, seed):
         rng = np.random.Generator(np.random.PCG64(400 + seed))
@@ -265,8 +288,11 @@ class TestSubspaceEqual:
 
 
 class TestSnapshotFactor:
-    @pytest.mark.parametrize("rows,n_d", [(500, 6), (12, 6), (8, 6), (3, 6)])
-    def test_r_reproduces_the_gram_matrix(self, rows, n_d):
+    # with 64-row blocks: one block short of, at, one past and two blocks
+    # past a boundary, and 500 rows in 8 blocks
+    @pytest.mark.parametrize("rows,n_d", [(500, 6), (12, 6), (8, 6), (3, 6),
+                                          (63, 6), (64, 6), (65, 6), (131, 6)])
+    def test_r_reproduces_the_gram_matrix(self, rows, n_d, small_blocks):
         rng = np.random.Generator(np.random.PCG64(600 + rows))
         DX = rng.standard_normal((rows, n_d))
         DY = rng.standard_normal((rows, n_d))
@@ -294,9 +320,10 @@ class TestSnapshotFactor:
 
     @pytest.mark.parametrize("seed,rows,cols,rank", [
         (0, 3000, 12, 7), (1, 5000, 20, 13), (2, 800, 16, 16), (3, 400, 10, 3),
+        (4, 63, 12, 7), (5, 64, 12, 7), (6, 65, 12, 7), (7, 131, 12, 7),
     ])
     def test_block_rank_decisions_equal_full_data(self, seed, rows, cols, rank,
-                                                  tol):
+                                                  tol, small_blocks):
         rng = np.random.Generator(np.random.PCG64(700 + seed))
         M = rank_deficient_matrix(rng, rows, cols, rank)
         half = cols // 2

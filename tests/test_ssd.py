@@ -423,3 +423,33 @@ class TestFactorRoute:
             koopid.ssd(factor.RX, factor.RY, tol)
         with pytest.raises(InvalidInput, match="DX"):
             koopid.ssd(factor, factor.RY, tol)
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuting_rows_keeps_decisions_and_modes(self, seed, vdp_dictionary,
+                                                      vdp_snapshots, monkeypatch,
+                                                      tol):
+        # 10 blocks of 1,000 rows, so the permutation reorders whole blocks
+        # and the rows within them
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", 1_000)
+        X, Y = vdp_snapshots.X, vdp_snapshots.Y
+        order = np.random.Generator(np.random.PCG64(900 + seed)).permutation(len(X))
+        runs = [_run_route(koopid.evaluate_factor(vdp_dictionary, X[p], Y[p]),
+                           None, 1e-4, tol)
+                for p in (slice(None), order)]
+        (res_a, red_a, lift_a), (res_b, red_b, lift_b) = runs
+        assert _log_key(res_a) == _log_key(res_b)
+        assert [it.kept_rank for it in res_a.log] == [43, 33, 25]
+        assert res_a.subspace_dim == res_b.subspace_dim == 25
+        assert len(lift_a) == len(lift_b) == 25
+        lam_a = np.array([ev.eigenvalue for ev in lift_a])
+        lam_b = np.array([ev.eigenvalue for ev in lift_b])
+        for ev in lift_a:
+            j = int(np.argmin(np.abs(lam_b - ev.eigenvalue)))
+            assert abs(lam_b[j] - ev.eigenvalue) <= 1e-10
+            # rounding moves an eigenvector by about 1e-12 over the distance
+            # to the nearest other eigenvalue (2.4e-4 for the closest pair)
+            gap = np.sort(np.abs(lam_a - ev.eigenvalue))[1]
+            assert np.abs(lift_b[j].coefficients - ev.coefficients).max() \
+                <= 1e-9 + 1e-11 / gap

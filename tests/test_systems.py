@@ -179,6 +179,22 @@ class TestSnapshotCsv:
         with pytest.raises(ArtifactIOError):
             koopid.read_snapshot_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_overflowing_snapshot_reports_its_csv_row(self, side, tmp_path,
+                                                      small_blocks):
+        # one stored sample overflows the degree-7 dictionary in the second
+        # 64-row block; the error names that sample's index in the file
+        spec = koopid.SystemSpec.continuous("vanderpol", 5e-3, [(-4, 4)] * 2, seed=5)
+        snap = koopid.generate(spec, 150)
+        X, Y = snap.X.copy(), snap.Y.copy()
+        (X, Y)[side][100] = 1e50
+        path = tmp_path / "snap.csv"
+        koopid.write_snapshot_csv(koopid.SnapshotSet(X, Y), path)
+        back = koopid.read_snapshot_csv(path)
+        with pytest.raises(EvaluationOverflow, match="on " + "XY"[side]) as excinfo:
+            koopid.evaluate_factor(koopid.monomials_up_to_degree(2, 7), back.X, back.Y)
+        assert excinfo.value.row == 100
+
 
 def _csv_writer_reference(snapshots):
     """The bytes the stdlib csv module writes for a snapshot set."""
