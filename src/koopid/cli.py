@@ -144,13 +144,29 @@ _OPTION_DEFAULTS = {
 }
 
 
-def _apply_config_and_defaults(args, config):
+def _config_value(key, value, action):
+    """A config value converted as argparse converts the flag's text."""
+    try:
+        if action.type is not None:
+            value = action.type(value)
+        elif not isinstance(value, str):
+            raise TypeError(f"expected a string, got {type(value).__name__}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"config key {key!r}: invalid value {value!r} ({exc})") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InvalidInput(f"config key {key!r}: {value!r} is not one of "
+                           f"{sorted(action.choices)}")
+    return value
+
+
+def _apply_config_and_defaults(args, config, command_parser):
+    actions = {action.dest: action for action in command_parser._actions}
     for key, value in config.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise InvalidInput(f"config key {key!r} is not a known option")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        if getattr(args, dest) is None and value is not None:
+            setattr(args, dest, _config_value(key, value, actions[dest]))
     for dest, value in _OPTION_DEFAULTS[args.command].items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -196,7 +212,7 @@ def _build_parser():
     ver = sub.add_parser("verify", help="re-check a stored result against snapshot data")
     ver.add_argument("result", help="result JSON written by identify")
     ver.add_argument("snapshots", help="snapshot CSV the result was computed from")
-    return parser
+    return parser, sub.choices
 
 
 def cmd_generate(args):
@@ -295,8 +311,6 @@ def _select_grid_evolutions(evolutions, selector):
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
-    if args.method not in ("fb-edmd", "ssd", "ssd-approx"):
-        raise InvalidInput(f"unknown method {args.method!r}")
     snapshots = systems.read_snapshot_csv(args.snapshots)
     dictionary = _load_dictionary(args, snapshots.state_dim)
     tol = ToleranceConfig(rank_rtol=args.rank_rtol, eig_match_atol=args.eig_atol,
@@ -376,6 +390,57 @@ def cmd_identify(args):
     return EXIT_OK
 
 
+def _parse_result(stored):
+    """The claims of a result artifact that ``verify`` re-checks.
+
+    Every stored field ``verify`` reads is parsed here, under one check: a
+    missing or malformed field raises InvalidInput (exit 2), so only a
+    failed check can end in exit 1.  Returns ``(dictionary, tol,
+    evolutions, ssd_claim)``: the evolutions as ``(eigenvalue,
+    coefficients, data_defect)`` triples, and ``ssd_claim`` as ``(C, exact,
+    max_range_angle, reduced)`` with ``reduced`` a ``(K, e_r)`` pair or
+    None, or None when the artifact stores no C.
+    """
+    try:
+        dictionary = dict_mod.dictionary_from_descriptor(stored["dictionary"])
+        tolerances = stored["tolerances"]
+        tol = ToleranceConfig(rank_rtol=float(tolerances["rank_rtol"]),
+                              eig_match_atol=float(tolerances["eig_match_atol"]),
+                              subspace_atol=float(tolerances["subspace_atol"]))
+        entries = stored.get("evolutions", [])
+        if not isinstance(entries, list):
+            raise InvalidInput("result field 'evolutions' must be a list")
+        evolutions = []
+        for entry in entries:
+            v = (np.array(entry["coefficients_re"], dtype=float)
+                 + 1j * np.array(entry["coefficients_im"], dtype=float))
+            if v.shape != (dictionary.size,):
+                raise InvalidInput("stored coefficients do not match the dictionary size")
+            evolutions.append((complex(float(entry["lambda_re"]), float(entry["lambda_im"])),
+                               v, float(entry["data_defect"])))
+        ssd_block = stored.get("ssd") or {}
+        if not isinstance(ssd_block, dict):
+            raise InvalidInput("result field 'ssd' must be an object or null")
+        ssd_claim = None
+        if ssd_block.get("C") is not None:
+            C = np.array(ssd_block["C"], dtype=float)
+            if C.ndim != 2 or C.shape[0] != dictionary.size:
+                raise InvalidInput("stored C does not match the dictionary size")
+            if ssd_block["mode"] not in ("exact", "approximate"):
+                raise InvalidInput(f"unknown stored ssd mode {ssd_block['mode']!r}")
+            reduced = None
+            if stored.get("e_r") is not None and stored.get("reduced_koopman") is not None:
+                reduced = (np.array(stored["reduced_koopman"], dtype=float),
+                           float(stored["e_r"]))
+            ssd_claim = (C, ssd_block["mode"] == "exact",
+                         float(ssd_block.get("max_range_angle") or 0.0), reduced)
+    except KeyError as exc:
+        raise InvalidInput(f"result file is missing the field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"result file has a malformed field: {exc}") from exc
+    return dictionary, tol, evolutions, ssd_claim
+
+
 def cmd_verify(args):
     try:
         with open(args.result) as fh:
@@ -384,16 +449,9 @@ def cmd_verify(args):
         raise ArtifactIOError(f"cannot read result file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"result file is not valid JSON: {exc}") from exc
+    dictionary, tol, evolutions, ssd_claim = _parse_result(stored)
 
     snapshots = systems.read_snapshot_csv(args.snapshots)
-    try:
-        dictionary = dict_mod.dictionary_from_descriptor(stored["dictionary"])
-        tolerances = stored["tolerances"]
-        tol = ToleranceConfig(rank_rtol=tolerances["rank_rtol"],
-                              eig_match_atol=tolerances["eig_match_atol"],
-                              subspace_atol=tolerances["subspace_atol"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"result file is missing required fields: {exc}") from exc
     if dictionary.state_dim != snapshots.state_dim:
         raise InvalidInput("result dictionary does not match the snapshot state dim")
 
@@ -401,16 +459,10 @@ def cmd_verify(args):
 
     checks = []
 
-    evolutions = stored.get("evolutions", [])
     worst = 0.0
     all_ok = True
-    for entry in evolutions:
-        lam = complex(entry["lambda_re"], entry["lambda_im"])
-        v = np.array(entry["coefficients_re"]) + 1j * np.array(entry["coefficients_im"])
-        if v.size != dictionary.size:
-            raise InvalidInput("stored coefficients do not match the dictionary size")
+    for lam, v, stored_defect in evolutions:
         _, defect = edmd.check_linear_evolution(factor.RX, factor.RY, v, lam, tol)
-        stored_defect = float(entry["data_defect"])
         bound = max(tol.eig_match_atol, 2.0 * stored_defect + 1e-15)
         worst = max(worst, defect)
         all_ok = all_ok and defect <= bound
@@ -418,32 +470,27 @@ def cmd_verify(args):
         checks.append((f"data defects ({len(evolutions)} evolutions, worst {worst:.3e})",
                        all_ok))
 
-    ssd_block = stored.get("ssd")
-    if ssd_block and ssd_block.get("C") is not None:
-        C = np.array(ssd_block["C"], dtype=float)
-        if C.shape[0] != dictionary.size:
-            raise InvalidInput("stored C does not match the dictionary size")
+    if ssd_claim is not None:
+        C, exact, stored_angle, reduced = ssd_claim
         full_rank = numerics.numerical_rank(C, tol) == C.shape[1]
         checks.append(("C has full column rank", full_rank))
         # one orthonormalisation of each span serves both range checks
         XC, YC = factor.RX @ C, factor.RY @ C
         dim_x, dim_y, angles = numerics._range_angles(XC, YC, tol, factor.rows)
         max_angle = float(angles.max()) if angles.size else 0.0
-        if ssd_block["mode"] == "exact":
+        if exact:
             checks.append((
                 f"range equality of DX@C and DY@C (max angle {max_angle:.3e})",
                 dim_x == dim_y and max_angle <= tol.subspace_atol,
             ))
         else:
-            stored_angle = float(ssd_block.get("max_range_angle") or 0.0)
             checks.append((
                 f"range angles consistent with artifact (max angle {max_angle:.3e})",
                 max_angle <= 2.0 * stored_angle + 1e-9,
             ))
-        if stored.get("e_r") is not None and stored.get("reduced_koopman") is not None:
-            K = np.array(stored["reduced_koopman"], dtype=float)
+        if reduced is not None:
+            K, stored_er = reduced
             e_r = edmd.relative_residual(XC, YC, K)
-            stored_er = float(stored["e_r"])
             checks.append((
                 f"reduced residual e_r reproducible ({e_r:.3e} vs stored {stored_er:.3e})",
                 abs(e_r - stored_er) <= 1e-9 * (1.0 + stored_er),
@@ -468,9 +515,10 @@ def main(argv=None):
     try:
         config_defaults, argv = _load_config_defaults(argv)
         argv = _join_numeric_list_flags(argv)
-        parser = _build_parser()
-        args = _apply_config_and_defaults(parser.parse_args(argv),
-                                          config_defaults)
+        parser, commands = _build_parser()
+        args = parser.parse_args(argv)
+        args = _apply_config_and_defaults(args, config_defaults,
+                                          commands[args.command])
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "identify":

@@ -106,15 +106,24 @@ class DerivedDictionary:
 
 
 def dictionary_from_descriptor(descriptor):
-    """Rebuild a (possibly derived) dictionary from its descriptor dict."""
-    base = MonomialDictionary(
-        state_dim=int(descriptor["state_dim"]),
-        exponents=tuple(tuple(e) for e in descriptor["exponents"]),
-    )
-    coeffs = descriptor.get("coeffs")
-    if coeffs is None:
-        return base
-    return DerivedDictionary(base=base, coeffs=np.asarray(coeffs, dtype=float))
+    """Rebuild a (possibly derived) dictionary from its descriptor dict.
+
+    This is the one validation point for descriptors read from files: a
+    missing key or a value of the wrong kind raises InvalidInput.
+    """
+    try:
+        base = MonomialDictionary(
+            state_dim=int(descriptor["state_dim"]),
+            exponents=tuple(tuple(e) for e in descriptor["exponents"]),
+        )
+        coeffs = descriptor.get("coeffs")
+        if coeffs is None:
+            return base
+        return DerivedDictionary(base=base, coeffs=np.asarray(coeffs, dtype=float))
+    except KeyError as exc:
+        raise InvalidInput(f"dictionary descriptor is missing the key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"malformed dictionary descriptor: {exc}") from exc
 
 
 def monomials_up_to_degree(n, degree):

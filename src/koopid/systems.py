@@ -211,14 +211,18 @@ def generate(spec, n_samples):
 
 def _write_csv(path, header, data):
     """Write a header and the rows of a float matrix as csv.writer would
-    (plain fields, CRLF line endings), each value in 17 significant digits."""
+    (plain fields, CRLF line endings), each value in 17 significant digits.
+
+    Each chunk of rows is formatted by one ``%`` over a template repeated
+    once per row, so the Python objects made are the chunk's floats only."""
     path = pathlib.Path(path)
     row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            for start in range(0, len(data), 65536):  # Python objects per chunk only
-                fh.write("".join([row % tuple(r) for r in data[start:start + 65536].tolist()]))
+            for start in range(0, len(data), 65536):
+                chunk = data[start:start + 65536]
+                fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
     except OSError as exc:
         raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
     return path
@@ -268,6 +272,10 @@ def read_snapshot_csv(path):
         raise InvalidInput(f"{path}: {exc}") from exc
     if data.shape[1] != 2 * n or data.shape[0] == 0:
         raise InvalidInput(f"{path}: expected nonempty rows of {2*n} values")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise InvalidInput(f"{path}: data row {row + 1}, column {names[col]} "
+                           f"is {float(data[row, col])}, not a finite number")
     prov = {"system": "ingested", "path": str(path)}
     sidecar = path.with_suffix(".provenance.json")
     if sidecar.exists():

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -266,6 +268,84 @@ class TestConfigFile:
                          "--method", "fb-edmd", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["method"] == "fb-edmd"
+
+
+_DELETE = object()
+
+
+class TestMalformedInputs:
+    """Malformed JSON inputs exit 2 with error[invalid-input], never with a
+    traceback or the verification-failed code."""
+
+    @pytest.mark.parametrize("keys, value", [
+        (("evolutions", 0, "lambda_re"), _DELETE),
+        (("ssd", "mode"), _DELETE),
+        (("ssd", "C", 0, 0), "x"),
+        (("evolutions", 0, "coefficients_re"), "abc"),
+        (("evolutions",), {"lambda_re": 1.0}),
+        (("dictionary", "exponents", 1, 0), "a"),
+    ], ids=["evolution-without-lambda_re", "ssd-without-mode", "non-numeric-C",
+            "string-coefficients", "evolutions-object", "non-numeric-stored-exponent"])
+    def test_malformed_result_field(self, workdir, capsys, keys, value):
+        _, out = run_identify(workdir, "--method", "ssd")
+        result = json.loads(out.read_text())
+        *parents, last = keys
+        target = functools.reduce(operator.getitem, parents, result)
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        out.write_text(json.dumps(result))
+        code = cli.main(["verify", str(out), str(workdir / "snap.csv")])
+        assert code == cli.EXIT_INVALID_INPUT
+        assert "error[invalid-input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("descriptor", [
+        {"state_dim": 2},
+        {"state_dim": "x", "exponents": [[0, 0]]},
+        {"state_dim": 2, "exponents": 5},
+        {"state_dim": 2, "exponents": [[0, 0], [1, "a"]]},
+        {"state_dim": 2, "exponents": [[0, 0], [1, 0]], "coeffs": [[1.0], ["b"]]},
+    ], ids=["no-exponents", "string-state_dim", "number-exponents",
+            "non-numeric-exponent", "non-numeric-coefficient"])
+    def test_malformed_dict_file(self, workdir, capsys, descriptor):
+        (workdir / "dict9.json").write_text(json.dumps(descriptor))
+        code, _ = run_identify(workdir, "--method", "ssd")
+        assert code == cli.EXIT_INVALID_INPUT
+        assert "error[invalid-input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("identify", "rank_rtol", "tiny"),
+        ("identify", "method", "nope"),
+        ("generate", "box", [-2, 2, -2, 2]),
+    ])
+    def test_config_value_of_the_wrong_type_names_its_key(self, workdir, capsys,
+                                                          command, key, value):
+        # every other option the command needs is given, so only the bad
+        # value can stop it
+        options = {
+            "identify": {"snapshots": str(workdir / "snap.csv"), "method": "ssd",
+                         "dict_file": str(workdir / "dict9.json"),
+                         "out": str(workdir / "r.json")},
+            "generate": {"system": "linear", "A": "1,0,0,1", "n": 10,
+                         "out": str(workdir / "g.csv")},
+        }[command]
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({**options, key: value}))
+        code = cli.main([command, "--config", str(cfg)])
+        assert code == cli.EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "error[invalid-input]" in err and repr(key) in err
+
+    def test_config_value_is_converted_like_its_flag(self, workdir):
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({"rank_rtol": "1e-10", "grid_resolution": "5"}))
+        code, out = run_identify(workdir, "--config", str(cfg), "--method", "ssd",
+                                 "--grid-box", "-2,2,-2,2")
+        assert code == 0
+        result = json.loads(out.read_text())
+        assert result["tolerances"]["rank_rtol"] == 1e-10
+        assert {g["resolution"] for g in result["grids"]} == {5}
 
 
 def test_tolerance_defaults_follow_tolerance_config():

@@ -453,3 +453,35 @@ class TestRowOrder:
             gap = np.sort(np.abs(lam_a - ev.eigenvalue))[1]
             assert np.abs(lift_b[j].coefficients - ev.coefficients).max() \
                 <= 1e-9 + 1e-11 / gap
+
+
+class TestColumnOrder:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("epsilon, kept_ranks, dim",
+                             [(1e-4, [43, 33, 25], 25), (None, [None] * 7, 1)],
+                             ids=["approx", "exact"])
+    def test_permuting_dictionary_columns_keeps_decisions_and_modes(
+            self, seed, epsilon, kept_ranks, dim, vdp_dictionary, vdp_snapshots, tol):
+        X, Y = vdp_snapshots.X, vdp_snapshots.Y
+        order = np.random.Generator(np.random.PCG64(700 + seed)).permutation(
+            vdp_dictionary.size)
+        permuted = koopid.MonomialDictionary(
+            2, tuple(vdp_dictionary.exponents[k] for k in order))
+        runs = [_run_route(koopid.evaluate_factor(d, X, Y), None, epsilon, tol)
+                for d in (vdp_dictionary, permuted)]
+        (res_a, red_a, lift_a), (res_b, red_b, lift_b) = runs
+        assert _log_key(res_a) == _log_key(res_b)
+        assert [it.kept_rank for it in res_a.log] == kept_ranks
+        assert res_a.subspace_dim == res_b.subspace_dim == dim
+        assert len(lift_a) == len(lift_b) == dim
+        lam_a = np.array([ev.eigenvalue for ev in lift_a])
+        lam_b = np.array([ev.eigenvalue for ev in lift_b])
+        for ev in lift_a:
+            j = int(np.argmin(np.abs(lam_b - ev.eigenvalue)))
+            assert abs(lam_b[j] - ev.eigenvalue) <= 1e-10
+            # coefficient k of the permuted run belongs to monomial order[k]
+            coefficients = np.empty_like(ev.coefficients)
+            coefficients[order] = lift_b[j].coefficients
+            # the gap rule of TestRowOrder; a lone mode has no neighbour
+            gap = np.sort(np.abs(lam_a - ev.eigenvalue))[1] if dim > 1 else np.inf
+            assert np.abs(coefficients - ev.coefficients).max() <= 1e-9 + 1e-11 / gap

@@ -221,10 +221,15 @@ class TestSnapshotCsvFormat:
         assert path.read_bytes() == _csv_writer_reference(snap)
         assert b"\r\n" in path.read_bytes()
 
-    def test_bytes_equal_csv_writer_output_across_write_chunks(self, tmp_path):
+    # the writer formats 65,536-row chunks: a partial last chunk, exactly one
+    # full chunk, and a 1-row last chunk of six values
+    @pytest.mark.parametrize("rows, state_dim", [(70000, 1), (65536, 1), (65537, 3)],
+                             ids=["70000x1", "65536x1", "65537x3"])
+    def test_bytes_equal_csv_writer_output_across_write_chunks(self, tmp_path, rows,
+                                                               state_dim):
         rng = np.random.Generator(np.random.PCG64(21))
-        snap = koopid.SnapshotSet(X=rng.standard_normal((70000, 1)),
-                                  Y=rng.standard_normal((70000, 1)))
+        snap = koopid.SnapshotSet(X=rng.standard_normal((rows, state_dim)),
+                                  Y=rng.standard_normal((rows, state_dim)))
         path = tmp_path / "long.csv"
         koopid.write_snapshot_csv(snap, path)
         assert path.read_bytes() == _csv_writer_reference(snap)
@@ -261,6 +266,16 @@ class TestSnapshotCsvFormat:
         path = tmp_path / "bad.csv"
         path.write_text("x_1,x_2,y_1,y_2\n" + body)
         with pytest.raises(InvalidInput):
+            koopid.read_snapshot_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["x_2", "y_1"])
+    def test_non_finite_value_names_its_row_and_column(self, tmp_path, value, column):
+        rows = [["1", "2", "3", "4"], ["5", "6", "7", "8"], ["9", "10", "11", "12"]]
+        rows[1][["x_1", "x_2", "y_1", "y_2"].index(column)] = value
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(InvalidInput, match=f"data row 2, column {column} is {value}"):
             koopid.read_snapshot_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
