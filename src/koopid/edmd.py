@@ -134,10 +134,15 @@ def _require_full_rank(F, tol):
     n_d = F.RX.shape[1]
     if F.rows < n_d:
         raise AssumptionViolation(f"need at least N_d = {n_d} snapshots, got {F.rows}")
-    if numerics.numerical_rank(F.RX, tol, F.rows) < n_d:
-        raise AssumptionViolation("D(X) is not of full column rank")
-    if numerics.numerical_rank(F.RY, tol, F.rows) < n_d:
-        raise AssumptionViolation("D(Y) is not of full column rank")
+    for name, R in (("D(X)", F.RX), ("D(Y)", F.RY)):
+        _, s, _, rank = numerics._svd(R, tol, F.rows)
+        if rank < n_d:
+            ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+            raise AssumptionViolation(
+                f"{name} is not of full column rank: numerical rank {rank} < "
+                f"N_d = {n_d} at N = {F.rows}; sigma_min/sigma_max = {ratio:.3g} "
+                f"is not above the relative threshold rank_rtol*max(N, N_d) = "
+                f"{tol.rank_rtol * max(F.rows, n_d):.3g}")
 
 
 def _negligible(lam, count=1):

@@ -12,6 +12,7 @@ linearly.
 """
 
 import logging
+import pathlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -332,5 +333,6 @@ def eigenfunction_grid(dictionary, v, box, resolution):
 def write_grid_csv(grid, path):
     """Write a grid as CSV with columns x_1..x_n,abs,angle."""
     n = grid.points.shape[1]
-    return _write_csv(path, [f"x_{i+1}" for i in range(n)] + ["abs", "angle"],
-                      np.column_stack([grid.points, grid.abs_values, grid.angles]))
+    _write_csv(path, [f"x_{i+1}" for i in range(n)] + ["abs", "angle"],
+               np.column_stack([grid.points, grid.abs_values, grid.angles]))
+    return pathlib.Path(path)

@@ -5,6 +5,8 @@ the map: directly for discrete linear systems, via classical fixed-step RK4
 over one sampling interval for continuous vector fields.  Initial conditions
 are drawn uniformly from a box with the PCG64 generator, so a (spec, N) pair
 reproduces bit-identical data on any platform.
+A snapshot CSV written here gets a checksum-bound binary twin that
+:func:`read_snapshot_csv` loads in place of parsing the text.
 """
 
 import csv
@@ -12,6 +14,7 @@ import json
 import logging
 import pathlib
 import warnings
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PRNG_NAME = "PCG64"
+
+#: Suffix of the binary twin written next to each snapshot CSV, and the
+#: provenance key that binds the twin to the CSV.
+TWIN_SUFFIX = ".snapshots.npy"
+TWIN_KEY = "binary_twin"
 
 
 def _vanderpol(X):
@@ -78,6 +86,10 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "box", _validate_box(self.box))
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise InvalidInput(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "discrete-linear":
             A = numerics._as_matrix(self.map_matrix, "map_matrix")
             if A.shape[0] != A.shape[1]:
@@ -211,48 +223,136 @@ def generate(spec, n_samples):
 
 def _write_csv(path, header, data):
     """Write a header and the rows of a float matrix as csv.writer would
-    (plain fields, CRLF line endings), each value in 17 significant digits.
+    (plain fields, CRLF line endings), each value in 17 significant digits,
+    and return the byte count and the CRC-32 of what was written.
 
     Each chunk of rows is formatted by one ``%`` over a template repeated
     once per row, so the Python objects made are the chunk's floats only."""
-    path = pathlib.Path(path)
     row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+
+    def texts():
+        yield ",".join(header) + "\r\n"
+        for start in range(0, len(data), 65536):
+            chunk = data[start:start + 65536]
+            yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+    size = crc = 0
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for start in range(0, len(data), 65536):
-                chunk = data[start:start + 65536]
-                fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        with open(path, "wb") as fh:
+            for text in texts():
+                encoded = text.encode()
+                fh.write(encoded)
+                size += len(encoded)
+                crc = zlib.crc32(encoded, crc)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
-    return path
+    return size, crc
 
 
-def write_snapshot_csv(snapshots, path, provenance_path=None):
+def write_snapshot_csv(snapshots, path):
     """Write snapshots as CSV with header x_1..x_n,y_1..y_n.
 
     Values are printed with 17 significant digits so parsing them back
-    reproduces the exact IEEE-754 doubles.  A provenance JSON sidecar is
-    written next to the CSV (or at ``provenance_path``).
+    reproduces the exact IEEE-754 doubles.  The same array is saved with
+    ``np.save`` as the binary twin ``<stem>.snapshots.npy``, and a provenance
+    JSON sidecar ``<stem>.provenance.json``, written last, records under
+    ``binary_twin`` the twin's file name, the CSV's byte count and CRC-32,
+    and the CRC-32 of the array buffer.
     """
+    path = pathlib.Path(path)
     n = snapshots.state_dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-    path = _write_csv(path, header, np.hstack([snapshots.X, snapshots.Y]))
-    if provenance_path is None:
-        provenance_path = path.with_suffix(".provenance.json")
+    data = np.hstack([snapshots.X, snapshots.Y])
+    size, crc = _write_csv(path, header, data)
+    twin = path.with_suffix(TWIN_SUFFIX)
     try:
-        with open(provenance_path, "w") as fh:
-            json.dump(snapshots.provenance, fh, indent=2, sort_keys=True)
+        with open(twin, "wb") as fh:
+            np.save(fh, data, allow_pickle=False)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write binary snapshot file: {exc}") from exc
+    binding = {"file": twin.name, "csv_bytes": size, "csv_crc32": crc,
+               "payload_crc32": zlib.crc32(data)}
+    try:
+        with open(path.with_suffix(".provenance.json"), "w") as fh:
+            json.dump({**snapshots.provenance, TWIN_KEY: binding}, fh,
+                      indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise ArtifactIOError(f"cannot write provenance file: {exc}") from exc
     return path
 
 
+def _read_sidecar(path):
+    """The provenance sidecar of the CSV at ``path`` as a dict; empty, and
+    logged, when it is missing or unreadable."""
+    sidecar = path.with_suffix(".provenance.json")
+    if not sidecar.exists():
+        return {}
+    try:
+        with open(sidecar) as fh:
+            prov = json.load(fh)
+        if isinstance(prov, dict):
+            return prov
+        problem = "not a JSON object"
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        problem = exc
+    # provenance is advisory; a broken sidecar never blocks ingestion
+    logger.warning("ignoring unreadable provenance sidecar %s: %s", sidecar, problem)
+    return {}
+
+
+def _file_crc32(path):
+    crc = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def _bound_twin(path, binding, cols):
+    """The array of the binary twin that ``binding`` ties to the CSV at
+    ``path``, or None when the CSV has to be parsed.
+
+    The twin is used only when the CSV's byte count and CRC-32 equal the
+    binding's and the twin loads without unpickling as a finite float64
+    array of ``cols`` columns whose buffer has the bound CRC-32.  A changed
+    CSV or a deleted twin is logged at INFO, anything else at WARNING.
+    """
+    try:
+        twin = path.with_name(binding["file"])
+        size, csv_crc, payload_crc = (int(binding[key]) for key in
+                                      ("csv_bytes", "csv_crc32", "payload_crc32"))
+    except (TypeError, KeyError, ValueError) as exc:
+        logger.warning("ignoring malformed %s binding of %s: %r", TWIN_KEY, path, exc)
+        return None
+    if path.stat().st_size != size or _file_crc32(path) != csv_crc:
+        logger.info("%s changed after its binary twin was written; parsing it", path)
+        return None
+    try:
+        data = np.load(twin, allow_pickle=False)
+    except FileNotFoundError:
+        logger.info("binary twin %s is missing; parsing %s", twin, path)
+        return None
+    except Exception as exc:  # the twin is a cache: no failure to load it is fatal
+        logger.warning("ignoring unreadable binary twin %s: %r", twin, exc)
+        return None
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64
+            and data.ndim == 2 and data.shape[1] == cols and data.flags.c_contiguous
+            and zlib.crc32(data) == payload_crc and np.isfinite(data).all()):
+        logger.warning("ignoring binary twin %s: not the array bound to %s", twin, path)
+        return None
+    return data
+
+
 def read_snapshot_csv(path):
     """Read a snapshot CSV produced by :func:`write_snapshot_csv` (or any file
-    with the same header layout)."""
+    with the same header layout).
+
+    After the header check, the body is parsed unless the sidecar binds a
+    binary twin that still matches the CSV (see :func:`_bound_twin`)."""
     path = pathlib.Path(path)
+    prov = {"system": "ingested", "path": str(path)}
+    prov.update(_read_sidecar(path))
     try:
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
@@ -262,10 +362,13 @@ def read_snapshot_csv(path):
             n = sum(1 for h in names if h.startswith("x_"))
             if n == 0 or names != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
                 raise InvalidInput(f"{path}: header must be x_1..x_n,y_1..y_n")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # no data rows is checked below
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                  quotechar='"')
+            binding = prov.get(TWIN_KEY)
+            data = None if binding is None else _bound_twin(path, binding, 2 * n)
+            if data is None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no data rows is checked below
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                      quotechar='"')
     except OSError as exc:
         raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
     except ValueError as exc:  # a non-numeric entry or a ragged row
@@ -276,13 +379,4 @@ def read_snapshot_csv(path):
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise InvalidInput(f"{path}: data row {row + 1}, column {names[col]} "
                            f"is {float(data[row, col])}, not a finite number")
-    prov = {"system": "ingested", "path": str(path)}
-    sidecar = path.with_suffix(".provenance.json")
-    if sidecar.exists():
-        try:
-            with open(sidecar) as fh:
-                prov.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            # provenance is advisory; a broken sidecar never blocks ingestion
-            logger.warning("ignoring unreadable provenance sidecar %s: %s", sidecar, exc)
     return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=prov)

@@ -80,6 +80,13 @@ class TestGenerate:
                          "--box", "-1,1,-1,1", "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_INVALID_INPUT
 
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = cli.main(GEN_LINEAR[:-1] + ["-1", "--out", str(out)])
+        assert code == cli.EXIT_INVALID_INPUT
+        assert "error[invalid-input]: seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIdentify:
     def test_ssd_finds_six_evolutions(self, workdir):
@@ -154,6 +161,13 @@ class TestIdentify:
         first_bytes = first.read_bytes()
         _, second = run_identify(workdir, "--method", "ssd")
         assert first_bytes == second.read_bytes()
+
+    def test_binary_twin_leaves_the_result_bytes_unchanged(self, workdir):
+        _, first = run_identify(workdir, "--method", "ssd")
+        with_twin = first.read_bytes()
+        (workdir / "snap.snapshots.npy").unlink()
+        _, second = run_identify(workdir, "--method", "ssd")
+        assert second.read_bytes() == with_twin
 
     def test_grid_export(self, workdir):
         code, out = run_identify(
@@ -356,12 +370,21 @@ def test_tolerance_defaults_follow_tolerance_config():
     assert defaults["subspace_atol"] == config.subspace_atol
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: the package runs on numpy alone
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: the package runs on numpy alone.  Nor
+    # does it load OpenSSL (_hashlib): its checksums are zlib's CRC-32, and
+    # reading a snapshot CSV through its binary twin loads nothing more.
+    snap = tmp_path / "snap.csv"
+    assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import sys, koopid; print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    probe = ("import sys, koopid\n"
+             "def loaded():\n"
+             "    return sorted(m for m in sys.modules if m in ('scipy', '_hashlib')\n"
+             "                  or m.startswith('scipy.'))\n"
+             "print(loaded())\n"
+             "koopid.systems.np.loadtxt = None  # read the twin, not the text\n"
+             "print(koopid.read_snapshot_csv(sys.argv[1]).count, loaded())\n")
+    out = subprocess.run([sys.executable, "-c", probe, str(snap)], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "2000 []"]

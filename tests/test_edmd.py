@@ -191,6 +191,20 @@ class TestForwardBackward:
         with pytest.raises(AssumptionViolation):
             koopid.forward_backward_eigenpairs(DX, DX)
 
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_rank_violation_names_its_numbers(self, side):
+        # sigma_min/sigma_max = 1e-12 against the threshold 1e-10 * max(N, N_d)
+        rng = np.random.Generator(np.random.PCG64(6))
+        Q, _ = np.linalg.qr(rng.standard_normal((100, 2)))
+        full, deficient = Q @ np.diag([1.0, 0.5]), Q @ np.diag([1.0, 1e-12])
+        DX, DY = (deficient, full) if side == "X" else (full, deficient)
+        with pytest.raises(AssumptionViolation) as excinfo:
+            koopid.forward_backward_eigenpairs(DX, DY)
+        assert str(excinfo.value) == (
+            f"D({side}) is not of full column rank: numerical rank 1 < N_d = 2 "
+            "at N = 100; sigma_min/sigma_max = 1e-12 is not above the relative "
+            "threshold rank_rtol*max(N, N_d) = 1e-08")
+
     def test_too_few_samples_is_a_hard_error(self):
         rng = np.random.Generator(np.random.PCG64(4))
         DX = rng.standard_normal((3, 5))

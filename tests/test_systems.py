@@ -1,5 +1,7 @@
 import csv
 import io
+import json
+import zlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,33 @@ def rk4_oracle(x0, dt, steps):
         k4 = vdp_field(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The number of snapshot CSV bodies parsed so far in the test."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+#: Read a snapshot CSV with its binary twin kept and with it deleted.
+twin_case = pytest.mark.parametrize("twin", ["kept", "deleted"],
+                                    ids=["twin-kept", "twin-deleted"])
+
+
+def read_with_twin(path, twin, parses):
+    if twin == "deleted":
+        path.with_suffix(".snapshots.npy").unlink()
+    back = koopid.read_snapshot_csv(path)
+    assert len(parses) == (twin == "deleted")
+    return back
 
 
 def richardson_oracle(x0, dt):
@@ -122,6 +151,11 @@ class TestSystemSpec:
         with pytest.raises(InvalidInput):
             koopid.SystemSpec.discrete_linear(np.eye(2), [(-1, 1)] * 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be a non-negative integer"):
+            koopid.SystemSpec.continuous("vanderpol", 1e-2, [(-1, 1)] * 2, seed=seed)
+
 
 class TestGenerate:
     def test_linear_snapshots_satisfy_the_map(self):
@@ -153,12 +187,13 @@ class TestGenerate:
 
 
 class TestSnapshotCsv:
-    def test_round_trip_is_exact(self, tmp_path):
+    @twin_case
+    def test_round_trip_is_exact(self, tmp_path, twin, parses):
         spec = koopid.SystemSpec.continuous("vanderpol", 5e-3, [(-4, 4)] * 2, seed=3)
         snap = koopid.generate(spec, 200)
         path = tmp_path / "snap.csv"
         koopid.write_snapshot_csv(snap, path)
-        back = koopid.read_snapshot_csv(path)
+        back = read_with_twin(path, twin, parses)
         assert np.array_equal(back.X, snap.X)
         assert np.array_equal(back.Y, snap.Y)
         assert back.provenance["system"] == "vanderpol"
@@ -246,11 +281,12 @@ class TestSnapshotCsvFormat:
         assert back.X.tobytes() == snap.X.tobytes()
         assert back.Y.tobytes() == snap.Y.tobytes()
 
-    def test_edge_values_round_trip_bitwise(self, tmp_path):
+    @twin_case
+    def test_edge_values_round_trip_bitwise(self, tmp_path, twin, parses):
         snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
         path = tmp_path / "edge.csv"
         koopid.write_snapshot_csv(snap, path)
-        back = koopid.read_snapshot_csv(path)
+        back = read_with_twin(path, twin, parses)
         assert back.X.tobytes() == snap.X.tobytes()
         assert back.Y.tobytes() == snap.Y.tobytes()
 
@@ -294,3 +330,115 @@ class TestSnapshotCsvFormat:
         assert back.count == 4
         assert back.provenance["system"] == "ingested"
         assert any("provenance" in rec.getMessage() for rec in caplog.records)
+
+
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(1)
+    return 0.0
+
+
+class _Tripwire:
+    """Unpickling one calls _trip."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _edit_one_digit(path, twin, sidecar):
+    data = bytearray(path.read_bytes())
+    at = data.index(b".", data.index(b"\r\n")) + 2  # a digit of the first value
+    data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+    path.write_bytes(bytes(data))
+
+
+def _delete_twin(path, twin, sidecar):
+    twin.unlink()
+
+
+def _truncate_twin(path, twin, sidecar):
+    twin.write_bytes(twin.read_bytes()[:200])
+
+
+def _change_payload(path, twin, sidecar):
+    data = np.load(twin)
+    data[3, 1] = np.nextafter(data[3, 1], np.inf)
+    np.save(twin, data)
+
+
+# the same buffer, so only the shape or the dtype check can reject these
+def _save_wrong_shape(path, twin, sidecar):
+    np.save(twin, np.load(twin).reshape(-1, 2))
+
+
+def _save_other_dtype(path, twin, sidecar):
+    np.save(twin, np.load(twin).view(np.int64))
+
+
+def _save_object_dtype(path, twin, sidecar):
+    data = np.empty(np.load(twin).shape, dtype=object)
+    data[...] = _Tripwire()
+    np.save(twin, data, allow_pickle=True)
+
+
+def _drop_binding(path, twin, sidecar):
+    prov = json.loads(sidecar.read_text())
+    del prov["binary_twin"]
+    sidecar.write_text(json.dumps(prov))
+
+
+def _garble_binding(path, twin, sidecar):
+    prov = json.loads(sidecar.read_text())
+    prov["binary_twin"] = "snap.snapshots.npy"
+    sidecar.write_text(json.dumps(prov))
+
+
+class TestBinaryTwin:
+    @staticmethod
+    def written(tmp_path):
+        spec = koopid.SystemSpec.continuous("vanderpol", 5e-3, [(-4, 4)] * 2, seed=3)
+        snap = koopid.generate(spec, 200)
+        path = tmp_path / "snap.csv"
+        koopid.write_snapshot_csv(snap, path)
+        return snap, path, path.with_suffix(".snapshots.npy"), \
+            path.with_suffix(".provenance.json")
+
+    def test_sidecar_binds_the_twin_to_the_csv(self, tmp_path):
+        snap, path, twin, sidecar = self.written(tmp_path)
+        data = np.load(twin, allow_pickle=False)
+        assert data.tobytes() == np.hstack([snap.X, snap.Y]).tobytes()
+        assert json.loads(sidecar.read_text())["binary_twin"] == {
+            "file": "snap.snapshots.npy",
+            "csv_bytes": len(path.read_bytes()),
+            "csv_crc32": zlib.crc32(path.read_bytes()),
+            "payload_crc32": zlib.crc32(data),
+        }
+
+    # each change leaves the CSV readable; the reader parses it and logs why
+    # (a changed CSV at INFO, a bound twin that does not match at WARNING)
+    @pytest.mark.parametrize("change, level", [
+        (_edit_one_digit, "INFO"),
+        (_delete_twin, "INFO"),
+        (_truncate_twin, "WARNING"),
+        (_change_payload, "WARNING"),
+        (_save_wrong_shape, "WARNING"),
+        (_save_other_dtype, "WARNING"),
+        (_save_object_dtype, "WARNING"),
+        (_garble_binding, "WARNING"),
+        (_drop_binding, None),
+    ], ids=lambda case: getattr(case, "__name__", str(case)).lstrip("_"))
+    def test_unusable_twin_falls_back_to_parsing(self, tmp_path, parses, caplog,
+                                                 change, level):
+        TRIPPED.clear()
+        snap, path, twin, sidecar = self.written(tmp_path)
+        change(path, twin, sidecar)
+        with caplog.at_level("INFO", logger="koopid.systems"):
+            back = koopid.read_snapshot_csv(path)
+        assert len(parses) == 1 and not TRIPPED
+        parsed = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.hstack([back.X, back.Y]).tobytes() == parsed.tobytes()
+        assert [rec.levelname for rec in caplog.records] == ([level] if level else [])
+        if change is _edit_one_digit:
+            assert back.X[0, 0] != snap.X[0, 0]
