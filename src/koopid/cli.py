@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 import argparse
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 
@@ -102,48 +103,6 @@ def _join_numeric_list_flags(argv):
     return out
 
 
-def _read_config(path):
-    try:
-        with open(path) as fh:
-            defaults = json.load(fh)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(defaults, dict):
-        raise InvalidInput("config file must hold a JSON object")
-    return defaults
-
-
-def _load_config_defaults(argv):
-    """Extract --config FILE from argv and return (defaults dict, rest argv)."""
-    rest = list(argv)
-    for i, token in enumerate(rest):
-        if token == "--config":
-            if i + 1 >= len(rest):
-                raise InvalidInput("--config requires a file argument")
-            path = rest[i + 1]
-            del rest[i:i + 2]
-            return _read_config(path), rest
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            del rest[i]
-            return _read_config(path), rest
-    return {}, rest
-
-
-# defaults applied after merging --config values; explicit flags win over the
-# config file, which wins over these
-_OPTION_DEFAULTS = {
-    "generate": {"substeps": 1, "seed": 0, "out": "snapshots.csv"},
-    "identify": {"rank_rtol": DEFAULT_TOL.rank_rtol, "eig_atol": DEFAULT_TOL.eig_match_atol,
-                 "subspace_atol": DEFAULT_TOL.subspace_atol,
-                 "out": "result.json", "grid_resolution": 101,
-                 "grid_eigenvalues": "all"},
-    "verify": {},
-}
-
-
 def _config_value(key, value, action):
     """A config value converted as argparse converts the flag's text."""
     try:
@@ -159,18 +118,28 @@ def _config_value(key, value, action):
     return value
 
 
-def _apply_config_and_defaults(args, config, command_parser):
-    actions = {action.dest: action for action in command_parser._actions}
+def _config_defaults(path, command_parser):
+    """The option defaults a --config JSON file gives one subcommand, each
+    converted as argparse converts its flag's text."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InvalidInput("config file must hold a JSON object")
+    actions = {action.dest: action for action in command_parser._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    defaults = {}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions:
             raise InvalidInput(f"config key {key!r} is not a known option")
-        if getattr(args, dest) is None and value is not None:
-            setattr(args, dest, _config_value(key, value, actions[dest]))
-    for dest, value in _OPTION_DEFAULTS[args.command].items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-    return args
+        if value is not None:
+            defaults[dest] = _config_value(key, value, actions[dest])
+    return defaults
 
 
 def _build_parser():
@@ -179,37 +148,42 @@ def _build_parser():
         description="Identify dictionary functions that evolve linearly in "
                     "time from snapshot data.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file of option values; flags win over it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # required-ness of the main options is validated in the command handlers
     # so that a --config file can supply any of them
-    gen = sub.add_parser("generate", help="generate snapshot data from a built-in system")
+    gen = sub.add_parser("generate", parents=[common],
+                         help="generate snapshot data from a built-in system")
     gen.add_argument("--system", choices=["linear", "vanderpol"])
     gen.add_argument("--A", help="row-major entries of the linear map, e.g. 0.8,0.5,-0.5,0.8")
     gen.add_argument("--n", type=int, help="number of snapshot pairs")
     gen.add_argument("--box", help="sampling box lo1,hi1,lo2,hi2,...")
     gen.add_argument("--dt", type=float, help="sampling interval for continuous systems")
-    gen.add_argument("--substeps", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--out")
+    gen.add_argument("--substeps", type=int, default=1)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out", default="snapshots.csv")
 
-    ident = sub.add_parser("identify", help="run fb-edmd or subspace decomposition on snapshots")
+    ident = sub.add_parser("identify", parents=[common],
+                           help="run fb-edmd or subspace decomposition on snapshots")
     ident.add_argument("--snapshots")
     ident.add_argument("--degree", type=int, help="monomial dictionary of all monomials up to this degree")
     ident.add_argument("--dict-file", help="JSON dictionary descriptor file")
     ident.add_argument("--method", choices=["fb-edmd", "ssd", "ssd-approx"])
     ident.add_argument("--eps", type=float, help="truncation parameter for ssd-approx")
-    ident.add_argument("--rank-rtol", type=float)
-    ident.add_argument("--eig-atol", type=float)
-    ident.add_argument("--subspace-atol", type=float)
-    ident.add_argument("--out")
+    ident.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol)
+    ident.add_argument("--eig-atol", type=float, default=DEFAULT_TOL.eig_match_atol)
+    ident.add_argument("--subspace-atol", type=float, default=DEFAULT_TOL.subspace_atol)
+    ident.add_argument("--out", default="result.json")
     ident.add_argument("--grid-box", help="export eigenfunction grids over this box")
-    ident.add_argument("--grid-resolution", type=int)
-    ident.add_argument("--grid-eigenvalues",
+    ident.add_argument("--grid-resolution", type=int, default=101)
+    ident.add_argument("--grid-eigenvalues", default="all",
                        help="'all' or comma-separated complex values, e.g. 0.8+0.5j")
     ident.add_argument("--out-dir", help="directory for grid CSVs (default: beside --out)")
 
-    ver = sub.add_parser("verify", help="re-check a stored result against snapshot data")
+    ver = sub.add_parser("verify", parents=[common],
+                         help="re-check a stored result against snapshot data")
     ver.add_argument("result", help="result JSON written by identify")
     ver.add_argument("snapshots", help="snapshot CSV the result was computed from")
     return parser, sub.choices
@@ -241,12 +215,16 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _load_dictionary(args, state_dim):
+def _load_dictionary(args, snapshots):
+    state_dim = snapshots.state_dim
     if (args.degree is None) == (args.dict_file is None):
         raise InvalidInput("exactly one of --degree and --dict-file is required")
     if args.degree is not None:
         if args.degree < 0:
             raise InvalidInput("--degree must be nonnegative")
+        # the size is known before the monomials are built, which a huge
+        # degree would take without end
+        edmd._require_samples(snapshots.count, math.comb(state_dim + args.degree, args.degree))
         return dict_mod.monomials_up_to_degree(state_dim, args.degree)
     try:
         with open(args.dict_file) as fh:
@@ -312,7 +290,7 @@ def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
     snapshots = systems.read_snapshot_csv(args.snapshots)
-    dictionary = _load_dictionary(args, snapshots.state_dim)
+    dictionary = _load_dictionary(args, snapshots)
     tol = ToleranceConfig(rank_rtol=args.rank_rtol, eig_match_atol=args.eig_atol,
                           subspace_atol=args.subspace_atol)
     if args.method == "ssd-approx" and args.eps is None:
@@ -476,7 +454,7 @@ def cmd_verify(args):
         checks.append(("C has full column rank", full_rank))
         # one orthonormalisation of each span serves both range checks
         XC, YC = factor.RX @ C, factor.RY @ C
-        dim_x, dim_y, angles = numerics._range_angles(XC, YC, tol, factor.rows)
+        dim_x, dim_y, angles = numerics._range_angles(XC, YC, tol)
         max_angle = float(angles.max()) if angles.size else 0.0
         if exact:
             checks.append((
@@ -513,12 +491,15 @@ def cmd_verify(args):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_defaults, argv = _load_config_defaults(argv)
         argv = _join_numeric_list_flags(argv)
         parser, commands = _build_parser()
         args = parser.parse_args(argv)
-        args = _apply_config_and_defaults(args, config_defaults,
-                                          commands[args.command])
+        if args.config is not None:
+            # config values become the subcommand's defaults, so the flags
+            # of a second parse win over them
+            command_parser = commands[args.command]
+            command_parser.set_defaults(**_config_defaults(args.config, command_parser))
+            args = parser.parse_args(argv)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "identify":

@@ -68,18 +68,18 @@ def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
     with DY None; N-row DX, DY are factored first.
     """
     F = numerics.snapshot_factor(DX, DY)
-    if numerics.numerical_rank(F.RX, tol, F.rows) < F.RX.shape[1]:
+    if numerics.numerical_rank(F.RX, tol) < F.RX.shape[1]:
         warnings.warn("source dictionary matrix is rank deficient (needs N >= N_d and "
                       "independent samples); proceeding via pseudo-inverse",
                       RankWarning, stacklevel=2)
-    return KoopmanMatrix(matrix=numerics.pseudo_inverse(F.RX, tol, F.rows) @ F.RY,
+    return KoopmanMatrix(matrix=numerics.pseudo_inverse(F.RX, tol) @ F.RY,
                          direction=direction)
 
 
 def _edmd_pair(F, tol):
     """Forward and backward EDMD matrices of one factor."""
     return (edmd_matrix(F, None, tol, "forward"),
-            edmd_matrix(numerics.SnapshotFactor(F.RY, F.RX, F.rows), None, tol, "backward"))
+            edmd_matrix(numerics.SnapshotFactor(F.RY, F.RX), None, tol, "backward"))
 
 
 def relative_residual(DX, DY, K):
@@ -130,19 +130,23 @@ def _evolution(k_f, k_b, lam, v, data_defect):
     )
 
 
+def _require_samples(count, n_d):
+    if count < n_d:
+        raise AssumptionViolation(f"need at least N_d = {n_d} snapshots, got {count}")
+
+
 def _require_full_rank(F, tol):
+    # R has min(N, 2N_d) rows, so it has fewer than N_d exactly when N does
     n_d = F.RX.shape[1]
-    if F.rows < n_d:
-        raise AssumptionViolation(f"need at least N_d = {n_d} snapshots, got {F.rows}")
+    _require_samples(F.RX.shape[0], n_d)
     for name, R in (("D(X)", F.RX), ("D(Y)", F.RY)):
-        _, s, _, rank = numerics._svd(R, tol, F.rows)
+        _, s, _, rank = numerics._svd(R, tol)
         if rank < n_d:
             ratio = s[-1] / s[0] if s[0] > 0 else 0.0
             raise AssumptionViolation(
                 f"{name} is not of full column rank: numerical rank {rank} < "
-                f"N_d = {n_d} at N = {F.rows}; sigma_min/sigma_max = {ratio:.3g} "
-                f"is not above the relative threshold rank_rtol*max(N, N_d) = "
-                f"{tol.rank_rtol * max(F.rows, n_d):.3g}")
+                f"N_d = {n_d}; sigma_min/sigma_max = {ratio:.3g} is not above "
+                f"the relative threshold rank_rtol*N_d = {tol.rank_rtol * n_d:.3g}")
 
 
 def _negligible(lam, count=1):

@@ -5,7 +5,7 @@ one SVD helper here, parameterized by a single :class:`ToleranceConfig`, so
 that the iterative subspace pruning never mixes inconsistent thresholds.
 """
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +35,11 @@ class ToleranceConfig:
     Attributes
     ----------
     rank_rtol : float
-        Relative singular-value threshold.  A singular value counts toward
-        the rank when it exceeds ``rank_rtol * sigma_max * max(N, cols)``,
-        N being the sample count, also for blocks of the R factor.
+        Relative singular-value threshold.  A singular value of a matrix
+        counts toward its rank when it exceeds ``rank_rtol * sigma_max *
+        cols``, both read off that matrix alone, so decisions do not change
+        with the sample count; each SSD loop keeps the threshold of its
+        first round.
     eig_match_atol : float
         Absolute tolerance for matching eigenvalues and eigenvector residuals
         in the forward-backward comparison.
@@ -53,8 +55,9 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("rank_rtol", "eig_match_atol", "subspace_atol"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise InvalidInput(f"{name} must be strictly positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise InvalidInput(f"{name} must be finite and strictly positive, "
+                                   f"got {value}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -75,23 +78,26 @@ def _as_matrix(M, name="matrix", allow_complex=False):
     return arr
 
 
-def _svd(M, tol, rows=None):
+def _threshold(s, tol):
+    """``rank_rtol * sigma_max * cols`` of the zero-padded singular values s."""
+    return tol.rank_rtol * (s[0] if s.size else 0.0) * s.size
+
+
+def _svd(M, tol, threshold=None):
     """``(U, s, V, rank)`` of M under the one rank rule of the package.
 
     s is descending and zero-padded to cols, V holds all cols right singular
-    vectors, and ``rank`` counts the s above ``rank_rtol * sigma_max *
-    max(N, cols)``, N being ``rows`` (the sample count behind an R-factor
-    block) or else M's own row count.
+    vectors, and ``rank`` counts the s above ``threshold``, by default
+    :func:`_threshold` of M's own s.  Row counts do not enter, so M and its
+    R factor (or any row-duplicated copy of M) get the same decisions.
     """
     M = _as_matrix(M, "M", allow_complex=True)
     n, cols = M.shape
-    if rows is not None and rows < n:
-        raise InvalidInput(f"rows = {rows} is below the matrix's {n} rows")
     U, s, Vh = np.linalg.svd(M, full_matrices=n < cols)
     s = np.pad(s, (0, cols - s.size))
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol.rank_rtol * smax * max(n if rows is None else rows, cols)))
-    return U, s, Vh.conj().T, rank
+    if threshold is None:
+        threshold = _threshold(s, tol)
+    return U, s, Vh.conj().T, int(np.sum(s > threshold))
 
 
 def _pair(A, B, names=("DX", "DY")):
@@ -105,12 +111,14 @@ def _pair(A, B, names=("DX", "DY")):
 
 @dataclass(frozen=True)
 class SnapshotFactor:
-    """Blocks of ``min(N, 2N_d)`` rows, ``[DX, DY] = Q [RX, RY]``, and the
-    sample count N (``rows``) that every rank threshold on them needs."""
+    """Blocks of ``min(N, 2N_d)`` rows with ``[DX, DY] = Q [RX, RY]``.
+
+    They have the singular values and right singular vectors of ``[DX, DY]``
+    (and of any column subset), so every rank decision on them equals the
+    decision on the N-row data."""
 
     RX: np.ndarray
     RY: np.ndarray
-    rows: int
 
 
 # Rows per block of the streamed QR: one 16,384 x 2N_d block of the degree-7
@@ -127,7 +135,7 @@ def _factor_blocks(rows, n_d, fill):
     the stacked block factors are merged by one more QR.
     """
     if rows == 0 or n_d == 0:
-        return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)), rows)
+        return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)))
     M = np.empty((min(rows, _BLOCK_ROWS), 2 * n_d), order="F")
     factors = []
     for start in range(0, rows, _BLOCK_ROWS):
@@ -135,23 +143,19 @@ def _factor_blocks(rows, n_d, fill):
         fill(block, start)
         factors.append(np.linalg.qr(block, mode="r"))
     R = np.linalg.qr(np.vstack(factors), mode="r")
-    return SnapshotFactor(R[:, :n_d], R[:, n_d:], rows)
+    return SnapshotFactor(R[:, :n_d], R[:, n_d:])
 
 
 def snapshot_factor(DX, DY):
     """The :class:`SnapshotFactor` of N-row snapshot matrices DX, DY.
 
     DX and DY are validated, then read one row block at a time and never
-    overwritten.  A factor passed as DX, with DY
-    None, is returned as it is.
+    overwritten.  A factor passed as DX, with DY None, is returned as it is.
     """
     if isinstance(DX, SnapshotFactor) and DY is None:
         return DX
     DX, DY = _pair(DX, DY)
     rows, n_d = DX.shape
-    if 1 < rows <= 2 * n_d and not np.tril(np.hstack([DX, DY]), -1).any():
-        warnings.warn(f"DX, DY look like factor blocks, taken here as {rows} "
-                      "samples; pass the SnapshotFactor instead", stacklevel=2)
 
     def fill(M, start):
         M[:, :n_d] = DX[start:start + len(M)]
@@ -160,27 +164,27 @@ def snapshot_factor(DX, DY):
     return _factor_blocks(rows, n_d, fill)
 
 
-def numerical_rank(M, tol=DEFAULT_TOL, rows=None):
+def numerical_rank(M, tol=DEFAULT_TOL):
     """Number of singular values of M above the relative rank threshold."""
-    return _svd(M, tol, rows)[3]
+    return _svd(M, tol)[3]
 
 
-def null_space_basis(M, tol=DEFAULT_TOL, rows=None):
+def null_space_basis(M, tol=DEFAULT_TOL):
     """Orthonormal basis of the numerical null space of M.
 
     Returns an array of shape ``(cols, cols - rank)`` whose columns are the
     trailing right singular vectors of M; the array has zero columns when
     the null space is trivial.  ``M @ Z`` is tolerance-small by construction
-    and ``numerical_rank(M, tol, rows) + Z.shape[1] == cols`` always holds.
+    and ``numerical_rank(M, tol) + Z.shape[1] == cols`` always holds.
     """
-    _, _, V, rank = _svd(M, tol, rows)
+    _, _, V, rank = _svd(M, tol)
     return V[:, rank:]
 
 
-def pseudo_inverse(M, tol=DEFAULT_TOL, rows=None):
+def pseudo_inverse(M, tol=DEFAULT_TOL):
     """Moore-Penrose pseudo-inverse with singular values truncated at the
     same relative threshold used for rank decisions."""
-    U, s, V, r = _svd(M, tol, rows)
+    U, s, V, r = _svd(M, tol)
     # U^H scaled by the reciprocals, as numpy.linalg.pinv does, to round the same
     return V[:, :r] @ ((1.0 / s[:r, None]) * U[:, :r].conj().T)
 
@@ -263,21 +267,21 @@ def eig(M):
                         conj_partner=partner)
 
 
-def orthonormal_range(M, tol=DEFAULT_TOL, rows=None):
+def orthonormal_range(M, tol=DEFAULT_TOL):
     """Orthonormal basis (columns) of the numerical column span of M."""
-    U, _, _, rank = _svd(M, tol, rows)
+    U, _, _, rank = _svd(M, tol)
     return U[:, :rank]
 
 
-def _range_angles(P, Q, tol, rows):
+def _range_angles(P, Q, tol):
     """Dimensions of the numerical spans of P and Q, and their principal
     angles (ascending; empty when either span is trivial)."""
     P = _as_matrix(P, "P", allow_complex=True)
     Q = _as_matrix(Q, "Q", allow_complex=True)
     if P.shape[0] != Q.shape[0]:
         raise InvalidInput("P and Q must have the same number of rows")
-    QP = orthonormal_range(P, tol, rows)
-    QQ = orthonormal_range(Q, tol, rows)
+    QP = orthonormal_range(P, tol)
+    QQ = orthonormal_range(Q, tol)
     if QP.shape[1] == 0 or QQ.shape[1] == 0:
         return QP.shape[1], QQ.shape[1], np.zeros(0)
     # cosine/sine composite (Knyazev & Argentati 2002): cosines resolve the
@@ -295,14 +299,14 @@ def _range_angles(P, Q, tol, rows):
     return QP.shape[1], QQ.shape[1], np.sort(angles)
 
 
-def principal_angles(P, Q, tol=DEFAULT_TOL, rows=None):
+def principal_angles(P, Q, tol=DEFAULT_TOL):
     """Principal angles (radians, ascending) between the column spans of P and Q.
 
     The spans are orthonormalized at the shared rank threshold first; the
     angles themselves come from the cosine/sine-composite algorithm, which
     stays accurate for angles far below sqrt(machine eps).
     """
-    return _range_angles(P, Q, tol, rows)[2]
+    return _range_angles(P, Q, tol)[2]
 
 
 def subspace_equal(P, Q, tol=DEFAULT_TOL):
@@ -311,5 +315,5 @@ def subspace_equal(P, Q, tol=DEFAULT_TOL):
     Spans of different dimension are unequal; otherwise equality means every
     principal angle is at most ``tol.subspace_atol``.
     """
-    dim_p, dim_q, angles = _range_angles(P, Q, tol, None)
+    dim_p, dim_q, angles = _range_angles(P, Q, tol)
     return bool(dim_p == dim_q and (angles.size == 0 or angles.max() <= tol.subspace_atol))

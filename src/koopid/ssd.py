@@ -105,7 +105,7 @@ class ReducedKoopman:
 def _check_preconditions(DX, DY, tol):
     F = numerics.snapshot_factor(DX, DY)
     _require_full_rank(F, tol)
-    if F.rows < 2 * F.RX.shape[1]:
+    if F.RX.shape[0] < 2 * F.RX.shape[1]:
         warnings.warn("fewer than 2 * N_d snapshots; rank decisions may be fragile",
                       UserWarning, stacklevel=3)
     return F
@@ -136,7 +136,7 @@ def _truncation_split(s, epsilon, rank):
 def _finish(C, iterations, log, mode, epsilon, F, tol):
     max_angle = None
     if C is not None:
-        angles = numerics.principal_angles(F.RX @ C, F.RY @ C, tol, F.rows)
+        angles = numerics.principal_angles(F.RX @ C, F.RY @ C, tol)
         max_angle = float(angles.max()) if angles.size else 0.0
     return SsdResult(C=C, iterations=iterations, log=tuple(log), mode=mode,
                      epsilon=epsilon, max_range_angle=max_angle)
@@ -150,6 +150,10 @@ def _ssd_loop(F, tol, epsilon):
     mode = "exact" if epsilon is None else "approximate"
     log = []
     iteration = 0
+    # every round counts against round 1's threshold, rank_rtol * sigma_max
+    # * 2N_d of [RX, RY]: re-taken of each smaller iterate it would tighten
+    # round by round and prune exact Van der Pol to the zero subspace
+    threshold = None
     while True:
         iteration += 1
         if iteration > n_d + 1:
@@ -158,7 +162,9 @@ def _ssd_loop(F, tol, epsilon):
             )
         m = A.shape[1]
         M = np.hstack([A, B])
-        _, s, V, rank = numerics._svd(M, tol, F.rows)
+        _, s, V, rank = numerics._svd(M, tol, threshold)
+        if threshold is None:
+            threshold = numerics._threshold(s, tol)
         kept_rank = truncation_ratio = None
         fallback = False
         if epsilon is None:
@@ -252,7 +258,7 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
         raise InvalidInput("the decomposition returned the zero subspace")
     F = numerics.snapshot_factor(DX, DY)
     DXC, DYC = F.RX @ result.C, F.RY @ result.C
-    K = numerics.pseudo_inverse(DXC, tol, F.rows) @ DYC
+    K = numerics.pseudo_inverse(DXC, tol) @ DYC
     e_r = relative_residual(DXC, DYC, K)
     if result.mode == "exact":
         if e_r > 10.0 * tol.subspace_atol:

@@ -127,6 +127,19 @@ class TestIdentify:
         assert result["ssd"]["epsilon"] == 1e-4
         assert result["ssd"]["subspace_dim"] == 6
 
+    def test_degree_beyond_the_sample_count_stops_before_building(
+            self, workdir, capsys, monkeypatch):
+        # comb(2 + 10**6, 2) monomials would take without end to build
+        def unreachable(*args):
+            raise AssertionError("the dictionary was built")
+
+        monkeypatch.setattr(cli.dict_mod, "monomials_up_to_degree", unreachable)
+        code = cli.main(["identify", "--snapshots", str(workdir / "snap.csv"),
+                         "--degree", "1000000", "--method", "ssd"])
+        assert code == cli.EXIT_ASSUMPTION_VIOLATION
+        assert "need at least N_d = 500001500001 snapshots, got 2000" in \
+            capsys.readouterr().err
+
     def test_degree_and_dict_file_are_exclusive(self, workdir):
         out = workdir / "result.json"
         code = cli.main(["identify", "--snapshots", str(workdir / "snap.csv"),
@@ -283,6 +296,19 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out.read_text())["method"] == "fb-edmd"
 
+    def test_unknown_key_is_named(self, workdir, capsys):
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({"methd": "ssd"}))
+        assert cli.main(["identify", "--config", str(cfg)]) == cli.EXIT_INVALID_INPUT
+        assert "config key 'methd' is not a known option" in capsys.readouterr().err
+
+    def test_config_belongs_to_the_subcommand(self, workdir):
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({"method": "ssd"}))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--config", str(cfg), "identify"])
+        assert excinfo.value.code == cli.EXIT_INVALID_INPUT
+
 
 _DELETE = object()
 
@@ -351,6 +377,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "error[invalid-input]" in err and repr(key) in err
 
+    @pytest.mark.parametrize("where", ["flag", "stored"])
+    def test_infinite_tolerance(self, workdir, capsys, where):
+        # an infinite eig_match_atol would pass any data defect
+        if where == "flag":
+            code, _ = run_identify(workdir, "--method", "fb-edmd", "--eig-atol", "inf")
+        else:
+            _, out = run_identify(workdir, "--method", "fb-edmd")
+            result = json.loads(out.read_text())
+            result["tolerances"]["eig_match_atol"] = float("inf")
+            for entry in result["evolutions"]:
+                entry["lambda_re"] += 0.3
+            out.write_text(json.dumps(result))
+            code = cli.main(["verify", str(out), str(workdir / "snap.csv")])
+        assert code == cli.EXIT_INVALID_INPUT
+        assert "error[invalid-input]" in capsys.readouterr().err
+
     def test_config_value_is_converted_like_its_flag(self, workdir):
         cfg = workdir / "run.json"
         cfg.write_text(json.dumps({"rank_rtol": "1e-10", "grid_resolution": "5"}))
@@ -363,11 +405,11 @@ class TestMalformedInputs:
 
 
 def test_tolerance_defaults_follow_tolerance_config():
-    defaults = cli._OPTION_DEFAULTS["identify"]
+    defaults = cli._build_parser()[0].parse_args(["identify"])
     config = koopid.ToleranceConfig()
-    assert defaults["rank_rtol"] == config.rank_rtol
-    assert defaults["eig_atol"] == config.eig_match_atol
-    assert defaults["subspace_atol"] == config.subspace_atol
+    assert defaults.rank_rtol == config.rank_rtol
+    assert defaults.eig_atol == config.eig_match_atol
+    assert defaults.subspace_atol == config.subspace_atol
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -193,7 +193,7 @@ class TestForwardBackward:
 
     @pytest.mark.parametrize("side", ["X", "Y"])
     def test_rank_violation_names_its_numbers(self, side):
-        # sigma_min/sigma_max = 1e-12 against the threshold 1e-10 * max(N, N_d)
+        # sigma_min/sigma_max = 1e-12 against the threshold 1e-10 * N_d
         rng = np.random.Generator(np.random.PCG64(6))
         Q, _ = np.linalg.qr(rng.standard_normal((100, 2)))
         full, deficient = Q @ np.diag([1.0, 0.5]), Q @ np.diag([1.0, 1e-12])
@@ -201,9 +201,9 @@ class TestForwardBackward:
         with pytest.raises(AssumptionViolation) as excinfo:
             koopid.forward_backward_eigenpairs(DX, DY)
         assert str(excinfo.value) == (
-            f"D({side}) is not of full column rank: numerical rank 1 < N_d = 2 "
-            "at N = 100; sigma_min/sigma_max = 1e-12 is not above the relative "
-            "threshold rank_rtol*max(N, N_d) = 1e-08")
+            f"D({side}) is not of full column rank: numerical rank 1 < N_d = 2; "
+            "sigma_min/sigma_max = 1e-12 is not above the relative threshold "
+            "rank_rtol*N_d = 2e-10")
 
     def test_too_few_samples_is_a_hard_error(self):
         rng = np.random.Generator(np.random.PCG64(4))
@@ -254,8 +254,8 @@ class TestFactorRoute:
         DX, DY = (counterexample_matrices if case == "counterexample"
                   else ex2_matrices)
         factor = koopid.snapshot_factor(DX, DY)
-        # the data as its own blocks (Q = I), with the same sample count
-        as_blocks = koopid.SnapshotFactor(DX, DY, DX.shape[0])
+        # the data as its own blocks (Q = I)
+        as_blocks = koopid.SnapshotFactor(DX, DY)
         def by_eigenvalue(matched):
             return sorted(matched, key=lambda e: (e.eigenvalue.real, e.eigenvalue.imag))
 

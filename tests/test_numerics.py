@@ -24,6 +24,12 @@ class TestToleranceConfig:
         with pytest.raises(InvalidInput):
             koopid.ToleranceConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["rank_rtol", "eig_match_atol", "subspace_atol"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite(self, field, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            koopid.ToleranceConfig(**{field: bad})
+
 
 class TestNumericalRank:
     def test_identity(self):
@@ -300,7 +306,6 @@ class TestSnapshotFactor:
         factor = koopid.snapshot_factor(DX, DY)
         R = np.hstack([factor.RX, factor.RY])
         M = np.hstack([DX, DY])
-        assert factor.rows == rows
         assert R.shape == (min(rows, 2 * n_d), 2 * n_d)
         assert np.array_equal(R, np.triu(R))
         np.testing.assert_allclose(R.T @ R, M.T @ M,
@@ -329,51 +334,12 @@ class TestSnapshotFactor:
         half = cols // 2
         factor = koopid.snapshot_factor(M[:, :half], M[:, half:])
         R = np.hstack([factor.RX, factor.RY])
-        assert koopid.numerical_rank(R, tol, rows=rows) == \
+        assert koopid.numerical_rank(R, tol) == \
             koopid.numerical_rank(M, tol) == rank
-        assert koopid.numerical_rank(factor.RX, tol, rows=rows) == \
+        assert koopid.numerical_rank(factor.RX, tol) == \
             koopid.numerical_rank(M[:, :half], tol)
-        Z_r = koopid.null_space_basis(R, tol, rows=rows)
+        Z_r = koopid.null_space_basis(R, tol)
         Z_m = koopid.null_space_basis(M, tol)
         assert Z_r.shape == Z_m.shape == (cols, cols - rank)
         if Z_r.shape[1]:
             assert koopid.subspace_equal(Z_r, Z_m, tol)
-
-    def test_threshold_uses_the_sample_count_not_the_block_rows(self, tol):
-        # one singular value sits between the threshold at the block's own
-        # 2 * N_d rows and the threshold at N rows: only rows=N reproduces
-        # the full-data decision
-        rows, cols = 5000, 8
-        rng = np.random.Generator(np.random.PCG64(710))
-        U, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
-        V, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
-        s = np.array([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 1e-8])
-        M = (U * s) @ V.T
-        factor = koopid.snapshot_factor(M[:, :4], M[:, 4:])
-        R = np.hstack([factor.RX, factor.RY])
-        assert koopid.numerical_rank(M, tol) == 7
-        assert koopid.numerical_rank(R, tol, rows=rows) == 7
-        assert koopid.numerical_rank(R, tol) == 8
-        assert koopid.null_space_basis(R, tol, rows=rows).shape[1] == 1
-        np.testing.assert_allclose(
-            koopid.pseudo_inverse(R, tol, rows=rows) @ R,
-            koopid.pseudo_inverse(M, tol) @ M, atol=1e-8)
-
-    def test_blocks_passed_as_data_warn(self, tol):
-        # the blocks alone carry no sample count: factoring them again takes
-        # 2 * N_d as N, which is why they travel in a SnapshotFactor
-        rng = np.random.Generator(np.random.PCG64(720))
-        factor = koopid.snapshot_factor(rng.standard_normal((300, 4)),
-                                        rng.standard_normal((300, 4)))
-        with pytest.warns(UserWarning, match="SnapshotFactor"):
-            again = koopid.snapshot_factor(factor.RX, factor.RY)
-        assert again.rows == 8
-
-    def test_rows_below_the_matrix_rows_rejected(self, tol):
-        M = np.random.Generator(np.random.PCG64(730)).standard_normal((10, 4))
-        for fn in (koopid.numerical_rank, koopid.null_space_basis,
-                   koopid.pseudo_inverse, koopid.orthonormal_range):
-            with pytest.raises(InvalidInput, match="rows"):
-                fn(M, tol, rows=9)
-        with pytest.raises(InvalidInput, match="rows"):
-            koopid.principal_angles(M, M, tol, rows=9)

@@ -367,7 +367,7 @@ class TestFactorRoute:
         DX, DY = ex2_matrices if case == "ex2" else vdp_matrices
         blocks = _run_route(numerics.snapshot_factor(DX, DY), None, epsilon, tol)
         _assert_same_outcome(_run_route(DX, DY, epsilon, tol), blocks, tol)
-        as_blocks = numerics.SnapshotFactor(DX, DY, DX.shape[0])
+        as_blocks = numerics.SnapshotFactor(DX, DY)
         _assert_same_outcome(_run_route(as_blocks, None, epsilon, tol), blocks, tol)
         expected = {"ex2": 6, "vdp": 1 if epsilon is None else None}[case]
         if expected is not None:
@@ -414,13 +414,14 @@ class TestFactorRoute:
         with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
             koopid.approximate_ssd(DX, DY, 1e-4)
 
-    def test_blocks_without_their_sample_count_warn(self, vdp_matrices, tol):
-        # taken as data, RX and RY would count as 2 * N_d samples and every
-        # rank threshold would use that count instead of N
+    def test_blocks_passed_as_data_give_the_same_decisions(self, vdp_matrices, tol):
+        # factored again as 2 * N_d samples, RX and RY have the singular
+        # values of the N-row data, so no decision reads the sample count
         factor = numerics.snapshot_factor(*vdp_matrices)
-        assert koopid.ssd(factor, None, tol).subspace_dim == 1
-        with pytest.warns(UserWarning, match="SnapshotFactor"):
-            koopid.ssd(factor.RX, factor.RY, tol)
+        on_factor = koopid.ssd(factor, None, tol)
+        as_data = koopid.ssd(factor.RX, factor.RY, tol)
+        assert as_data.subspace_dim == on_factor.subspace_dim == 1
+        assert _log_key(as_data) == _log_key(on_factor)
         with pytest.raises(InvalidInput, match="DX"):
             koopid.ssd(factor, factor.RY, tol)
 
@@ -455,10 +456,26 @@ class TestRowOrder:
                 <= 1e-9 + 1e-11 / gap
 
 
+class TestRowDuplication:
+    def test_tiling_the_data_keeps_every_decision(self, vdp_dictionary,
+                                                  vdp_snapshots, tol):
+        # 50 copies of the 1e4 snapshots scale R by sqrt(50) and leave every
+        # singular-value ratio as it was, so no decision may move
+        X, Y = vdp_snapshots.X, vdp_snapshots.Y
+        once = koopid.evaluate_factor(vdp_dictionary, X, Y)
+        tiled = koopid.evaluate_factor(vdp_dictionary, np.tile(X, (50, 1)),
+                                       np.tile(Y, (50, 1)))
+        for run in (lambda F: koopid.ssd(F, None, tol),
+                    lambda F: koopid.approximate_ssd(F, None, 1e-4, tol)):
+            res_once, res_tiled = run(once), run(tiled)
+            assert _log_key(res_tiled) == _log_key(res_once)
+            assert res_tiled.subspace_dim == res_once.subspace_dim
+
+
 class TestColumnOrder:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("epsilon, kept_ranks, dim",
-                             [(1e-4, [43, 33, 25], 25), (None, [None] * 7, 1)],
+                             [(1e-4, [43, 33, 25], 25), (None, [None] * 6, 1)],
                              ids=["approx", "exact"])
     def test_permuting_dictionary_columns_keeps_decisions_and_modes(
             self, seed, epsilon, kept_ranks, dim, vdp_dictionary, vdp_snapshots, tol):
