@@ -318,8 +318,8 @@ def cmd_identify(args):
     }
 
     if args.method == "fb-edmd":
-        evolutions = edmd.forward_backward_eigenpairs(factor, None, tol)
-        k_f = edmd.edmd_matrix(factor, None, tol)
+        k_f, k_b = edmd._full_rank_pair(factor, tol)
+        evolutions = edmd.forward_backward_eigenpairs(factor, None, tol, pair=(k_f, k_b))
         result["e_r"] = edmd.relative_residual(factor.RX, factor.RY, k_f.matrix)
     else:
         if args.method == "ssd":

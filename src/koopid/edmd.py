@@ -68,12 +68,12 @@ def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
     with DY None; N-row DX, DY are factored first.
     """
     F = numerics.snapshot_factor(DX, DY)
-    if numerics.numerical_rank(F.RX, tol) < F.RX.shape[1]:
+    U, s, V, rank = numerics._svd(F.RX, tol)
+    if rank < F.RX.shape[1]:
         warnings.warn("source dictionary matrix is rank deficient (needs N >= N_d and "
                       "independent samples); proceeding via pseudo-inverse",
                       RankWarning, stacklevel=2)
-    return KoopmanMatrix(matrix=numerics.pseudo_inverse(F.RX, tol) @ F.RY,
-                         direction=direction)
+    return KoopmanMatrix(matrix=numerics._pinv(U, s, V, rank) @ F.RY, direction=direction)
 
 
 def _edmd_pair(F, tol):
@@ -136,17 +136,31 @@ def _require_samples(count, n_d):
 
 
 def _require_full_rank(F, tol):
+    """The :func:`numerics._svd` of F.RX and of F.RY, each required to have
+    full column rank; the violation names the numbers that failed."""
     # R has min(N, 2N_d) rows, so it has fewer than N_d exactly when N does
     n_d = F.RX.shape[1]
     _require_samples(F.RX.shape[0], n_d)
+    svds = []
     for name, R in (("D(X)", F.RX), ("D(Y)", F.RY)):
-        _, s, _, rank = numerics._svd(R, tol)
+        svd = numerics._svd(R, tol)
+        _, s, _, rank = svd
         if rank < n_d:
             ratio = s[-1] / s[0] if s[0] > 0 else 0.0
             raise AssumptionViolation(
                 f"{name} is not of full column rank: numerical rank {rank} < "
                 f"N_d = {n_d}; sigma_min/sigma_max = {ratio:.3g} is not above "
                 f"the relative threshold rank_rtol*N_d = {tol.rank_rtol * n_d:.3g}")
+        svds.append(svd)
+    return svds
+
+
+def _full_rank_pair(F, tol):
+    """Forward and backward EDMD matrices of F, built from the SVDs of the
+    full-rank check that forward-backward matching requires."""
+    svd_x, svd_y = _require_full_rank(F, tol)
+    return (KoopmanMatrix(numerics._pinv(*svd_x) @ F.RY, "forward"),
+            KoopmanMatrix(numerics._pinv(*svd_y) @ F.RX, "backward"))
 
 
 def _negligible(lam, count=1):
@@ -200,7 +214,7 @@ def _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
     return [E_f @ U[:, i] for i in range(E_f.shape[1]) if i < keep.size and keep[i]]
 
 
-def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
+def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, *, pair=None):
     """All dictionary-space vectors that evolve linearly on the data.
 
     Computes the forward and backward EDMD matrices, then keeps every
@@ -209,12 +223,13 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
     1/lambda.  Each returned pair is asserted to satisfy the data-level
     relation as well; the matched set is closed under conjugation.
 
-    Requires both dictionary matrices to have full column rank.
+    Requires both dictionary matrices to have full column rank.  A caller
+    that needs K_f as well passes the ``(K_f, K_b)`` that
+    :func:`_full_rank_pair` built for this data as ``pair``; that call
+    made the rank check.
     """
     F = numerics.snapshot_factor(DX, DY)
-    _require_full_rank(F, tol)
-
-    k_f, k_b = _edmd_pair(F, tol)
+    k_f, k_b = _full_rank_pair(F, tol) if pair is None else pair
     f_pairs = numerics.eig(k_f.matrix)
     b_pairs = numerics.eig(k_b.matrix)
     norm_kb = np.linalg.norm(k_b.matrix)

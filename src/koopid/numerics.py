@@ -184,7 +184,11 @@ def null_space_basis(M, tol=DEFAULT_TOL):
 def pseudo_inverse(M, tol=DEFAULT_TOL):
     """Moore-Penrose pseudo-inverse with singular values truncated at the
     same relative threshold used for rank decisions."""
-    U, s, V, r = _svd(M, tol)
+    return _pinv(*_svd(M, tol))
+
+
+def _pinv(U, s, V, r):
+    """The pseudo-inverse from the ``(U, s, V, rank)`` of :func:`_svd`."""
     # U^H scaled by the reciprocals, as numpy.linalg.pinv does, to round the same
     return V[:, :r] @ ((1.0 / s[:r, None]) * U[:, :r].conj().T)
 

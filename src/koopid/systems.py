@@ -10,8 +10,10 @@ A snapshot CSV written here gets a checksum-bound binary twin that
 """
 
 import csv
+import functools
 import json
 import logging
+import os
 import pathlib
 import warnings
 import zlib
@@ -221,29 +223,79 @@ def generate(spec, n_samples):
     return SnapshotSet(X=X, Y=Y, provenance=prov)
 
 
+# Rows per formatted CSV chunk: enough chunks on the benchmark sizes (19 at
+# 300,000 rows) to keep every worker busy to the end.
+_CSV_CHUNK_ROWS = 16_384
+
+
+def _format_rows(template, chunk):
+    """The encoded text of ``chunk``, one ``template`` per row, made by one
+    ``%`` so the Python objects made are the chunk's floats only."""
+    return ((template * len(chunk)) % tuple(chunk.ravel().tolist())).encode()
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_chunks(template, chunks, put):
+    """Call ``put`` on the encoded text of each chunk, in chunk order.
+
+    With more than one usable CPU and chunk, the chunks are formatted in
+    worker processes forked from this one: a forked worker starts with the
+    modules already imported, and it runs Python formatting only, no BLAS
+    or other threaded code.  With one worker, and for the chunks not yet
+    put when the pool cannot start or breaks, they are formatted
+    in-process, so every chunk is put once."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    fmt = functools.partial(_format_rows, template)
+    workers = min(_usable_cpus(), len(chunks))
+    done = 0
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                for encoded in pool.map(fmt, chunks):
+                    put(encoded)
+                    done += 1
+        except (OSError, BrokenProcessPool) as exc:
+            logger.info("formatting the last %d CSV chunks in-process: %r",
+                        len(chunks) - done, exc)
+    for encoded in map(fmt, chunks[done:]):
+        put(encoded)
+
+
 def _write_csv(path, header, data):
     """Write a header and the rows of a float matrix as csv.writer would
     (plain fields, CRLF line endings), each value in 17 significant digits,
     and return the byte count and the CRC-32 of what was written.
 
-    Each chunk of rows is formatted by one ``%`` over a template repeated
-    once per row, so the Python objects made are the chunk's floats only."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
-
-    def texts():
-        yield ",".join(header) + "\r\n"
-        for start in range(0, len(data), 65536):
-            chunk = data[start:start + 65536]
-            yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
-
+    The bytes do not depend on how many processes format the rows."""
+    template = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+    chunks = [data[start:start + _CSV_CHUNK_ROWS]
+              for start in range(0, len(data), _CSV_CHUNK_ROWS)]
     size = crc = 0
+
+    def put(encoded):
+        nonlocal size, crc
+        # a failed write leaves as ArtifactIOError, so the handler of the
+        # pool's OSErrors never takes it for a pool failure
+        try:
+            fh.write(encoded)
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
+        size += len(encoded)
+        crc = zlib.crc32(encoded, crc)
+
     try:
         with open(path, "wb") as fh:
-            for text in texts():
-                encoded = text.encode()
-                fh.write(encoded)
-                size += len(encoded)
-                crc = zlib.crc32(encoded, crc)
+            put((",".join(header) + "\r\n").encode())
+            _format_chunks(template, chunks, put)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
     return size, crc

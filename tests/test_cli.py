@@ -415,14 +415,16 @@ def test_tolerance_defaults_follow_tolerance_config():
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: the package runs on numpy alone.  Nor
     # does it load OpenSSL (_hashlib): its checksums are zlib's CRC-32, and
-    # reading a snapshot CSV through its binary twin loads nothing more.
+    # reading a snapshot CSV through its binary twin loads nothing more.  The
+    # process pool of the CSV writer is imported only when a CSV is written.
     snap = tmp_path / "snap.csv"
     assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, koopid\n"
              "def loaded():\n"
-             "    return sorted(m for m in sys.modules if m in ('scipy', '_hashlib')\n"
+             "    return sorted(m for m in sys.modules if m in ('scipy', '_hashlib',\n"
+             "                  'multiprocessing', 'concurrent.futures')\n"
              "                  or m.startswith('scipy.'))\n"
              "print(loaded())\n"
              "koopid.systems.np.loadtxt = None  # read the twin, not the text\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import koopid
+from koopid import edmd
 from koopid.errors import AssumptionViolation, InvalidInput, RankWarning
 from conftest import EX2_A, EX2_SPECTRUM
 
@@ -274,6 +275,21 @@ class TestFactorRoute:
         assert koopid.relative_residual(factor.RX, factor.RY,
                                         k_blocks.matrix) == pytest.approx(
             koopid.relative_residual(DX, DY, k_full.matrix), rel=1e-6, abs=1e-14)
+
+    def test_rank_check_pair_is_the_edmd_pair(self, ex2_matrices, tol):
+        # the pair built from the SVDs of the full-rank check, which fb-edmd
+        # identify reuses for e_r, is bit for bit what edmd_matrix builds
+        factor = koopid.snapshot_factor(*ex2_matrices)
+        pair = edmd._full_rank_pair(factor, tol)
+        backward = koopid.SnapshotFactor(factor.RY, factor.RX)
+        assert np.array_equal(pair[0].matrix, koopid.edmd_matrix(factor, None, tol).matrix)
+        assert np.array_equal(pair[1].matrix, koopid.edmd_matrix(backward, None, tol).matrix)
+        def fields(matched):
+            return [(e.eigenvalue, e.coefficients.tobytes(), e.forward_defect,
+                     e.backward_defect, e.data_defect) for e in matched]
+
+        assert (fields(koopid.forward_backward_eigenpairs(factor, None, tol, pair=pair))
+                == fields(koopid.forward_backward_eigenpairs(factor, None, tol)))
 
     def test_defect_is_the_same_on_blocks(self, ex2_matrices):
         DX, DY = ex2_matrices

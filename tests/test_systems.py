@@ -1,6 +1,10 @@
 import csv
+import errno
 import io
 import json
+import multiprocessing
+import os
+import signal
 import zlib
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import koopid
+from koopid import systems
 from koopid.errors import ArtifactIOError, EvaluationOverflow, InvalidInput
 from conftest import EX2_A
 
@@ -242,6 +247,34 @@ def _csv_writer_reference(snapshots):
     return buf.getvalue().encode()
 
 
+@pytest.fixture()
+def time_limit():
+    """Fail a test still running after 60 s instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+_PYTEST_PID = os.getpid()
+_format_rows = systems._format_rows
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, "fork refused")
+
+
+def _format_rows_dying_in_worker(template, chunk):
+    # module level, so the pool can pickle it by name
+    if os.getpid() != _PYTEST_PID and len(chunk) < systems._CSV_CHUNK_ROWS:
+        os._exit(1)
+    return _format_rows(template, chunk)
+
+
 class TestSnapshotCsvFormat:
     EDGE = np.array([
         [-0.0, 5e-324, 1e300, -1.7976931348623157e308],
@@ -256,10 +289,12 @@ class TestSnapshotCsvFormat:
         assert path.read_bytes() == _csv_writer_reference(snap)
         assert b"\r\n" in path.read_bytes()
 
-    # the writer formats 65,536-row chunks: a partial last chunk, exactly one
-    # full chunk, and a 1-row last chunk of six values
-    @pytest.mark.parametrize("rows, state_dim", [(70000, 1), (65536, 1), (65537, 3)],
-                             ids=["70000x1", "65536x1", "65537x3"])
+    # the writer formats 16,384-row chunks: a partial last chunk, exactly one
+    # full chunk, a 1-row last chunk of six values, and six chunks, more than
+    # there are workers on a small machine
+    @pytest.mark.parametrize("rows, state_dim",
+                             [(70000, 1), (16384, 1), (16385, 3), (5 * 16384 + 1, 1)],
+                             ids=["70000x1", "16384x1", "16385x3", "81921x1"])
     def test_bytes_equal_csv_writer_output_across_write_chunks(self, tmp_path, rows,
                                                                state_dim):
         rng = np.random.Generator(np.random.PCG64(21))
@@ -268,6 +303,41 @@ class TestSnapshotCsvFormat:
         path = tmp_path / "long.csv"
         koopid.write_snapshot_csv(snap, path)
         assert path.read_bytes() == _csv_writer_reference(snap)
+
+    # a pool that cannot start (fork fails) or breaks (a worker dies on the
+    # partial last chunk) leaves the chunks not yet written to the parent
+    @pytest.mark.parametrize("fault", [None, "start", "mid-map"])
+    def test_pool_failure_writes_the_in_process_bytes(self, tmp_path, monkeypatch,
+                                                      time_limit, fault):
+        data = np.random.Generator(np.random.PCG64(22)).standard_normal(
+            (3 * systems._CSV_CHUNK_ROWS + 5, 2))
+
+        def write(cpus):
+            monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
+            path = tmp_path / f"{fault}-{cpus}.csv"
+            size_crc = systems._write_csv(path, ["x_1", "y_1"], data)
+            assert multiprocessing.active_children() == []
+            return path.read_bytes(), size_crc
+
+        expected = _csv_writer_reference(koopid.SnapshotSet(X=data[:, :1], Y=data[:, 1:]))
+        in_process = write(1)
+        assert in_process == (expected, (len(expected), zlib.crc32(expected)))
+        if fault == "start":
+            monkeypatch.setattr(os, "fork", _fork_fails)
+        elif fault == "mid-map":
+            monkeypatch.setattr(systems, "_format_rows", _format_rows_dying_in_worker)
+        assert write(2) == in_process
+        assert write(1) == in_process
+
+    # a failed write is not taken for a failure of the pool, and stops it
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_write_is_an_io_error(self, monkeypatch, time_limit, cpus):
+        monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
+        data = np.ones((3 * systems._CSV_CHUNK_ROWS, 2))
+        with pytest.raises(ArtifactIOError, match="cannot write CSV file"):
+            systems._write_csv("/dev/full", ["x_1", "y_1"], data)
+        assert multiprocessing.active_children() == []
 
     def test_quoted_fields_parse(self, tmp_path):
         snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
