@@ -319,7 +319,7 @@ def cmd_identify(args):
 
     if args.method == "fb-edmd":
         k_f, k_b = edmd._full_rank_pair(factor, tol)
-        evolutions = edmd.forward_backward_eigenpairs(factor, None, tol, pair=(k_f, k_b))
+        evolutions = edmd._match(factor, k_f, k_b, tol)
         result["e_r"] = edmd.relative_residual(factor.RX, factor.RY, k_f.matrix)
     else:
         if args.method == "ssd":

@@ -214,7 +214,7 @@ def _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
     return [E_f @ U[:, i] for i in range(E_f.shape[1]) if i < keep.size and keep[i]]
 
 
-def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, *, pair=None):
+def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
     """All dictionary-space vectors that evolve linearly on the data.
 
     Computes the forward and backward EDMD matrices, then keeps every
@@ -223,13 +223,15 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL, *, pair=None):
     1/lambda.  Each returned pair is asserted to satisfy the data-level
     relation as well; the matched set is closed under conjugation.
 
-    Requires both dictionary matrices to have full column rank.  A caller
-    that needs K_f as well passes the ``(K_f, K_b)`` that
-    :func:`_full_rank_pair` built for this data as ``pair``; that call
-    made the rank check.
+    Requires both dictionary matrices to have full column rank.
     """
     F = numerics.snapshot_factor(DX, DY)
-    k_f, k_b = _full_rank_pair(F, tol) if pair is None else pair
+    return _match(F, *_full_rank_pair(F, tol), tol)
+
+
+def _match(F, k_f, k_b, tol):
+    """The matched evolutions of :func:`forward_backward_eigenpairs`, from
+    the pair :func:`_full_rank_pair` built for the factor F."""
     f_pairs = numerics.eig(k_f.matrix)
     b_pairs = numerics.eig(k_b.matrix)
     norm_kb = np.linalg.norm(k_b.matrix)

@@ -241,31 +241,50 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _format_chunks(template, chunks, put):
-    """Call ``put`` on the encoded text of each chunk, in chunk order.
+def _pool_put(fmt, chunks, put, workers):
+    """Put the chunks formatted by ``workers`` processes forked from this
+    one, in chunk order, and return how many were put.
 
-    With more than one usable CPU and chunk, the chunks are formatted in
-    worker processes forked from this one: a forked worker starts with the
-    modules already imported, and it runs Python formatting only, no BLAS
-    or other threaded code.  With one worker, and for the chunks not yet
-    put when the pool cannot start or breaks, they are formatted
-    in-process, so every chunk is put once."""
+    A forked worker starts with the modules already imported, and it runs
+    Python formatting only, no BLAS or other threaded code.  Without
+    ``fork``, or when the pool cannot start or breaks, fewer chunks are
+    put (the failure is logged) and no worker is left running."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    done = 0
+    started = {}
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            # the workers forked so far: when a later fork fails, shutdown
+            # neither stops nor joins them, and they would wait for work
+            # until the interpreter joins them at exit
+            started = pool._processes
+            for encoded in pool.map(fmt, chunks):
+                put(encoded)
+                done += 1
+    except (OSError, BrokenProcessPool) as exc:
+        for process in started.values():
+            process.terminate()
+        for process in started.values():
+            process.join()
+        logger.info("formatting the last %d CSV chunks in-process: %r",
+                    len(chunks) - done, exc)
+    return done
+
+
+def _format_chunks(template, chunks, put):
+    """Call ``put`` on the encoded text of each chunk, in chunk order.
+
+    With more than one usable CPU and chunk, the chunks are formatted by
+    :func:`_pool_put`; with one worker, and for the chunks it did not put,
+    they are formatted in-process, so every chunk is put once."""
     fmt = functools.partial(_format_rows, template)
     workers = min(_usable_cpus(), len(chunks))
-    done = 0
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        try:
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-                for encoded in pool.map(fmt, chunks):
-                    put(encoded)
-                    done += 1
-        except (OSError, BrokenProcessPool) as exc:
-            logger.info("formatting the last %d CSV chunks in-process: %r",
-                        len(chunks) - done, exc)
+    done = _pool_put(fmt, chunks, put, workers) if workers > 1 else 0
     for encoded in map(fmt, chunks[done:]):
         put(encoded)
 

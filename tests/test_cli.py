@@ -416,7 +416,9 @@ def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: the package runs on numpy alone.  Nor
     # does it load OpenSSL (_hashlib): its checksums are zlib's CRC-32, and
     # reading a snapshot CSV through its binary twin loads nothing more.  The
-    # process pool of the CSV writer is imported only when a CSV is written.
+    # process pool of the CSV writer is imported only when it has more than
+    # one chunk to format, so writing the one-chunk grid of identify does not
+    # load it either.
     snap = tmp_path / "snap.csv"
     assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
@@ -428,7 +430,10 @@ def test_import_loads_no_scipy(tmp_path):
              "                  or m.startswith('scipy.'))\n"
              "print(loaded())\n"
              "koopid.systems.np.loadtxt = None  # read the twin, not the text\n"
-             "print(koopid.read_snapshot_csv(sys.argv[1]).count, loaded())\n")
-    out = subprocess.run([sys.executable, "-c", probe, str(snap)], env=env,
-                         capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.splitlines() == ["[]", "2000 []"]
+             "snapshots = koopid.read_snapshot_csv(sys.argv[1])\n"
+             "print(snapshots.count, loaded())\n"
+             "koopid.write_snapshot_csv(snapshots, sys.argv[2])\n"
+             "print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", probe, str(snap), str(tmp_path / "copy.csv")],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == ["[]", "2000 []", "[]"]

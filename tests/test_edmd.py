@@ -284,12 +284,6 @@ class TestFactorRoute:
         backward = koopid.SnapshotFactor(factor.RY, factor.RX)
         assert np.array_equal(pair[0].matrix, koopid.edmd_matrix(factor, None, tol).matrix)
         assert np.array_equal(pair[1].matrix, koopid.edmd_matrix(backward, None, tol).matrix)
-        def fields(matched):
-            return [(e.eigenvalue, e.coefficients.tobytes(), e.forward_defect,
-                     e.backward_defect, e.data_defect) for e in matched]
-
-        assert (fields(koopid.forward_backward_eigenpairs(factor, None, tol, pair=pair))
-                == fields(koopid.forward_backward_eigenpairs(factor, None, tol)))
 
     def test_defect_is_the_same_on_blocks(self, ex2_matrices):
         DX, DY = ex2_matrices

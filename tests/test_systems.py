@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -264,8 +265,17 @@ _PYTEST_PID = os.getpid()
 _format_rows = systems._format_rows
 
 
-def _fork_fails():
-    raise OSError(errno.EAGAIN, "fork refused")
+def _fork_refused_after(forks):
+    """An ``os.fork`` that forks ``forks`` times, then fails as it does at
+    the process limit."""
+    calls = itertools.count()
+    real_fork = os.fork
+
+    def fork():
+        if next(calls) < forks:
+            return real_fork()
+        raise OSError(errno.EAGAIN, "fork refused")
+    return fork
 
 
 def _format_rows_dying_in_worker(template, chunk):
@@ -304,9 +314,10 @@ class TestSnapshotCsvFormat:
         koopid.write_snapshot_csv(snap, path)
         assert path.read_bytes() == _csv_writer_reference(snap)
 
-    # a pool that cannot start (fork fails) or breaks (a worker dies on the
-    # partial last chunk) leaves the chunks not yet written to the parent
-    @pytest.mark.parametrize("fault", [None, "start", "mid-map"])
+    # a pool that cannot start (the first or the second fork fails) or
+    # breaks (a worker dies on the partial last chunk) leaves the chunks not
+    # yet written to the parent, and no worker behind
+    @pytest.mark.parametrize("fault", [None, "start", "partial-start", "mid-map"])
     def test_pool_failure_writes_the_in_process_bytes(self, tmp_path, monkeypatch,
                                                       time_limit, fault):
         data = np.random.Generator(np.random.PCG64(22)).standard_normal(
@@ -323,7 +334,9 @@ class TestSnapshotCsvFormat:
         in_process = write(1)
         assert in_process == (expected, (len(expected), zlib.crc32(expected)))
         if fault == "start":
-            monkeypatch.setattr(os, "fork", _fork_fails)
+            monkeypatch.setattr(os, "fork", _fork_refused_after(0))
+        elif fault == "partial-start":
+            monkeypatch.setattr(os, "fork", _fork_refused_after(1))
         elif fault == "mid-map":
             monkeypatch.setattr(systems, "_format_rows", _format_rows_dying_in_worker)
         assert write(2) == in_process
