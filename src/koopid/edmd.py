@@ -76,12 +76,6 @@ def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
     return KoopmanMatrix(matrix=numerics._pinv(U, s, V, rank) @ F.RY, direction=direction)
 
 
-def _edmd_pair(F, tol):
-    """Forward and backward EDMD matrices of one factor."""
-    return (edmd_matrix(F, None, tol, "forward"),
-            edmd_matrix(numerics.SnapshotFactor(F.RY, F.RX), None, tol, "backward"))
-
-
 def relative_residual(DX, DY, K):
     """||DY - DX @ K||_F / min(||DX||_F, ||DY||_F); zero iff the fit is exact."""
     DX = numerics._as_matrix(DX, "DX")

@@ -21,8 +21,8 @@ import numpy as np
 from . import dictionary as dict_mod
 from . import numerics
 from .edmd import (
-    _edmd_pair,
     _evolution,
+    _full_rank_pair,
     _negligible,
     _require_full_rank,
     check_linear_evolution,
@@ -285,11 +285,14 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
     in exact mode each lifted vector passes the data-level linear-evolution
     check with the same eigenvalue, and the lifted set spans, per eigenvalue,
     the same subspaces as the forward-backward matching on identical data.
+    The defects use the forward and backward EDMD matrices, so both
+    dictionary matrices must have full column rank (else
+    :class:`AssumptionViolation`, as in the decompositions).
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
     F = numerics.snapshot_factor(DX, DY)
-    k_f, k_b = _edmd_pair(F, tol)
+    k_f, k_b = _full_rank_pair(F, tol)
     lifted = []
     for lam, w in numerics.eig(reduced.matrix).pairs():
         lam = complex(lam)

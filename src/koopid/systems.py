@@ -228,10 +228,108 @@ def generate(spec, n_samples):
 _CSV_CHUNK_ROWS = 16_384
 
 
-def _format_rows(template, chunk):
-    """The encoded text of ``chunk``, one ``template`` per row, made by one
-    ``%`` so the Python objects made are the chunk's floats only."""
-    return ((template * len(chunk)) % tuple(chunk.ravel().tolist())).encode()
+@functools.cache
+def _digit_tables():
+    """The ASCII of "0000".."9999" as uint32 words, and 10**0..10**20 (each
+    an exact double) with their Veltkamp halves; built on first use."""
+    i = np.arange(10_000)
+    ascii4 = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    words = ascii4.astype(np.uint8).view(np.uint32).ravel()
+    powers = np.cumprod(np.full(21, 10.0)) / 10.0  # every product is exact
+    return words, powers, *_split(powers)
+
+
+def _split(a):
+    """Veltkamp's split of a into halves of 26 bits, a = hi + lo exactly."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _digits(a, k):
+    """round(a * 10**(16 - k)), ties to even, for doubles a and integers k in
+    -4..16: the product is a Dekker pair hi + lo, and hi >= 2**53 is even
+    wherever the result has 17 digits."""
+    _, powers, p_hi, p_lo = _digit_tables()
+    e = 16 - k
+    hi = a * powers[e]
+    a_hi, a_lo = _split(a)
+    lo = ((a_hi * p_hi[e] - hi) + a_hi * p_lo[e] + a_lo * p_hi[e]) + a_lo * p_lo[e]
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _format_rows(chunk):
+    """The encoded text of ``chunk``: each value as ``'%.17g'`` prints it,
+    values joined by "," and each row ended by CRLF.
+
+    A nonzero |x| in [1e-4, 1e17) has a decimal exponent k in -4..16, the
+    range where ``%.17g`` prints no exponent, and its 17 digits are the
+    integer D = round(|x| * 10**(16 - k)).  Each value is laid out in a
+    26-byte slot (24 bytes of sign and number, 2 of separator) with a mask
+    of the bytes to keep.  Every other value, and any whose D the arithmetic
+    does not place in [1e16, 1e17), is printed by ``%`` into its slot."""
+    rows, cols = chunk.shape
+    v = chunk.ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)  # false for NaN
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)).astype(np.int8), -4, 16)
+    D = _digits(a, k)
+    # log10 only estimates k: where it is one off, next to a power of ten,
+    # D has 16 or 18 digits and the value is left to %
+    fast &= (D >= 10**16) & (D < 10**17)
+    k[~fast] = 17  # the key of the values printed by %
+
+    # each row of E is "0000", "000" and the 17 digits: bytes 3..6 are the
+    # zeros after "0." that |x| < 1 needs
+    words = _digit_tables()[0]
+    high, low = np.divmod(np.where(fast, D, 10**16), 10**8)
+    lead, high = np.divmod(high, 10**8)
+    E = np.empty((n, 6), np.uint32)
+    E[:, 0] = words[0]
+    E[:, 1] = words[lead]
+    for word, part in ((2, high), (4, low)):
+        E[:, word], E[:, word + 1] = (words[half] for half in np.divmod(part, 10_000))
+    significant = 17 - np.argmax(E.view(np.uint8)[:, 23:6:-1] != ord("0"), axis=1)
+
+    # the values of one k share a layout, "-" and E[start:] with "." after
+    # `point` characters, so each k gathers and scatters whole rows; the
+    # last group, k = 17, is printed by % below
+    slots = np.empty((rows, cols, 26), np.uint8)
+    text = np.ndarray((n,), "V24", slots, 0, (26,))
+    order = np.argsort(k, kind="stable")  # lanes ascend within each group
+    ends = np.cumsum(np.bincount(k + 4, minlength=22))
+    for exponent, lanes in zip(range(-4, 17), np.split(order, ends[:-1])):
+        start, point = 7 + min(exponent, 0), max(exponent, 0) + 1
+        src = E.view("V24").ravel()[lanes].view(np.uint8).reshape(-1, 24)
+        out = np.empty((lanes.size, 24), np.uint8)
+        out[:, 0] = ord("-")
+        out[:, 1:1 + point] = src[:, start:start + point]
+        out[:, 1 + point] = ord(".")
+        out[:, 2 + point:26 - start] = src[:, start + point:24]
+        text[lanes] = out.view("V24").ravel()
+
+    # a slot keeps the sign of a negative, `length` characters of number,
+    # and the separator: row 2 * length + negative of `table`
+    shown = significant - np.minimum(k, 0)  # characters to the last nonzero digit
+    point = np.maximum(k, 0) + 1
+    length = np.where(shown > point, shown + 1, point)
+    code = 2 * length + np.signbit(v)
+    # the rest are printed by one %, each left-aligned in 24 columns, the
+    # most it takes ("-2.2250738585072014e-308"), and padded with spaces
+    lanes = np.flatnonzero(~fast)
+    printed = np.frombuffer((b"%-24.17g" * lanes.size) % tuple(v[lanes].tolist()),
+                            np.uint8).reshape(-1, 24)
+    text[lanes] = printed.view("V24").ravel()
+    code[lanes] = 2 * np.count_nonzero(printed != ord(" "), axis=1) - 1
+    col, c = np.arange(26), np.arange(48)[:, None]
+    table = (1 <= col) & (col <= c // 2) | (col == 0) & (c % 2 == 1) | (col == 24)
+    keep = table.view("V26").ravel()[code].view(bool).reshape(rows, cols, 26)
+    slots[:, :, 24] = ord(",")
+    slots[:, -1, 24:] = np.frombuffer(b"\r\n", np.uint8)
+    keep[:, -1, 25] = True
+    return slots[keep].tobytes()
 
 
 def _usable_cpus():
@@ -246,7 +344,8 @@ def _pool_put(fmt, chunks, put, workers):
     one, in chunk order, and return how many were put.
 
     A forked worker starts with the modules already imported, and it runs
-    Python formatting only, no BLAS or other threaded code.  Without
+    numpy's elementwise arithmetic, sorts and copies, and Python's ``%``
+    for the few values they leave, no BLAS or other threaded code.  Without
     ``fork``, or when the pool cannot start or breaks, fewer chunks are
     put (the failure is logged) and no worker is left running."""
     import multiprocessing
@@ -276,16 +375,15 @@ def _pool_put(fmt, chunks, put, workers):
     return done
 
 
-def _format_chunks(template, chunks, put):
+def _format_chunks(chunks, put):
     """Call ``put`` on the encoded text of each chunk, in chunk order.
 
     With more than one usable CPU and chunk, the chunks are formatted by
     :func:`_pool_put`; with one worker, and for the chunks it did not put,
     they are formatted in-process, so every chunk is put once."""
-    fmt = functools.partial(_format_rows, template)
     workers = min(_usable_cpus(), len(chunks))
-    done = _pool_put(fmt, chunks, put, workers) if workers > 1 else 0
-    for encoded in map(fmt, chunks[done:]):
+    done = _pool_put(_format_rows, chunks, put, workers) if workers > 1 else 0
+    for encoded in map(_format_rows, chunks[done:]):
         put(encoded)
 
 
@@ -295,7 +393,6 @@ def _write_csv(path, header, data):
     and return the byte count and the CRC-32 of what was written.
 
     The bytes do not depend on how many processes format the rows."""
-    template = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
     chunks = [data[start:start + _CSV_CHUNK_ROWS]
               for start in range(0, len(data), _CSV_CHUNK_ROWS)]
     size = crc = 0
@@ -314,7 +411,7 @@ def _write_csv(path, header, data):
     try:
         with open(path, "wb") as fh:
             put((",".join(header) + "\r\n").encode())
-            _format_chunks(template, chunks, put)
+            _format_chunks(chunks, put)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
     return size, crc

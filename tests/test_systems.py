@@ -278,11 +278,48 @@ def _fork_refused_after(forks):
     return fork
 
 
-def _format_rows_dying_in_worker(template, chunk):
+def _format_rows_dying_in_worker(chunk):
     # module level, so the pool can pickle it by name
     if os.getpid() != _PYTEST_PID and len(chunk) < systems._CSV_CHUNK_ROWS:
         os._exit(1)
-    return _format_rows(template, chunk)
+    return _format_rows(chunk)
+
+
+def _percent_reference(chunk):
+    """The rows of a float matrix printed value by value with '%.17g'."""
+    return "".join(",".join("%.17g" % x for x in row) + "\r\n"
+                   for row in chunk.tolist()).encode()
+
+
+_EDGE_FORMAT_VALUES = [
+    0.0, 5e-324, 2.2250738585072014e-308,
+    1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 9.9999999999999995e-05,
+    2.0**-25, 3 * 2.0**-25, 1001 / 2.0**21,  # exact ties at the 18th digit
+    1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, 1e17),
+    1e17, np.nextafter(1e17, 0.0), np.nextafter(1e17, 1e18), 99999999999999999.0,
+    0.30000000000000004, 123456789.0, 1e300, np.finfo(float).max]
+
+
+def _format_case(name):
+    rng = np.random.Generator(np.random.PCG64(23))
+    if name == "random-bits":
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        return np.where(np.isfinite(bits), bits, 1.0).reshape(-1, 4)
+    if name == "log-uniform":
+        return (10.0 ** rng.uniform(-8, 20, 200_000)
+                * rng.choice([-1.0, 1.0], 200_000)).reshape(-1, 4)
+    if name == "edge":
+        return np.array(_EDGE_FORMAT_VALUES + [-x for x in _EDGE_FORMAT_VALUES]).reshape(-1, 1)
+    # odd multiples of powers of two: every decimal exponent of the fixed
+    # notation, and 2,468 exact ties at the 18th digit
+    return (np.arange(1, 4096, 2) / 2.0 ** np.arange(-44, 60)[:, None]).reshape(-1, 2)
+
+
+# the digit arithmetic of the CSV writer against Python's own '%.17g'
+@pytest.mark.parametrize("case", ["random-bits", "log-uniform", "edge", "dyadic"])
+def test_format_rows_prints_what_percent_prints(case):
+    chunk = _format_case(case)
+    assert systems._format_rows(chunk) == _percent_reference(chunk)
 
 
 class TestSnapshotCsvFormat:
@@ -300,19 +337,31 @@ class TestSnapshotCsvFormat:
         assert b"\r\n" in path.read_bytes()
 
     # the writer formats 16,384-row chunks: a partial last chunk, exactly one
-    # full chunk, a 1-row last chunk of six values, and six chunks, more than
-    # there are workers on a small machine
-    @pytest.mark.parametrize("rows, state_dim",
-                             [(70000, 1), (16384, 1), (16385, 3), (5 * 16384 + 1, 1)],
-                             ids=["70000x1", "16384x1", "16385x3", "81921x1"])
-    def test_bytes_equal_csv_writer_output_across_write_chunks(self, tmp_path, rows,
-                                                               state_dim):
+    # full chunk, a 1-row last chunk of six values, six chunks, more than
+    # there are workers on a small machine, and six chunks in which values
+    # the digit arithmetic leaves to '%' are spread; each is written by one
+    # process and by two workers
+    @pytest.mark.parametrize("rows, state_dim, fallbacks",
+                             [(70000, 1, False), (16384, 1, False), (16385, 3, False),
+                              (5 * 16384 + 1, 1, False), (5 * 16384 + 1, 2, True)],
+                             ids=["70000x1", "16384x1", "16385x3", "81921x1",
+                                  "81921x2-fallbacks"])
+    def test_bytes_equal_csv_writer_output_across_write_chunks(self, tmp_path, monkeypatch,
+                                                               time_limit, rows, state_dim,
+                                                               fallbacks):
         rng = np.random.Generator(np.random.PCG64(21))
-        snap = koopid.SnapshotSet(X=rng.standard_normal((rows, state_dim)),
-                                  Y=rng.standard_normal((rows, state_dim)))
-        path = tmp_path / "long.csv"
-        koopid.write_snapshot_csv(snap, path)
-        assert path.read_bytes() == _csv_writer_reference(snap)
+        X, Y = rng.standard_normal((2, rows, state_dim))
+        if fallbacks:
+            for values in (X.reshape(-1), Y.reshape(-1)):
+                values[::4099] = np.resize([0.0, -0.0, 1e-5, -2.5e-300, 1e17],
+                                           values[::4099].size)
+        snap = koopid.SnapshotSet(X=X, Y=Y)
+        expected = _csv_writer_reference(snap)
+        for cpus in (1, 2):
+            monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
+            path = tmp_path / f"long-{cpus}.csv"
+            koopid.write_snapshot_csv(snap, path)
+            assert path.read_bytes() == expected
 
     # a pool that cannot start (the first or the second fork fails) or
     # breaks (a worker dies on the partial last chunk) leaves the chunks not
