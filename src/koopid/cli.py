@@ -368,6 +368,16 @@ def cmd_identify(args):
     return EXIT_OK
 
 
+def _finite(value, field):
+    """A stored number that bounds a check, as a float; an infinite one
+    would pass the check whatever the data, so a non-finite one is
+    rejected."""
+    bound = float(value)
+    if not math.isfinite(bound):
+        raise InvalidInput(f"result field {field!r} is {bound}, not a finite number")
+    return bound
+
+
 def _parse_result(stored):
     """The claims of a result artifact that ``verify`` re-checks.
 
@@ -395,7 +405,7 @@ def _parse_result(stored):
             if v.shape != (dictionary.size,):
                 raise InvalidInput("stored coefficients do not match the dictionary size")
             evolutions.append((complex(float(entry["lambda_re"]), float(entry["lambda_im"])),
-                               v, float(entry["data_defect"])))
+                               v, _finite(entry["data_defect"], "data_defect")))
         ssd_block = stored.get("ssd") or {}
         if not isinstance(ssd_block, dict):
             raise InvalidInput("result field 'ssd' must be an object or null")
@@ -409,9 +419,10 @@ def _parse_result(stored):
             reduced = None
             if stored.get("e_r") is not None and stored.get("reduced_koopman") is not None:
                 reduced = (np.array(stored["reduced_koopman"], dtype=float),
-                           float(stored["e_r"]))
+                           _finite(stored["e_r"], "e_r"))
             ssd_claim = (C, ssd_block["mode"] == "exact",
-                         float(ssd_block.get("max_range_angle") or 0.0), reduced)
+                         _finite(ssd_block.get("max_range_angle") or 0.0,
+                                 "ssd.max_range_angle"), reduced)
     except KeyError as exc:
         raise InvalidInput(f"result file is missing the field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

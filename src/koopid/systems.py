@@ -333,57 +333,39 @@ def _format_rows(chunk):
 
 
 def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _pool_put(fmt, chunks, put, workers):
-    """Put the chunks formatted by ``workers`` processes forked from this
-    one, in chunk order, and return how many were put.
-
-    A forked worker starts with the modules already imported, and it runs
-    numpy's elementwise arithmetic, sorts and copies, and Python's ``%``
-    for the few values they leave, no BLAS or other threaded code.  Without
-    ``fork``, or when the pool cannot start or breaks, fewer chunks are
-    put (the failure is logged) and no worker is left running."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    done = 0
-    started = {}
-    try:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            # the workers forked so far: when a later fork fails, shutdown
-            # neither stops nor joins them, and they would wait for work
-            # until the interpreter joins them at exit
-            started = pool._processes
-            for encoded in pool.map(fmt, chunks):
-                put(encoded)
-                done += 1
-    except (OSError, BrokenProcessPool) as exc:
-        for process in started.values():
-            process.terminate()
-        for process in started.values():
-            process.join()
-        logger.info("formatting the last %d CSV chunks in-process: %r",
-                    len(chunks) - done, exc)
-    return done
-
-
 def _format_chunks(chunks, put):
     """Call ``put`` on the encoded text of each chunk, in chunk order.
 
-    With more than one usable CPU and chunk, the chunks are formatted by
-    :func:`_pool_put`; with one worker, and for the chunks it did not put,
-    they are formatted in-process, so every chunk is put once."""
+    With more than one usable CPU and chunk, the chunks are formatted by a
+    pool of threads, one per CPU: numpy releases the GIL for the elementwise
+    arithmetic, sorts and copies of :func:`_format_rows`, so they run in
+    parallel, while the ``%`` of the few values they leave holds it.  With
+    one worker, or when a thread cannot start, every chunk is formatted
+    in-process."""
     workers = min(_usable_cpus(), len(chunks))
-    done = _pool_put(_format_rows, chunks, put, workers) if workers > 1 else 0
-    for encoded in map(_format_rows, chunks[done:]):
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                # map submits every chunk, starting the threads, before it
+                # yields the first, so nothing has been put when this fails
+                formatted = pool.map(_format_rows, chunks)
+            except RuntimeError as exc:  # out of threads or process ids
+                logger.info("formatting the CSV chunks in-process: %r", exc)
+            else:
+                for encoded in formatted:
+                    put(encoded)
+                return
+    for encoded in map(_format_rows, chunks):
         put(encoded)
 
 
@@ -392,19 +374,16 @@ def _write_csv(path, header, data):
     (plain fields, CRLF line endings), each value in 17 significant digits,
     and return the byte count and the CRC-32 of what was written.
 
-    The bytes do not depend on how many processes format the rows."""
+    The rows are formatted in chunks, on threads when there are several
+    CPUs (see :func:`_format_chunks`), and written in order; the bytes do
+    not depend on how many threads format them."""
     chunks = [data[start:start + _CSV_CHUNK_ROWS]
               for start in range(0, len(data), _CSV_CHUNK_ROWS)]
     size = crc = 0
 
     def put(encoded):
         nonlocal size, crc
-        # a failed write leaves as ArtifactIOError, so the handler of the
-        # pool's OSErrors never takes it for a pool failure
-        try:
-            fh.write(encoded)
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
+        fh.write(encoded)
         size += len(encoded)
         crc = zlib.crc32(encoded, crc)
 

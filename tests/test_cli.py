@@ -393,6 +393,29 @@ class TestMalformedInputs:
         assert code == cli.EXIT_INVALID_INPUT
         assert "error[invalid-input]" in capsys.readouterr().err
 
+    # an infinite stored bound passes its check whatever the data: even
+    # with every eigenvalue moved off the data by 0.3, or a wrong e_r or
+    # angle, verify would pass
+    @pytest.mark.parametrize("method, field", [
+        ("ssd", "data_defect"), ("ssd", "e_r"), ("ssd-approx", "ssd.max_range_angle")])
+    def test_non_finite_stored_bound(self, workdir, capsys, method, field):
+        extra = ["--eps", "1e-4"] if method == "ssd-approx" else []
+        _, out = run_identify(workdir, "--method", method, *extra)
+        result = json.loads(out.read_text())
+        if field == "data_defect":
+            for entry in result["evolutions"]:
+                entry["lambda_re"] += 0.3
+                entry["data_defect"] = float("inf")
+        elif field == "e_r":
+            result["e_r"] = float("inf")
+        else:
+            result["ssd"]["max_range_angle"] = float("inf")
+        out.write_text(json.dumps(result))
+        code = cli.main(["verify", str(out), str(workdir / "snap.csv")])
+        assert code == cli.EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "error[invalid-input]" in err and repr(field) in err
+
     def test_config_value_is_converted_like_its_flag(self, workdir):
         cfg = workdir / "run.json"
         cfg.write_text(json.dumps({"rank_rtol": "1e-10", "grid_resolution": "5"}))
@@ -416,9 +439,9 @@ def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: the package runs on numpy alone.  Nor
     # does it load OpenSSL (_hashlib): its checksums are zlib's CRC-32, and
     # reading a snapshot CSV through its binary twin loads nothing more.  The
-    # process pool of the CSV writer is imported only when it has more than
+    # thread pool of the CSV writer is imported only when it has more than
     # one chunk to format, so writing the one-chunk grid of identify does not
-    # load it either.
+    # load it either, and no write loads multiprocessing.
     snap = tmp_path / "snap.csv"
     assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
@@ -433,7 +456,13 @@ def test_import_loads_no_scipy(tmp_path):
              "snapshots = koopid.read_snapshot_csv(sys.argv[1])\n"
              "print(snapshots.count, loaded())\n"
              "koopid.write_snapshot_csv(snapshots, sys.argv[2])\n"
-             "print(loaded())\n")
+             "print(loaded())\n"
+             "koopid.systems._usable_cpus = lambda: 2\n"
+             "long = koopid.SnapshotSet(X=snapshots.X.repeat(9, axis=0),\n"
+             "                          Y=snapshots.Y.repeat(9, axis=0))\n"
+             "koopid.write_snapshot_csv(long, sys.argv[2])\n"
+             "print(long.count, loaded())\n")
     out = subprocess.run([sys.executable, "-c", probe, str(snap), str(tmp_path / "copy.csv")],
                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.splitlines() == ["[]", "2000 []", "[]"]
+    assert out.stdout.splitlines() == ["[]", "2000 []", "[]",
+                                       "18000 ['concurrent.futures']"]

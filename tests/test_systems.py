@@ -1,11 +1,10 @@
 import csv
-import errno
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import signal
+import threading
 import zlib
 
 import numpy as np
@@ -261,27 +260,25 @@ def time_limit():
     signal.signal(signal.SIGALRM, previous)
 
 
-_PYTEST_PID = os.getpid()
 _format_rows = systems._format_rows
 
 
-def _fork_refused_after(forks):
-    """An ``os.fork`` that forks ``forks`` times, then fails as it does at
-    the process limit."""
+def _thread_start_refused_at(call):
+    """A ``threading.Thread.start`` whose ``call``-th call (from 0) fails as
+    it does when the process is out of threads."""
     calls = itertools.count()
-    real_fork = os.fork
+    real_start = threading.Thread.start
 
-    def fork():
-        if next(calls) < forks:
-            return real_fork()
-        raise OSError(errno.EAGAIN, "fork refused")
-    return fork
+    def start(thread):
+        if next(calls) == call:
+            raise RuntimeError("can't start new thread")
+        return real_start(thread)
+    return start
 
 
-def _format_rows_dying_in_worker(chunk):
-    # module level, so the pool can pickle it by name
-    if os.getpid() != _PYTEST_PID and len(chunk) < systems._CSV_CHUNK_ROWS:
-        os._exit(1)
+def _format_rows_failing_in_a_thread(chunk):
+    if threading.current_thread() is not threading.main_thread():
+        raise RuntimeError(f"chunk of {len(chunk)} rows")
     return _format_rows(chunk)
 
 
@@ -363,10 +360,9 @@ class TestSnapshotCsvFormat:
             koopid.write_snapshot_csv(snap, path)
             assert path.read_bytes() == expected
 
-    # a pool that cannot start (the first or the second fork fails) or
-    # breaks (a worker dies on the partial last chunk) leaves the chunks not
-    # yet written to the parent, and no worker behind
-    @pytest.mark.parametrize("fault", [None, "start", "partial-start", "mid-map"])
+    # a pool whose first or second thread cannot start formats every chunk
+    # in-process, and leaves no thread behind
+    @pytest.mark.parametrize("fault", [None, "start", "partial-start"])
     def test_pool_failure_writes_the_in_process_bytes(self, tmp_path, monkeypatch,
                                                       time_limit, fault):
         data = np.random.Generator(np.random.PCG64(22)).standard_normal(
@@ -375,31 +371,41 @@ class TestSnapshotCsvFormat:
         def write(cpus):
             monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
             path = tmp_path / f"{fault}-{cpus}.csv"
+            threads = threading.enumerate()
             size_crc = systems._write_csv(path, ["x_1", "y_1"], data)
-            assert multiprocessing.active_children() == []
+            assert threading.enumerate() == threads
             return path.read_bytes(), size_crc
 
         expected = _csv_writer_reference(koopid.SnapshotSet(X=data[:, :1], Y=data[:, 1:]))
         in_process = write(1)
         assert in_process == (expected, (len(expected), zlib.crc32(expected)))
-        if fault == "start":
-            monkeypatch.setattr(os, "fork", _fork_refused_after(0))
-        elif fault == "partial-start":
-            monkeypatch.setattr(os, "fork", _fork_refused_after(1))
-        elif fault == "mid-map":
-            monkeypatch.setattr(systems, "_format_rows", _format_rows_dying_in_worker)
+        if fault is not None:
+            refused = {"start": 0, "partial-start": 1}[fault]
+            monkeypatch.setattr(threading.Thread, "start", _thread_start_refused_at(refused))
         assert write(2) == in_process
         assert write(1) == in_process
 
-    # a failed write is not taken for a failure of the pool, and stops it
+    # an error in a formatting thread reaches the caller as it was raised,
+    # not taken for a thread that could not start
+    def test_format_error_in_a_thread_propagates(self, tmp_path, monkeypatch, time_limit):
+        monkeypatch.setattr(systems, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(systems, "_format_rows", _format_rows_failing_in_a_thread)
+        data = np.ones((2 * systems._CSV_CHUNK_ROWS + 5, 2))
+        threads = threading.enumerate()
+        with pytest.raises(RuntimeError, match="^chunk of 16384 rows$"):
+            systems._write_csv(tmp_path / "failing.csv", ["x_1", "y_1"], data)
+        assert threading.enumerate() == threads
+
+    # a failed write is an I/O error, and stops the formatting threads
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failed_write_is_an_io_error(self, monkeypatch, time_limit, cpus):
         monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
         data = np.ones((3 * systems._CSV_CHUNK_ROWS, 2))
+        threads = threading.enumerate()
         with pytest.raises(ArtifactIOError, match="cannot write CSV file"):
             systems._write_csv("/dev/full", ["x_1", "y_1"], data)
-        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
 
     def test_quoted_fields_parse(self, tmp_path):
         snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
