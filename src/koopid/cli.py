@@ -27,7 +27,6 @@ from .ssd import (
     lift_eigenvectors,
     reduced_koopman,
     ssd,
-    write_grid_csv,
 )
 from .errors import (
     ArtifactIOError,
@@ -286,6 +285,12 @@ def _select_grid_evolutions(evolutions, selector):
     return chosen
 
 
+def _edmd_residual(factor, tol):
+    """e_r of the forward EDMD matrix, the fit an fb-edmd result stores."""
+    return edmd.relative_residual(factor.RX, factor.RY,
+                                  edmd.edmd_matrix(factor, None, tol).matrix)
+
+
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
@@ -318,9 +323,8 @@ def cmd_identify(args):
     }
 
     if args.method == "fb-edmd":
-        k_f, k_b = edmd._full_rank_pair(factor, tol)
-        evolutions = edmd._match(factor, k_f, k_b, tol)
-        result["e_r"] = edmd.relative_residual(factor.RX, factor.RY, k_f.matrix)
+        evolutions = edmd.forward_backward_eigenpairs(factor, None, tol)
+        result["e_r"] = _edmd_residual(factor, tol)
     else:
         if args.method == "ssd":
             decomposition = ssd(factor, None, tol)
@@ -349,7 +353,7 @@ def cmd_identify(args):
             grid = eigenfunction_grid(dictionary, ev.coefficients, grid_box,
                                           args.grid_resolution)
             grid_path = grid_dir / f"eigenfunction_{idx:03d}.csv"
-            write_grid_csv(grid, grid_path)
+            systems.write_grid_csv(grid, grid_path)
             result["grids"].append({
                 "file": grid_path.name,
                 "lambda_re": float(ev.eigenvalue.real),
@@ -384,10 +388,11 @@ def _parse_result(stored):
     Every stored field ``verify`` reads is parsed here, under one check: a
     missing or malformed field raises InvalidInput (exit 2), so only a
     failed check can end in exit 1.  Returns ``(dictionary, tol,
-    evolutions, ssd_claim)``: the evolutions as ``(eigenvalue,
-    coefficients, data_defect)`` triples, and ``ssd_claim`` as ``(C, exact,
-    max_range_angle, reduced)`` with ``reduced`` a ``(K, e_r)`` pair or
-    None, or None when the artifact stores no C.
+    evolutions, ssd_claim, e_r_claim)``: the evolutions as ``(eigenvalue,
+    coefficients, data_defect)`` triples, ``ssd_claim`` as ``(C, exact,
+    max_range_angle)`` or None when the artifact stores no C, and
+    ``e_r_claim`` as ``(e_r, K)`` or None, where K is the stored reduced
+    Koopman matrix, or None for the forward EDMD matrix of an fb-edmd result.
     """
     try:
         dictionary = dict_mod.dictionary_from_descriptor(stored["dictionary"])
@@ -409,25 +414,26 @@ def _parse_result(stored):
         ssd_block = stored.get("ssd") or {}
         if not isinstance(ssd_block, dict):
             raise InvalidInput("result field 'ssd' must be an object or null")
-        ssd_claim = None
+        e_r = None if stored.get("e_r") is None else _finite(stored["e_r"], "e_r")
+        ssd_claim = e_r_claim = None
+        if e_r is not None and stored.get("method") == "fb-edmd":
+            e_r_claim = (e_r, None)
         if ssd_block.get("C") is not None:
             C = np.array(ssd_block["C"], dtype=float)
             if C.ndim != 2 or C.shape[0] != dictionary.size:
                 raise InvalidInput("stored C does not match the dictionary size")
             if ssd_block["mode"] not in ("exact", "approximate"):
                 raise InvalidInput(f"unknown stored ssd mode {ssd_block['mode']!r}")
-            reduced = None
-            if stored.get("e_r") is not None and stored.get("reduced_koopman") is not None:
-                reduced = (np.array(stored["reduced_koopman"], dtype=float),
-                           _finite(stored["e_r"], "e_r"))
+            if e_r is not None and stored.get("reduced_koopman") is not None:
+                e_r_claim = (e_r, np.array(stored["reduced_koopman"], dtype=float))
             ssd_claim = (C, ssd_block["mode"] == "exact",
                          _finite(ssd_block.get("max_range_angle") or 0.0,
-                                 "ssd.max_range_angle"), reduced)
+                                 "ssd.max_range_angle"))
     except KeyError as exc:
         raise InvalidInput(f"result file is missing the field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"result file has a malformed field: {exc}") from exc
-    return dictionary, tol, evolutions, ssd_claim
+    return dictionary, tol, evolutions, ssd_claim, e_r_claim
 
 
 def cmd_verify(args):
@@ -438,7 +444,7 @@ def cmd_verify(args):
         raise ArtifactIOError(f"cannot read result file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"result file is not valid JSON: {exc}") from exc
-    dictionary, tol, evolutions, ssd_claim = _parse_result(stored)
+    dictionary, tol, evolutions, ssd_claim, e_r_claim = _parse_result(stored)
 
     snapshots = systems.read_snapshot_csv(args.snapshots)
     if dictionary.state_dim != snapshots.state_dim:
@@ -460,30 +466,32 @@ def cmd_verify(args):
                        all_ok))
 
     if ssd_claim is not None:
-        C, exact, stored_angle, reduced = ssd_claim
+        C, exact, stored_angle = ssd_claim
         full_rank = numerics.numerical_rank(C, tol) == C.shape[1]
         checks.append(("C has full column rank", full_rank))
-        # one orthonormalisation of each span serves both range checks
         XC, YC = factor.RX @ C, factor.RY @ C
-        dim_x, dim_y, angles = numerics._range_angles(XC, YC, tol)
+        angles = numerics.principal_angles(XC, YC, tol)
         max_angle = float(angles.max()) if angles.size else 0.0
         if exact:
             checks.append((
                 f"range equality of DX@C and DY@C (max angle {max_angle:.3e})",
-                dim_x == dim_y and max_angle <= tol.subspace_atol,
+                numerics.subspace_equal(XC, YC, tol),
             ))
         else:
             checks.append((
                 f"range angles consistent with artifact (max angle {max_angle:.3e})",
                 max_angle <= 2.0 * stored_angle + 1e-9,
             ))
-        if reduced is not None:
-            K, stored_er = reduced
-            e_r = edmd.relative_residual(XC, YC, K)
-            checks.append((
-                f"reduced residual e_r reproducible ({e_r:.3e} vs stored {stored_er:.3e})",
-                abs(e_r - stored_er) <= 1e-9 * (1.0 + stored_er),
-            ))
+    if e_r_claim is not None:
+        stored_er, K = e_r_claim
+        if K is None:
+            label, e_r = "EDMD residual", _edmd_residual(factor, tol)
+        else:
+            label, e_r = "reduced residual", edmd.relative_residual(XC, YC, K)
+        checks.append((
+            f"{label} e_r reproducible ({e_r:.3e} vs stored {stored_er:.3e})",
+            abs(e_r - stored_er) <= 1e-9 * (1.0 + stored_er),
+        ))
 
     if not checks:
         checks.append(("artifact contains no checkable claims", False))

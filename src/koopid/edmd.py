@@ -150,8 +150,8 @@ def _require_full_rank(F, tol):
 
 
 def _full_rank_pair(F, tol):
-    """Forward and backward EDMD matrices of F, built from the SVDs of the
-    full-rank check that forward-backward matching requires."""
+    """Forward and backward EDMD matrices of F, bit for bit those of
+    :func:`edmd_matrix`, built from the SVDs of the full-rank check."""
     svd_x, svd_y = _require_full_rank(F, tol)
     return (KoopmanMatrix(numerics._pinv(*svd_x) @ F.RY, "forward"),
             KoopmanMatrix(numerics._pinv(*svd_y) @ F.RX, "backward"))
@@ -180,10 +180,6 @@ def _cluster_indices(values, indices, atol):
     return clusters
 
 
-def _eigenspace(pairs, indices, tol):
-    return numerics.orthonormal_range(pairs.vectors[:, indices], tol)
-
-
 def _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
     """Candidate eigenvectors for one forward cluster.
 
@@ -201,8 +197,8 @@ def _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
             if abs(b_pairs.values[j] - target) <= atol * (1.0 + abs(target))]
     if not back:
         return []
-    E_f = _eigenspace(f_pairs, cluster, tol)
-    E_b = _eigenspace(b_pairs, back, tol)
+    E_f = numerics.orthonormal_range(f_pairs.vectors[:, cluster], tol)
+    E_b = numerics.orthonormal_range(b_pairs.vectors[:, back], tol)
     U, sigma, _ = np.linalg.svd(E_f.conj().T @ E_b)
     keep = sigma >= 1.0 - atol
     return [E_f @ U[:, i] for i in range(E_f.shape[1]) if i < keep.size and keep[i]]
@@ -220,12 +216,7 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
     Requires both dictionary matrices to have full column rank.
     """
     F = numerics.snapshot_factor(DX, DY)
-    return _match(F, *_full_rank_pair(F, tol), tol)
-
-
-def _match(F, k_f, k_b, tol):
-    """The matched evolutions of :func:`forward_backward_eigenpairs`, from
-    the pair :func:`_full_rank_pair` built for the factor F."""
+    k_f, k_b = _full_rank_pair(F, tol)
     f_pairs = numerics.eig(k_f.matrix)
     b_pairs = numerics.eig(k_b.matrix)
     norm_kb = np.linalg.norm(k_b.matrix)

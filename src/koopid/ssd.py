@@ -12,7 +12,6 @@ linearly.
 """
 
 import logging
-import pathlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ from .edmd import (
 )
 from .errors import InternalInvariantViolation, InvalidInput
 from .numerics import DEFAULT_TOL
-from .systems import _write_csv
 
 __all__ = [
     "SsdIteration",
@@ -42,7 +40,6 @@ __all__ = [
     "reduced_koopman",
     "lift_eigenvectors",
     "eigenfunction_grid",
-    "write_grid_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -337,11 +334,3 @@ def eigenfunction_grid(dictionary, v, box, resolution):
     values = dict_mod.evaluate(dictionary, points) @ v
     return EigenfunctionGrid(points=points, abs_values=np.abs(values),
                              angles=np.angle(values), shape=tuple(int(r) for r in res))
-
-
-def write_grid_csv(grid, path):
-    """Write a grid as CSV with columns x_1..x_n,abs,angle."""
-    n = grid.points.shape[1]
-    _write_csv(path, [f"x_{i+1}" for i in range(n)] + ["abs", "angle"],
-               np.column_stack([grid.points, grid.abs_values, grid.angles]))
-    return pathlib.Path(path)

@@ -32,6 +32,7 @@ __all__ = [
     "step",
     "generate",
     "write_snapshot_csv",
+    "write_grid_csv",
     "read_snapshot_csv",
 ]
 
@@ -427,6 +428,15 @@ def write_snapshot_csv(snapshots, path):
     except OSError as exc:
         raise ArtifactIOError(f"cannot write provenance file: {exc}") from exc
     return path
+
+
+def write_grid_csv(grid, path):
+    """Write an :class:`koopid.ssd.EigenfunctionGrid` as CSV with columns
+    x_1..x_n,abs,angle."""
+    n = grid.points.shape[1]
+    _write_csv(path, [f"x_{i+1}" for i in range(n)] + ["abs", "angle"],
+               np.column_stack([grid.points, grid.abs_values, grid.angles]))
+    return pathlib.Path(path)
 
 
 def _read_sidecar(path):

@@ -1,3 +1,4 @@
+import ast
 import functools
 import json
 import operator
@@ -109,6 +110,24 @@ class TestIdentify:
         assert len(result["evolutions"]) == 6
         for e in result["evolutions"]:
             assert e["data_defect"] <= 1e-8
+        # the command runs exactly the documented library calls on the factor
+        snapshots = koopid.read_snapshot_csv(workdir / "snap.csv")
+        dictionary = koopid.dictionary.dictionary_from_descriptor(
+            json.loads((workdir / "dict9.json").read_text()))
+        factor = koopid.evaluate_factor(dictionary, snapshots.X, snapshots.Y)
+        tol = koopid.ToleranceConfig()
+        library = [{"lambda_re": ev.eigenvalue.real, "lambda_im": ev.eigenvalue.imag,
+                    "coefficients_re": ev.coefficients.real.tolist(),
+                    "coefficients_im": ev.coefficients.imag.tolist(),
+                    "forward_defect": ev.forward_defect,
+                    "backward_defect": ev.backward_defect,
+                    "data_defect": ev.data_defect}
+                   for ev in koopid.forward_backward_eigenpairs(factor, None, tol)]
+        # float reprs round-trip, so equal dumps mean equal bits
+        assert json.dumps(library, sort_keys=True) == json.dumps(result["evolutions"],
+                                                                 sort_keys=True)
+        assert result["e_r"] == koopid.relative_residual(
+            factor.RX, factor.RY, koopid.edmd_matrix(factor, None, tol).matrix)
 
     def test_ssd_approx_requires_eps(self, workdir):
         code, _ = run_identify(workdir, "--method", "ssd-approx")
@@ -269,6 +288,16 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "data defects" in capsys.readouterr().out
 
+    def test_tampered_fb_residual_fails(self, workdir, capsys):
+        _, out = run_identify(workdir, "--method", "fb-edmd")
+        result = json.loads(out.read_text())
+        result["e_r"] = 123.0
+        out.write_text(json.dumps(result))
+        code = cli.main(["verify", str(out), str(workdir / "snap.csv")])
+        assert code == cli.EXIT_VERIFY_FAILED
+        printed = capsys.readouterr().out
+        assert "EDMD residual e_r reproducible" in printed and "FAIL" in printed
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, workdir):
@@ -397,7 +426,8 @@ class TestMalformedInputs:
     # with every eigenvalue moved off the data by 0.3, or a wrong e_r or
     # angle, verify would pass
     @pytest.mark.parametrize("method, field", [
-        ("ssd", "data_defect"), ("ssd", "e_r"), ("ssd-approx", "ssd.max_range_angle")])
+        ("ssd", "data_defect"), ("ssd", "e_r"), ("fb-edmd", "e_r"),
+        ("ssd-approx", "ssd.max_range_angle")])
     def test_non_finite_stored_bound(self, workdir, capsys, method, field):
         extra = ["--eps", "1e-4"] if method == "ssd-approx" else []
         _, out = run_identify(workdir, "--method", method, *extra)
@@ -433,6 +463,50 @@ def test_tolerance_defaults_follow_tolerance_config():
     assert defaults.rank_rtol == config.rank_rtol
     assert defaults.eig_atol == config.eig_match_atol
     assert defaults.subspace_atol == config.subspace_atol
+
+
+def _package_imports(tree):
+    """``(module, name, alias)`` for every ``from`` import of koopid in a
+    module's AST; ``name`` is None when the import binds the module itself."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "koopid":
+                continue
+            module = module.partition(".")[2]
+        for a in node.names:
+            if module:
+                yield module.split(".")[0], a.name, a.asname or a.name
+            else:
+                yield a.name, None, a.asname or a.name
+
+
+def test_only_the_front_ends_reach_past_the_public_api():
+    # identify and verify reach each method through the library calls the
+    # README documents; the one private name the CLI reads is the guard that
+    # stops a huge --degree before its monomials are built.  Snapshot and
+    # grid I/O is imported only by the front ends.
+    package = pathlib.Path(koopid.__file__).resolve().parent
+    allowed = {("edmd", "_require_samples")}
+    private, systems_importers = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports = list(_package_imports(tree))
+        if (path.stem not in ("cli", "__init__")
+                and any(m == "systems" for m, _, _ in imports)):
+            systems_importers.append(path.stem)
+        if path.stem != "cli":
+            continue
+        private += [(m, n) for m, n, _ in imports
+                    if n is not None and n.startswith("_") and (m, n) not in allowed]
+        modules = {alias: m for m, n, alias in imports if n is None}
+        private += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")
+                    and (modules[node.value.id], node.attr) not in allowed]
+    assert (private, systems_importers) == ([], [])
 
 
 def test_import_loads_no_scipy(tmp_path):

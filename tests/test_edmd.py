@@ -277,8 +277,9 @@ class TestFactorRoute:
             koopid.relative_residual(DX, DY, k_full.matrix), rel=1e-6, abs=1e-14)
 
     def test_rank_check_pair_is_the_edmd_pair(self, ex2_matrices, tol):
-        # the pair built from the SVDs of the full-rank check, which fb-edmd
-        # identify reuses for e_r, is bit for bit what edmd_matrix builds
+        # the pair built from the SVDs of the full-rank check, which
+        # forward_backward_eigenpairs and lift_eigenvectors use, is bit for
+        # bit what edmd_matrix builds: fb-edmd identify stores e_r of the latter
         factor = koopid.snapshot_factor(*ex2_matrices)
         pair = edmd._full_rank_pair(factor, tol)
         backward = koopid.SnapshotFactor(factor.RY, factor.RX)

@@ -8,7 +8,7 @@ import pytest
 import koopid
 from koopid import numerics
 from koopid.errors import InvalidInput
-from koopid.ssd import write_grid_csv
+from koopid.systems import write_grid_csv
 from conftest import EX2_A, EX2_SPECTRUM, equivalence_instance
 
 # columns of the identity selecting {1, x1, x2, x1^2, x1*x2, x2^2} inside the
