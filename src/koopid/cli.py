@@ -22,6 +22,9 @@ import numpy as np
 from . import dictionary as dict_mod
 from . import edmd, numerics, systems
 from .ssd import (
+    ReducedKoopman,
+    SsdIteration,
+    SsdResult,
     approximate_ssd,
     eigenfunction_grid,
     lift_eigenvectors,
@@ -90,16 +93,22 @@ _NUMERIC_LIST_FLAGS = ("--box", "--A", "--grid-box", "--grid-eigenvalues")
 
 def _join_numeric_list_flags(argv):
     out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _NUMERIC_LIST_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        if out and out[-1] in _NUMERIC_LIST_FLAGS:
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
-            i += 1
     return out
+
+
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _config_value(key, value, action):
@@ -120,13 +129,7 @@ def _config_value(key, value, action):
 def _config_defaults(path, command_parser):
     """The option defaults a --config JSON file gives one subcommand, each
     converted as argparse converts its flag's text."""
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"config file is not valid JSON: {exc}") from exc
+    config = _read_json(path, "config file")
     if not isinstance(config, dict):
         raise InvalidInput("config file must hold a JSON object")
     actions = {action.dest: action for action in command_parser._actions
@@ -181,7 +184,7 @@ def _build_parser():
                        help="'all' or comma-separated complex values, e.g. 0.8+0.5j")
     ident.add_argument("--out-dir", help="directory for grid CSVs (default: beside --out)")
 
-    ver = sub.add_parser("verify", parents=[common],
+    ver = sub.add_parser("verify",
                          help="re-check a stored result against snapshot data")
     ver.add_argument("result", help="result JSON written by identify")
     ver.add_argument("snapshots", help="snapshot CSV the result was computed from")
@@ -225,14 +228,7 @@ def _load_dictionary(args, snapshots):
         # degree would take without end
         edmd._require_samples(snapshots.count, math.comb(state_dim + args.degree, args.degree))
         return dict_mod.monomials_up_to_degree(state_dim, args.degree)
-    try:
-        with open(args.dict_file) as fh:
-            descriptor = json.load(fh)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read dictionary file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"dictionary file is not valid JSON: {exc}") from exc
-    dictionary = dict_mod.dictionary_from_descriptor(descriptor)
+    dictionary = dict_mod.dictionary_from_descriptor(_read_json(args.dict_file, "dictionary file"))
     if dictionary.state_dim != state_dim:
         raise InvalidInput(
             f"dictionary state dim {dictionary.state_dim} does not match "
@@ -241,28 +237,22 @@ def _load_dictionary(args, snapshots):
     return dictionary
 
 
+_DEFECTS = ("forward_defect", "backward_defect", "data_defect")
+
+
 def _evolution_dict(ev):
     return {
         "lambda_re": float(ev.eigenvalue.real),
         "lambda_im": float(ev.eigenvalue.imag),
         "coefficients_re": [float(v) for v in ev.coefficients.real],
         "coefficients_im": [float(v) for v in ev.coefficients.imag],
-        "forward_defect": float(ev.forward_defect),
-        "backward_defect": float(ev.backward_defect),
-        "data_defect": float(ev.data_defect),
+        **{k: float(getattr(ev, k)) for k in _DEFECTS},
     }
 
 
 def _ssd_dict(result):
-    return {
-        "mode": result.mode,
-        "epsilon": result.epsilon,
-        "iterations": result.iterations,
-        "subspace_dim": result.subspace_dim,
-        "C": _json_matrix(result.C),
-        "max_range_angle": result.max_range_angle,
-        "log": [dataclasses.asdict(it) for it in result.log],
-    }
+    return {**dataclasses.asdict(result), "C": _json_matrix(result.C),
+            "subspace_dim": result.subspace_dim}
 
 
 def _select_grid_evolutions(evolutions, selector):
@@ -373,78 +363,109 @@ def cmd_identify(args):
 
 
 def _finite(value, field):
-    """A stored number that bounds a check, as a float; an infinite one
-    would pass the check whatever the data, so a non-finite one is
-    rejected."""
-    bound = float(value)
-    if not math.isfinite(bound):
-        raise InvalidInput(f"result field {field!r} is {bound}, not a finite number")
-    return bound
+    """A stored number as a float, None for null.  identify writes only
+    finite numbers, so a non-finite one is invalid input, not a mismatch."""
+    if value is None:
+        return None
+    number = float(value)
+    if not math.isfinite(number):
+        raise InvalidInput(f"result field {field!r} is {number}, not a finite number")
+    return number
 
 
 def _parse_result(stored):
-    """The claims of a result artifact that ``verify`` re-checks.
+    """The stored run as the library's own records: ``(method, dictionary,
+    tol, decomposition, reduced, e_r, evolutions)``, with None for the
+    stages the run did not have.
 
     Every stored field ``verify`` reads is parsed here, under one check: a
     missing or malformed field raises InvalidInput (exit 2), so only a
-    failed check can end in exit 1.  Returns ``(dictionary, tol,
-    evolutions, ssd_claim, e_r_claim)``: the evolutions as ``(eigenvalue,
-    coefficients, data_defect)`` triples, ``ssd_claim`` as ``(C, exact,
-    max_range_angle)`` or None when the artifact stores no C, and
-    ``e_r_claim`` as ``(e_r, K)`` or None, where K is the stored reduced
-    Koopman matrix, or None for the forward EDMD matrix of an fb-edmd result.
+    failed comparison can end in exit 1.
     """
     try:
+        method = stored["method"]
+        if method not in ("fb-edmd", "ssd", "ssd-approx"):
+            raise InvalidInput(f"unknown stored method {method!r}")
         dictionary = dict_mod.dictionary_from_descriptor(stored["dictionary"])
-        tolerances = stored["tolerances"]
-        tol = ToleranceConfig(rank_rtol=float(tolerances["rank_rtol"]),
-                              eig_match_atol=float(tolerances["eig_match_atol"]),
-                              subspace_atol=float(tolerances["subspace_atol"]))
-        entries = stored.get("evolutions", [])
+        tol = ToleranceConfig(**{f.name: float(stored["tolerances"][f.name])
+                                 for f in dataclasses.fields(ToleranceConfig)})
+        entries = stored["evolutions"]
         if not isinstance(entries, list):
             raise InvalidInput("result field 'evolutions' must be a list")
-        evolutions = []
-        for entry in entries:
-            v = (np.array(entry["coefficients_re"], dtype=float)
-                 + 1j * np.array(entry["coefficients_im"], dtype=float))
-            if v.shape != (dictionary.size,):
-                raise InvalidInput("stored coefficients do not match the dictionary size")
-            evolutions.append((complex(float(entry["lambda_re"]), float(entry["lambda_im"])),
-                               v, _finite(entry["data_defect"], "data_defect")))
-        ssd_block = stored.get("ssd") or {}
-        if not isinstance(ssd_block, dict):
-            raise InvalidInput("result field 'ssd' must be an object or null")
-        e_r = None if stored.get("e_r") is None else _finite(stored["e_r"], "e_r")
-        ssd_claim = e_r_claim = None
-        if e_r is not None and stored.get("method") == "fb-edmd":
-            e_r_claim = (e_r, None)
-        if ssd_block.get("C") is not None:
-            C = np.array(ssd_block["C"], dtype=float)
-            if C.ndim != 2 or C.shape[0] != dictionary.size:
+        evolutions = [edmd.MatchedEvolution(
+            eigenvalue=complex(float(e["lambda_re"]), float(e["lambda_im"])),
+            coefficients=(np.array(e["coefficients_re"], dtype=float)
+                          + 1j * np.array(e["coefficients_im"], dtype=float)),
+            **{k: _finite(e[k], k) for k in _DEFECTS}) for e in entries]
+        if any(ev.coefficients.shape != (dictionary.size,) for ev in evolutions):
+            raise InvalidInput("stored coefficients do not match the dictionary size")
+        e_r = _finite(stored["e_r"], "e_r")
+        decomposition = reduced = None
+        if method == "fb-edmd":
+            if stored["ssd"] is not None or stored["reduced_koopman"] is not None:
+                raise InvalidInput("an fb-edmd result stores no 'ssd' or 'reduced_koopman'")
+        else:
+            block = stored["ssd"]
+            if not isinstance(block, dict):
+                raise InvalidInput("result field 'ssd' must be an object")
+            C = None if block["C"] is None else np.array(block["C"], dtype=float)
+            if C is not None and (C.ndim != 2 or C.shape[0] != dictionary.size):
                 raise InvalidInput("stored C does not match the dictionary size")
-            if ssd_block["mode"] not in ("exact", "approximate"):
-                raise InvalidInput(f"unknown stored ssd mode {ssd_block['mode']!r}")
-            if e_r is not None and stored.get("reduced_koopman") is not None:
-                e_r_claim = (e_r, np.array(stored["reduced_koopman"], dtype=float))
-            ssd_claim = (C, ssd_block["mode"] == "exact",
-                         _finite(ssd_block.get("max_range_angle") or 0.0,
-                                 "ssd.max_range_angle"))
+            decomposition = SsdResult(
+                C=C, iterations=block["iterations"], mode=block["mode"],
+                log=tuple(SsdIteration(**it) for it in block["log"]),
+                epsilon=_finite(block["epsilon"], "ssd.epsilon"),
+                max_range_angle=_finite(block["max_range_angle"], "ssd.max_range_angle"))
+            # the reduced stage replays on C and lifting needs the stored
+            # matrix, so either one stored without the other is unreplayable
+            if (stored["reduced_koopman"] is None, e_r is None) != (C is None,) * 2:
+                raise InvalidInput("result fields 'reduced_koopman' and 'e_r' must be "
+                                   "stored exactly when 'ssd.C' is")
+            if block["subspace_dim"] != decomposition.subspace_dim:
+                raise InvalidInput("stored subspace_dim does not match C")
+            if C is not None:
+                K = np.array(stored["reduced_koopman"], dtype=float)
+                if K.shape != (C.shape[1],) * 2:
+                    raise InvalidInput("stored reduced_koopman does not match C")
+                reduced = ReducedKoopman(matrix=K, e_r=e_r)
     except KeyError as exc:
         raise InvalidInput(f"result file is missing the field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"result file has a malformed field: {exc}") from exc
-    return dictionary, tol, evolutions, ssd_claim, e_r_claim
+    return method, dictionary, tol, decomposition, reduced, e_r, evolutions
+
+
+def _diff(stored, replayed):
+    """The largest ``|stored - replayed| / (1 + |replayed|)`` over the fields
+    of two records, or of two sequences of them.  A type, length or shape
+    mismatch counts as infinite, and so does any difference in a field that
+    is not a float (a count, a decision, a label); a NaN stays NaN."""
+    if type(stored) is not type(replayed):
+        return math.inf
+    if dataclasses.is_dataclass(stored):
+        stored, replayed = dataclasses.astuple(stored), dataclasses.astuple(replayed)
+    if isinstance(stored, (list, tuple)):
+        if len(stored) != len(replayed):
+            return math.inf
+        return float(np.max([_diff(a, b) for a, b in zip(stored, replayed)], initial=0.0))
+    if not isinstance(stored, (float, complex, np.ndarray)):
+        return 0.0 if stored == replayed else math.inf
+    if np.shape(stored) != np.shape(replayed):
+        return math.inf
+    return float(np.max(np.abs(stored - replayed) / (1.0 + np.abs(replayed)), initial=0.0))
+
+
+def _span_gap(P, Q, tol):
+    """The largest principal angle between the spans of P and Q, infinite
+    when they differ in dimension: at most ``tol.subspace_atol`` exactly
+    when ``numerics.subspace_equal`` holds."""
+    angle = float(numerics.principal_angles(P, Q, tol).max(initial=0.0))
+    return angle if numerics.subspace_equal(P, Q, tol) or angle > tol.subspace_atol else math.inf
 
 
 def cmd_verify(args):
-    try:
-        with open(args.result) as fh:
-            stored = json.load(fh)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read result file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"result file is not valid JSON: {exc}") from exc
-    dictionary, tol, evolutions, ssd_claim, e_r_claim = _parse_result(stored)
+    stored = _read_json(args.result, "result file")
+    method, dictionary, tol, decomposition, reduced, e_r, evolutions = _parse_result(stored)
 
     snapshots = systems.read_snapshot_csv(args.snapshots)
     if dictionary.state_dim != snapshots.state_dim:
@@ -452,54 +473,42 @@ def cmd_verify(args):
 
     factor = dict_mod.evaluate_factor(dictionary, snapshots.X, snapshots.Y)
 
+    # each stage of the stored run is replayed on its stored input, and the
+    # replay's output must match the stored output
     checks = []
 
-    worst = 0.0
-    all_ok = True
-    for lam, v, stored_defect in evolutions:
-        _, defect = edmd.check_linear_evolution(factor.RX, factor.RY, v, lam, tol)
-        bound = max(tol.eig_match_atol, 2.0 * stored_defect + 1e-15)
-        worst = max(worst, defect)
-        all_ok = all_ok and defect <= bound
-    if evolutions:
-        checks.append((f"data defects ({len(evolutions)} evolutions, worst {worst:.3e})",
-                       all_ok))
+    def compare(stage, diff, bound):
+        checks.append((f"{stage}: difference {diff:.3e}, bound {bound:.1e}", diff <= bound))
 
-    if ssd_claim is not None:
-        C, exact, stored_angle = ssd_claim
-        full_rank = numerics.numerical_rank(C, tol) == C.shape[1]
-        checks.append(("C has full column rank", full_rank))
-        XC, YC = factor.RX @ C, factor.RY @ C
-        angles = numerics.principal_angles(XC, YC, tol)
-        max_angle = float(angles.max()) if angles.size else 0.0
-        if exact:
-            checks.append((
-                f"range equality of DX@C and DY@C (max angle {max_angle:.3e})",
-                numerics.subspace_equal(XC, YC, tol),
-            ))
-        else:
-            checks.append((
-                f"range angles consistent with artifact (max angle {max_angle:.3e})",
-                max_angle <= 2.0 * stored_angle + 1e-9,
-            ))
-    if e_r_claim is not None:
-        stored_er, K = e_r_claim
-        if K is None:
-            label, e_r = "EDMD residual", _edmd_residual(factor, tol)
-        else:
-            label, e_r = "reduced residual", edmd.relative_residual(XC, YC, K)
-        checks.append((
-            f"{label} e_r reproducible ({e_r:.3e} vs stored {stored_er:.3e})",
-            abs(e_r - stored_er) <= 1e-9 * (1.0 + stored_er),
-        ))
+    if method == "fb-edmd":
+        compare("EDMD residual e_r reproducible", _diff(e_r, _edmd_residual(factor, tol)), 1e-9)
+        replayed = edmd.forward_backward_eigenpairs(factor, None, tol)
+    else:
+        rerun = (ssd(factor, None, tol) if method == "ssd"
+                 else approximate_ssd(factor, None, decomposition.epsilon, tol))
+        compare("ssd decisions and range angle reproducible",
+                _diff(dataclasses.replace(decomposition, C=None),
+                      dataclasses.replace(rerun, C=None)), 1e-9)
+        # C spanning the re-run's C makes it complete and maximal
+        C, C_rerun = (np.zeros((dictionary.size, 0)) if r.is_zero else r.C
+                      for r in (decomposition, rerun))
+        compare("C spans the re-run's subspace",
+                _span_gap(factor.RX @ C, factor.RX @ C_rerun, tol), tol.subspace_atol)
+        if method == "ssd":
+            compare("range equality of DX@C and DY@C",
+                    _span_gap(factor.RX @ C, factor.RY @ C, tol), tol.subspace_atol)
+        replayed = []
+        if reduced is not None:
+            compare("reduced Koopman matrix and e_r reproducible",
+                    _diff(reduced, reduced_koopman(factor, None, decomposition, tol)), 1e-9)
+            replayed = lift_eigenvectors(factor, None, decomposition, reduced, tol)
+    compare(f"evolutions ({len(evolutions)} stored, {len(replayed)} replayed) with "
+            "their forward, backward and data defects",
+            _diff(evolutions, replayed), tol.eig_match_atol)
 
-    if not checks:
-        checks.append(("artifact contains no checkable claims", False))
-
-    failed = 0
     for name, ok in checks:
         print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
-        failed += 0 if ok else 1
+    failed = sum(not ok for _, ok in checks)
     if failed:
         print(f"verification failed: {failed} of {len(checks)} checks", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -513,17 +522,14 @@ def main(argv=None):
         argv = _join_numeric_list_flags(argv)
         parser, commands = _build_parser()
         args = parser.parse_args(argv)
-        if args.config is not None:
+        if getattr(args, "config", None) is not None:
             # config values become the subcommand's defaults, so the flags
             # of a second parse win over them
             command_parser = commands[args.command]
             command_parser.set_defaults(**_config_defaults(args.config, command_parser))
             args = parser.parse_args(argv)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "identify":
-            return cmd_identify(args)
-        return cmd_verify(args)
+        handlers = {"generate": cmd_generate, "identify": cmd_identify, "verify": cmd_verify}
+        return handlers[args.command](args)
     except KoopidError as exc:
         return _fail(exc)
 

@@ -237,7 +237,7 @@ def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
     the result records the achieved range angles and per-round truncation
     ratios so the pruning can be audited.
     """
-    if not (0.0 < epsilon < 1.0):
+    if epsilon is None or not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie strictly between 0 and 1")
     return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=float(epsilon))
 

@@ -251,6 +251,11 @@ class TestIdentify:
         approx = json.loads(approx_out.read_text())
         assert approx["e_r"] < 1e-3
         assert 20 <= approx["ssd"]["subspace_dim"] <= 28
+        assert cli.main(["verify", str(approx_out), str(snap)]) == 0
+        fb_out = tmp_path / "vdp_fb.json"
+        assert cli.main(["identify", "--snapshots", str(snap), "--degree", "7",
+                         "--method", "fb-edmd", "--out", str(fb_out)]) == 0
+        assert cli.main(["verify", str(fb_out), str(snap)]) == 0
 
 
 class TestVerify:
@@ -299,6 +304,113 @@ class TestVerify:
         assert "EDMD residual e_r reproducible" in printed and "FAIL" in printed
 
 
+@pytest.fixture(scope="module")
+def linear3(tmp_path_factory):
+    """Linear data (N = 2000, seed 3) and its degree-3 result of each method."""
+    root = tmp_path_factory.mktemp("linear3")
+    snap = root / "snap.csv"
+    assert cli.main(["generate", "--system", "linear", "--A", "0.8,0.5,-0.5,0.8",
+                     "--n", "2000", "--box", "-2,2,-2,2", "--seed", "3",
+                     "--out", str(snap)]) == 0
+    results = {}
+    for method in ("ssd", "ssd-approx", "fb-edmd"):
+        extra = ["--eps", "1e-4"] if method == "ssd-approx" else []
+        out = root / f"{method}.json"
+        assert cli.main(["identify", "--snapshots", str(snap), "--degree", "3",
+                         "--method", method, "--out", str(out), *extra]) == 0
+        results[method] = json.loads(out.read_text())
+    return snap, results
+
+
+def _verify_edited(linear3, tmp_path, method, edit):
+    """verify's exit code on the linear3 result of method after edit(result)."""
+    snap, results = linear3
+    result = json.loads(json.dumps(results[method]))
+    edit(result)
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(result))
+    return cli.main(["verify", str(out), str(snap)])
+
+
+def _set_defects(result):
+    for entry in result["evolutions"]:
+        entry["forward_defect"] = entry["backward_defect"] = 9.9
+
+
+def _constant_subspace(result):
+    # the constant function alone: invariant, but not the largest
+    # invariant subspace of the span
+    C = result["ssd"]["C"]
+    result["ssd"].update(C=[[1.0]] + [[0.0]] * (len(C) - 1), subspace_dim=1)
+    result.update(reduced_koopman=[[1.0]], e_r=0.0, evolutions=[
+        e for e in result["evolutions"]
+        if abs(e["lambda_re"] - 1.0) < 1e-9 and e["lambda_im"] == 0.0])
+    assert len(result["evolutions"]) == 1
+
+
+def _scale_floats(value, factor):
+    if isinstance(value, float):
+        return value * factor
+    if isinstance(value, list):
+        return [_scale_floats(v, factor) for v in value]
+    if isinstance(value, dict):
+        return {k: _scale_floats(v, factor) for k, v in value.items()}
+    return value
+
+
+class TestTamperedArtifacts:
+    """verify replays every stage of the stored run, so no stored claim can
+    be changed without a failed comparison (exit 1) or invalid input (exit 2)."""
+
+    @pytest.mark.parametrize("method, edit", [
+        ("fb-edmd", _set_defects),
+        ("ssd", _set_defects),
+        ("ssd", lambda r: r.update(evolutions=r["evolutions"][:1])),
+        ("ssd", _constant_subspace),
+        ("ssd-approx", lambda r: r["ssd"]["log"][0].update(kept_rank=1)),
+        ("ssd-approx", lambda r: r["ssd"].update(max_range_angle=0.5)),
+        ("ssd", lambda r: r["reduced_koopman"][0].__setitem__(0, 2.0)),
+    ], ids=["fb-edmd-defects", "ssd-defects", "ssd-incomplete-evolutions",
+            "ssd-non-maximal-subspace", "approx-decision", "approx-range-angle",
+            "ssd-reduced-matrix"])
+    def test_changed_claim_fails(self, linear3, tmp_path, method, edit):
+        assert _verify_edited(linear3, tmp_path, method, lambda r: None) == cli.EXIT_OK
+        assert _verify_edited(linear3, tmp_path, method, edit) == cli.EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(reduced_koopman=None, ssd={
+            **r["ssd"], "C": [row[:1] for row in r["ssd"]["C"]]}),
+        lambda r: r.update(e_r=123.0, reduced_koopman=None),
+    ], ids=["cut-C-without-reduced-matrix", "e_r-without-reduced-matrix"])
+    def test_stored_C_needs_its_reduced_matrix(self, linear3, tmp_path, capsys, edit):
+        assert _verify_edited(linear3, tmp_path, "ssd", edit) == cli.EXIT_INVALID_INPUT
+        assert "'reduced_koopman'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, edit", [
+        ("ssd-approx", lambda r: r["ssd"].update(epsilon=None)),
+        ("ssd", lambda r: r["ssd"].update(subspace_dim=2)),
+        ("fb-edmd", lambda r: r.update(reduced_koopman=[[1.0]])),
+        ("ssd", lambda r: r.update(method="dmd")),
+    ], ids=["approx-without-epsilon", "ssd-wrong-subspace-dim", "fb-edmd-with-reduced-matrix",
+            "unknown-method"])
+    def test_inconsistent_artifact_is_invalid_input(self, linear3, tmp_path, capsys,
+                                                    method, edit):
+        assert _verify_edited(linear3, tmp_path, method, edit) == cli.EXIT_INVALID_INPUT
+        assert "error[invalid-input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["ssd", "ssd-approx", "fb-edmd"])
+    def test_rounding_passes_and_a_moved_coefficient_fails(self, linear3, tmp_path,
+                                                           method):
+        def scaled(result):
+            result.update(_scale_floats(result, 1.0 + 1e-12))
+
+        def moved(result):
+            result["evolutions"][0]["coefficients_re"][1] += 1e-6
+
+        assert _verify_edited(linear3, tmp_path, method, scaled) == cli.EXIT_OK
+        assert _verify_edited(linear3, tmp_path, method, moved) == cli.EXIT_VERIFY_FAILED
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, workdir):
         cfg = workdir / "run.json"
@@ -330,6 +442,15 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"methd": "ssd"}))
         assert cli.main(["identify", "--config", str(cfg)]) == cli.EXIT_INVALID_INPUT
         assert "config key 'methd' is not a known option" in capsys.readouterr().err
+
+    def test_verify_takes_no_config(self, workdir):
+        # verify has no options for a config file to supply
+        cfg = workdir / "run.json"
+        cfg.write_text("{}")
+        _, out = run_identify(workdir, "--method", "ssd")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--config", str(cfg), str(out), str(workdir / "snap.csv")])
+        assert excinfo.value.code == 2
 
     def test_config_belongs_to_the_subcommand(self, workdir):
         cfg = workdir / "run.json"

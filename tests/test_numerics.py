@@ -282,6 +282,19 @@ class TestSubspaceEqual:
         np.testing.assert_allclose(koopid.principal_angles(P, Q), [1e-10, 1.0],
                                    rtol=1e-6)
 
+    def test_narrower_span_takes_its_own_sine_residual(self):
+        # a one-column P against a plane Q: the sine comes from the residual
+        # of P against Q, and a 1e-10 angle survives it
+        P = np.array([[np.cos(1e-10)], [0.0], [np.sin(1e-10)]])
+        np.testing.assert_allclose(koopid.principal_angles(P, np.eye(3)[:, :2]), [1e-10],
+                                   rtol=1e-6)
+
+    def test_zero_rank_span_has_no_angles(self):
+        P = np.zeros((3, 2))
+        assert koopid.principal_angles(P, np.eye(3)[:, :2]).size == 0
+        assert not koopid.subspace_equal(P, np.eye(3)[:, :2])
+        assert koopid.subspace_equal(P, np.zeros((3, 0)))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_principal_angles_against_scipy(self, seed):
         rng = np.random.Generator(np.random.PCG64(400 + seed))

@@ -136,7 +136,22 @@ class TestApproximateSsd:
             if not entry.exact_fallback:
                 assert entry.truncation_ratio <= 1e-4
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -1e-3])
+    def test_no_admissible_truncation_falls_back_to_the_exact_rank(self, caplog):
+        # independent X and Y under {x1, x2}: every trailing singular-value
+        # sum of [D(X), D(Y)] exceeds eps, so the round keeps the exact rank
+        # 4, which leaves no null direction
+        rng = np.random.Generator(np.random.PCG64(21))
+        X, Y = rng.uniform(-1.0, 1.0, size=(2, 500, 2))
+        with caplog.at_level("INFO", logger="koopid.ssd"):
+            result = koopid.approximate_ssd(X, Y, 1e-4)
+        assert result.is_zero
+        (entry,) = result.log
+        assert (entry.action, entry.kept_rank, entry.exact_fallback) == ("empty", 4, True)
+        assert entry.truncation_ratio == 0.0
+        assert any("using the exact rank decision" in rec.getMessage()
+                   for rec in caplog.records)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -1e-3, None])
     def test_epsilon_out_of_range(self, ex2_matrices, eps):
         DX, DY = ex2_matrices
         with pytest.raises(InvalidInput):
