@@ -348,6 +348,19 @@ def _constant_subspace(result):
     assert len(result["evolutions"]) == 1
 
 
+def _surplus_column(column):
+    """An edit appending column(C) to the stored C, with the reduced matrix
+    padded to match: a basis claiming one dimension more than it spans."""
+    def edit(result):
+        C = result["ssd"]["C"]
+        extra = column(C)
+        result["ssd"].update(C=[row + [v] for row, v in zip(C, extra)],
+                             subspace_dim=len(C[0]) + 1)
+        result["reduced_koopman"] = ([row + [0.0] for row in result["reduced_koopman"]]
+                                     + [[0.0] * (len(C[0]) + 1)])
+    return edit
+
+
 def _scale_floats(value, factor):
     if isinstance(value, float):
         return value * factor
@@ -370,9 +383,11 @@ class TestTamperedArtifacts:
         ("ssd-approx", lambda r: r["ssd"]["log"][0].update(kept_rank=1)),
         ("ssd-approx", lambda r: r["ssd"].update(max_range_angle=0.5)),
         ("ssd", lambda r: r["reduced_koopman"][0].__setitem__(0, 2.0)),
+        ("ssd", _surplus_column(lambda C: [0.0] * len(C))),
+        ("ssd-approx", _surplus_column(lambda C: [row[0] for row in C])),
     ], ids=["fb-edmd-defects", "ssd-defects", "ssd-incomplete-evolutions",
             "ssd-non-maximal-subspace", "approx-decision", "approx-range-angle",
-            "ssd-reduced-matrix"])
+            "ssd-reduced-matrix", "ssd-zero-column", "approx-repeated-column"])
     def test_changed_claim_fails(self, linear3, tmp_path, method, edit):
         assert _verify_edited(linear3, tmp_path, method, lambda r: None) == cli.EXIT_OK
         assert _verify_edited(linear3, tmp_path, method, edit) == cli.EXIT_VERIFY_FAILED
@@ -409,6 +424,34 @@ class TestTamperedArtifacts:
 
         assert _verify_edited(linear3, tmp_path, method, scaled) == cli.EXIT_OK
         assert _verify_edited(linear3, tmp_path, method, moved) == cli.EXIT_VERIFY_FAILED
+
+
+    @pytest.mark.parametrize("method", ["ssd", "fb-edmd"])
+    def test_any_basis_of_a_repeated_eigenvalue_verifies(self, tmp_path, method):
+        # a rotation: 1 and x1^2 + x2^2 share the eigenvalue 1, and so do
+        # z and z |z|^2 (z = x1 + i x2) their non-real one, so each
+        # eigenspace has a basis of the identifier's choosing
+        snap, out = tmp_path / "rot.csv", tmp_path / "rot.json"
+        assert cli.main(["generate", "--system", "linear", "--A", "0.6,-0.8,0.8,0.6",
+                         "--n", "2000", "--box", "-2,2,-2,2", "--seed", "3",
+                         "--out", str(snap)]) == 0
+        assert cli.main(["identify", "--snapshots", str(snap), "--degree", "3",
+                         "--method", method, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        entries = result["evolutions"]
+        lams = [complex(e["lambda_re"], e["lambda_im"]) for e in entries]
+        for target in (1.0, 0.6 + 0.8j, 0.6 - 0.8j):
+            a, b = [i for i, lam in enumerate(lams) if abs(lam - target) < 1e-9]
+            va, vb = (np.array(entries[i]["coefficients_re"])
+                      + 1j * np.array(entries[i]["coefficients_im"]) for i in (a, b))
+            # a unitary change of basis inside the eigenspace
+            for i, v in ((a, 0.6 * va + 0.8 * vb), (b, -0.8 * va + 0.6 * vb)):
+                entries[i].update(coefficients_re=list(v.real), coefficients_im=list(v.imag))
+        out.write_text(json.dumps(result))
+        assert cli.main(["verify", str(out), str(snap)]) == cli.EXIT_OK
+        entries[a]["coefficients_re"][1] += 1e-6
+        out.write_text(json.dumps(result))
+        assert cli.main(["verify", str(out), str(snap)]) == cli.EXIT_VERIFY_FAILED
 
 
 class TestConfigFile:
