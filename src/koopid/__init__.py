@@ -54,6 +54,7 @@ from .ssd import (
 )
 from .systems import (
     SnapshotSet,
+    SnapshotStream,
     SystemSpec,
     generate,
     read_snapshot_csv,

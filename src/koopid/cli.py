@@ -287,7 +287,7 @@ def _edmd_residual(factor, tol):
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
-    snapshots = systems.read_snapshot_csv(args.snapshots)
+    snapshots = systems.SnapshotStream(args.snapshots)
     dictionary = _load_dictionary(args, snapshots)
     tol = ToleranceConfig(rank_rtol=args.rank_rtol, eig_match_atol=args.eig_atol,
                           subspace_atol=args.subspace_atol)
@@ -297,7 +297,7 @@ def cmd_identify(args):
         raise InvalidInput("--eps is only valid with --method ssd-approx")
 
     # every step below works on the R-factor blocks of [D(X), D(Y)]
-    factor = dict_mod.evaluate_factor(dictionary, snapshots.X, snapshots.Y)
+    factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
 
     result = {
         "method": args.method,
@@ -472,11 +472,14 @@ def _span_gap(P, Q, tol):
 
 
 def _evolution_gap(stored, replayed, tol):
-    """``_diff`` of the stored and replayed evolutions, in count and order,
-    except for the coefficients of a repeated eigenvalue: any basis of its
-    eigenspace is valid, so they are compared as one span by ``_span_gap``."""
+    """``_diff`` of the stored and replayed evolutions, in count and in the
+    order of ``edmd.sort_evolutions``, into which the stored ones are put
+    (an artifact written in another order compares the same), except for
+    the coefficients of a repeated eigenvalue: any basis of its eigenspace
+    is valid, so they are compared as one span by ``_span_gap``."""
     if len(stored) != len(replayed):
         return math.inf
+    stored = edmd.sort_evolutions(stored)
     gaps = []
     for ev, twin in zip(replayed, stored):
         atol = tol.eig_match_atol * (1.0 + abs(ev.eigenvalue))
@@ -494,11 +497,11 @@ def cmd_verify(args):
     stored = _read_json(args.result, "result file")
     method, dictionary, tol, decomposition, reduced, e_r, evolutions = _parse_result(stored)
 
-    snapshots = systems.read_snapshot_csv(args.snapshots)
+    snapshots = systems.SnapshotStream(args.snapshots)
     if dictionary.state_dim != snapshots.state_dim:
         raise InvalidInput("result dictionary does not match the snapshot state dim")
 
-    factor = dict_mod.evaluate_factor(dictionary, snapshots.X, snapshots.Y)
+    factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
 
     # each stage of the stored run is replayed on its stored input, and the
     # replay's output must match the stored output

@@ -213,14 +213,31 @@ def evaluate(dictionary, X, out=None):
     return values
 
 
-def evaluate_factor(dictionary, X, Y):
+def evaluate_factor(dictionary, X, Y=None):
     """The :class:`~koopid.numerics.SnapshotFactor` of ``[D(X), D(Y)]``.
 
-    The dictionary is evaluated on one row block of X and Y at a time,
+    X and Y are N-row sample matrices; or X yields ``(X, Y)`` row blocks of
+    them in order, with Y None, as :meth:`koopid.systems.SnapshotStream.scan`
+    passes them.  The dictionary is evaluated on a few rows at a time,
     straight into the block the QR factors, so ``D(X)`` and ``D(Y)`` are
-    never held in full.  An EvaluationOverflow names the row of X or Y.
+    never held in full, and the factor does not depend on how the samples
+    are split into blocks.  An EvaluationOverflow names the row of X or Y.
     """
-    X, Y = numerics._pair(X, Y, ("X", "Y"))
+    blocks = X if Y is None and not isinstance(X, np.ndarray) else [(X, Y)]
+
+    def parts():
+        offset = 0
+        for X_block, Y_block in blocks:
+            X_block, Y_block = numerics._pair(X_block, Y_block, ("X", "Y"))
+            yield len(X_block), _filler(dictionary, X_block, Y_block, offset)
+            offset += len(X_block)
+
+    return numerics._factor_blocks(dictionary.size, parts())
+
+
+def _filler(dictionary, X, Y, offset):
+    """The ``fill`` of :func:`numerics._factor_blocks` for the samples X, Y,
+    which start at row ``offset`` of the data."""
     n_d = dictionary.size
 
     def fill(M, start):
@@ -230,9 +247,9 @@ def evaluate_factor(dictionary, X, Y):
             except EvaluationOverflow as exc:
                 raise EvaluationOverflow(
                     f"dictionary evaluation on {name} produced a non-finite value",
-                    row=start + exc.row) from None
+                    row=offset + start + exc.row) from None
 
-    return numerics._factor_blocks(X.shape[0], n_d, fill)
+    return fill
 
 
 def restrict(dictionary, C, tol=numerics.DEFAULT_TOL):

@@ -25,6 +25,7 @@ __all__ = [
     "forward_backward_eigenpairs",
     "relative_residual",
     "check_linear_evolution",
+    "sort_evolutions",
 ]
 
 logger = logging.getLogger(__name__)
@@ -122,6 +123,21 @@ def _evolution(k_f, k_b, lam, v, data_defect):
         backward_defect=float(np.linalg.norm(k_b.matrix @ v - v / lam)),
         data_defect=data_defect,
     )
+
+
+def sort_evolutions(evolutions):
+    """The evolutions by descending real part of the eigenvalue, then
+    descending magnitude of its imaginary part, then positive imaginary part
+    first, so each conjugate pair is adjacent.
+
+    Both methods give their evolutions in this order, so it does not follow
+    the order of an eigensolver, which rounding can change.  The evolutions
+    of one eigenvalue keep their order (the sort is stable), so those of a
+    repeated non-real eigenvalue all come before those of its conjugate.
+    """
+    return sorted(evolutions, key=lambda ev: (-ev.eigenvalue.real,
+                                              -abs(ev.eigenvalue.imag),
+                                              -ev.eigenvalue.imag))
 
 
 def _require_samples(count, n_d):
@@ -252,5 +268,5 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
                 # conjugate partner: exact by symmetry of the real-data problem
                 matched.append(replace(
                     ev, eigenvalue=lam.conjugate(), coefficients=np.conj(v)))
-    return matched
+    return sort_evolutions(matched)
 

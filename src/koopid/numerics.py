@@ -121,27 +121,49 @@ class SnapshotFactor:
     RY: np.ndarray
 
 
-# Rows per block of the streamed QR: one 16,384 x 2N_d block of the degree-7
-# dictionary (N_d = 36) takes 9.4 MB.
+# Bytes and most rows per block of the streamed QR: a block has
+# min(_BLOCK_ROWS, _BLOCK_BYTES // (16 N_d)) rows of the 2N_d columns, so a
+# wide dictionary gets fewer rows.  numpy.linalg.qr copies its block twice
+# (its astype and its LAPACK buffer), so a block takes three times its
+# bytes: 3 x 6.0 MB at 10,416 x 72 for the degree-7 dictionary (N_d = 36).
+# Below about 10,000 rows the factor of that dictionary slows down.
+_BLOCK_BYTES = 6_000_000
 _BLOCK_ROWS = 16_384
 
 
-def _factor_blocks(rows, n_d, fill):
+def _factor_blocks(n_d, parts):
     """The :class:`SnapshotFactor` of the N x 2N_d matrix ``[DX, DY]``, built
     one row block at a time (TSQR).
 
-    ``fill(M, start)`` writes rows ``start : start + len(M)`` of ``[DX, DY]``
-    into the Fortran-ordered block M.  Each block is reduced to its R factor;
-    the stacked block factors are merged by one more QR.
+    ``parts`` yields ``(rows, fill)`` for consecutive row ranges of
+    ``[DX, DY]``: ``fill(M, start)`` writes rows ``start : start + len(M)``
+    of the range into the Fortran-ordered block M.  Every block is filled to
+    its row count across ranges, so any split of the same rows gives the
+    same blocks and a bitwise-identical factor.  Each block is reduced to
+    its R factor; the stacked block factors are merged by one more QR
+    whenever they reach a quarter of a block's rows, and at the end.
     """
-    if rows == 0 or n_d == 0:
+    if n_d == 0:
+        return SnapshotFactor(np.zeros((0, 0)), np.zeros((0, 0)))
+    block_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (16 * n_d)))
+    M = np.empty((block_rows, 2 * n_d), order="F")
+    factors, filled = [], 0
+    for rows, fill in parts:
+        start = 0
+        while start < rows:
+            take = min(rows - start, block_rows - filled)
+            fill(M[filled:filled + take], start)
+            start += take
+            filled += take
+            if filled == block_rows:
+                factors.append(np.linalg.qr(M, mode="r"))
+                filled = 0
+                if len(factors) > 1 and 4 * sum(map(len, factors)) >= block_rows:
+                    factors = [np.linalg.qr(np.vstack(factors), mode="r")]
+    if filled:
+        factors.append(np.linalg.qr(M[:filled], mode="r"))
+    if not factors:
         return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)))
-    M = np.empty((min(rows, _BLOCK_ROWS), 2 * n_d), order="F")
-    factors = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = M[:min(_BLOCK_ROWS, rows - start)]
-        fill(block, start)
-        factors.append(np.linalg.qr(block, mode="r"))
     R = np.linalg.qr(np.vstack(factors), mode="r")
     return SnapshotFactor(R[:, :n_d], R[:, n_d:])
 
@@ -161,7 +183,7 @@ def snapshot_factor(DX, DY):
         M[:, :n_d] = DX[start:start + len(M)]
         M[:, n_d:] = DY[start:start + len(M)]
 
-    return _factor_blocks(rows, n_d, fill)
+    return _factor_blocks(n_d, [(rows, fill)])
 
 
 def numerical_rank(M, tol=DEFAULT_TOL):

@@ -26,6 +26,7 @@ from .edmd import (
     _require_full_rank,
     check_linear_evolution,
     relative_residual,
+    sort_evolutions,
 )
 from .errors import InternalInvariantViolation, InvalidInput
 from .numerics import DEFAULT_TOL
@@ -284,7 +285,8 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
     the same subspaces as the forward-backward matching on identical data.
     The defects use the forward and backward EDMD matrices, so both
     dictionary matrices must have full column rank (else
-    :class:`AssumptionViolation`, as in the decompositions).
+    :class:`AssumptionViolation`, as in the decompositions).  The lifted
+    evolutions come in the order of :func:`edmd.sort_evolutions`.
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
@@ -298,7 +300,7 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
         v = numerics._normalize_eigenvector(result.C @ w)
         _, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
         lifted.append(_evolution(k_f, k_b, lam, v, data_defect))
-    return lifted
+    return sort_evolutions(lifted)
 
 
 @dataclass(frozen=True)

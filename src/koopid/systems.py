@@ -6,7 +6,7 @@ over one sampling interval for continuous vector fields.  Initial conditions
 are drawn uniformly from a box with the PCG64 generator, so a (spec, N) pair
 reproduces bit-identical data on any platform.
 A snapshot CSV written here gets a checksum-bound binary twin that
-:func:`read_snapshot_csv` loads in place of parsing the text.
+:class:`SnapshotStream` reads in place of parsing the text.
 """
 
 import csv
@@ -20,9 +20,10 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import numerics
-from .errors import ArtifactIOError, EvaluationOverflow, InvalidInput
+from .errors import ArtifactIOError, EvaluationOverflow, InvalidInput, KoopidError
 
 __all__ = [
     "SystemSpec",
@@ -34,6 +35,7 @@ __all__ = [
     "write_snapshot_csv",
     "write_grid_csv",
     "read_snapshot_csv",
+    "SnapshotStream",
 ]
 
 logger = logging.getLogger(__name__)
@@ -205,7 +207,9 @@ def step(spec, X):
     # overflow surfaces as EvaluationOverflow via the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "discrete-linear":
-            Y = X @ spec.map_matrix.T
+            # a C-ordered copy: the transposed view sometimes takes a slow
+            # multithreaded BLAS path; the product is the same bit for bit
+            Y = X @ np.ascontiguousarray(spec.map_matrix.T)
         else:
             Y = rk4_step(VECTOR_FIELDS[spec.field_id], X, spec.dt, spec.substeps)
     bad = ~np.all(np.isfinite(Y), axis=1)
@@ -459,21 +463,64 @@ def _read_sidecar(path):
 
 
 def _file_crc32(path):
-    crc = 0
+    """The file's CRC-32, read through one 1 MiB buffer."""
+    crc, buffer = 0, bytearray(1 << 20)
+    view = memoryview(buffer)
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            crc = zlib.crc32(chunk, crc)
+        while size := fh.readinto(buffer):
+            crc = zlib.crc32(view[:size], crc)
     return crc
 
 
+# Bytes per block the snapshot reader yields: 16,384 rows of 2 x 2 values.
+_READ_BYTES = 1 << 19
+
+_NPY_HEADERS = {(1, 0): npy_format.read_array_header_1_0,
+                (2, 0): npy_format.read_array_header_2_0}
+
+
+class _Twin:
+    """The payload of a bound binary twin: ``rows`` x ``cols`` float64
+    values from byte ``offset`` of ``path``, whose CRC-32 must be ``crc``."""
+
+    def __init__(self, path, offset, rows, cols, crc):
+        self.path, self.offset, self.rows, self.cols, self.crc = path, offset, rows, cols, crc
+        self.read_crc = None
+
+    def blocks(self, rows_per_block):
+        """The payload in blocks of ``rows_per_block`` rows, read into one
+        reused buffer.  The CRC-32 is accumulated on the way and kept in
+        ``read_crc`` once all of it is read."""
+        self.read_crc, crc = None, 0
+        buffer = np.empty((rows_per_block, self.cols))
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            for start in range(0, self.rows, rows_per_block):
+                block = buffer[:min(rows_per_block, self.rows - start)]
+                if fh.readinto(block) != block.nbytes:
+                    return  # shortened since it was opened: not intact
+                crc = zlib.crc32(block, crc)
+                yield block
+        self.read_crc = crc
+
+    def intact(self, blocks):
+        """Whether the payload that ``blocks`` of :meth:`blocks` reads, to its
+        end, has the bound CRC-32."""
+        for _ in blocks:
+            pass
+        return self.read_crc == self.crc
+
+
 def _bound_twin(path, binding, cols):
-    """The array of the binary twin that ``binding`` ties to the CSV at
-    ``path``, or None when the CSV has to be parsed.
+    """The :class:`_Twin` that ``binding`` ties to the CSV at ``path``, or
+    None when the CSV has to be parsed.
 
     The twin is used only when the CSV's byte count and CRC-32 equal the
-    binding's and the twin loads without unpickling as a finite float64
-    array of ``cols`` columns whose buffer has the bound CRC-32.  A changed
-    CSV or a deleted twin is logged at INFO, anything else at WARNING.
+    binding's and the twin's ``.npy`` header describes a C-ordered float64
+    array of ``cols`` columns that fills the rest of the file; nothing in it
+    is unpickled.  The payload's CRC-32 is checked as it is read (see
+    :meth:`SnapshotStream.scan`).  A changed CSV or a deleted twin is logged
+    at INFO, anything else at WARNING.
     """
     try:
         twin = path.with_name(binding["file"])
@@ -486,54 +533,174 @@ def _bound_twin(path, binding, cols):
         logger.info("%s changed after its binary twin was written; parsing it", path)
         return None
     try:
-        data = np.load(twin, allow_pickle=False)
+        with open(twin, "rb") as fh:
+            shape, fortran_order, dtype = _NPY_HEADERS[npy_format.read_magic(fh)](fh)
+            offset, total = fh.tell(), os.fstat(fh.fileno()).st_size
     except FileNotFoundError:
         logger.info("binary twin %s is missing; parsing %s", twin, path)
         return None
-    except Exception as exc:  # the twin is a cache: no failure to load it is fatal
+    except Exception as exc:  # the twin is a cache: no failure to read it is fatal
         logger.warning("ignoring unreadable binary twin %s: %r", twin, exc)
         return None
-    if not (isinstance(data, np.ndarray) and data.dtype == np.float64
-            and data.ndim == 2 and data.shape[1] == cols and data.flags.c_contiguous
-            and zlib.crc32(data) == payload_crc and np.isfinite(data).all()):
+    if not (dtype == np.float64 and not fortran_order and len(shape) == 2
+            and shape[1] == cols and total == offset + 8 * shape[0] * cols):
         logger.warning("ignoring binary twin %s: not the array bound to %s", twin, path)
         return None
-    return data
+    return _Twin(twin, offset, shape[0], cols, payload_crc)
+
+
+class SnapshotStream:
+    """A snapshot CSV written by :func:`write_snapshot_csv` (or any file with
+    the same header layout), read as a stream of row blocks.
+
+    Opening it reads the provenance sidecar, checks the header and decides
+    whether the sidecar binds a binary twin that still matches the CSV (see
+    :func:`_bound_twin`).  :meth:`scan` then reads the twin, or parses the
+    CSV, one block of rows at a time, so no more than one block of the
+    snapshots is held.
+    """
+
+    def __init__(self, path):
+        self.path = pathlib.Path(path)
+        self.provenance = {"system": "ingested", "path": str(self.path)}
+        self.provenance.update(_read_sidecar(self.path))
+        try:
+            with open(self.path, newline="") as fh:
+                header = next(csv.reader(fh), None)
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
+        except ValueError as exc:  # not UTF-8 text
+            raise InvalidInput(f"{self.path}: {exc}") from exc
+        if header is None:
+            raise InvalidInput(f"{self.path}: empty snapshot file")
+        self._names = [h.strip() for h in header]
+        n = sum(1 for h in self._names if h.startswith("x_"))
+        if n == 0 or self._names != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
+            raise InvalidInput(f"{self.path}: header must be x_1..x_n,y_1..y_n")
+        self.state_dim = n
+        binding = self.provenance.get(TWIN_KEY)
+        try:
+            self._twin = None if binding is None else _bound_twin(self.path, binding, 2 * n)
+        except OSError as exc:  # reading the CSV for its CRC-32
+            raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
+        self._rows = None if self._twin is None else self._twin.rows
+
+    @property
+    def count(self):
+        """The number of snapshot pairs: the rows of the bound twin, or the
+        non-blank lines after the CSV's header, counted on first use; after a
+        :meth:`scan`, the rows it read."""
+        if self._rows is None:
+            try:
+                with self._open() as fh:
+                    self._rows = sum(1 for line in fh if line.strip("\r\n"))
+            except UnicodeDecodeError as exc:
+                raise InvalidInput(f"{self.path}: {exc}") from exc
+        return self._rows
+
+    def scan(self, consume):
+        """``consume(blocks)``, where ``blocks`` yields the snapshots in order
+        as ``(X, Y)`` row blocks, each valid until the next is drawn.
+
+        Each block is checked once: a non-finite value, or a CSV line that is
+        not 2n numbers, is invalid input naming its data row and column, or
+        its line.  From a bound twin, the payload's CRC-32 is accumulated
+        across the blocks and checked before ``consume``'s result or error
+        is let through; when it does not match, that is logged at WARNING
+        and ``consume`` runs again on the parsed CSV.
+        """
+        rows_per_block = max(1, _READ_BYTES // (16 * self.state_dim))
+        try:
+            twin = self._twin
+            if twin is not None:
+                blocks = twin.blocks(rows_per_block)
+                try:
+                    result = consume(self._pairs(blocks))
+                except KoopidError:
+                    if twin.intact(blocks):
+                        raise
+                else:
+                    if twin.intact(blocks):
+                        return result
+                logger.warning("ignoring binary twin %s: not the array bound to %s",
+                               twin.path, self.path)
+                self._twin = None
+            return consume(self._pairs(self._parsed(rows_per_block)))
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{self.path}: {exc}") from exc
+
+    def _open(self):
+        """The CSV opened as text after its header line."""
+        fh = open(self.path, newline="")
+        next(csv.reader(fh), None)
+        return fh
+
+    def _pairs(self, blocks):
+        """The ``(X, Y)`` halves of each row block, once it is checked to be
+        finite; the rows read become the count."""
+        n, rows = self.state_dim, 0
+        for block in blocks:
+            if not np.isfinite(block).all():
+                row, col = np.argwhere(~np.isfinite(block))[0]
+                raise InvalidInput(f"{self.path}: data row {rows + row + 1}, column "
+                                   f"{self._names[col]} is {float(block[row, col])}, "
+                                   "not a finite number")
+            yield block[:, :n], block[:, n:]
+            rows += len(block)
+        if rows == 0:
+            raise InvalidInput(f"{self.path}: expected nonempty rows of {2*n} values")
+        self._rows = rows
+
+    def _parsed(self, rows_per_block):
+        """The CSV body, parsed by repeated ``np.loadtxt`` calls on one
+        handle, ``rows_per_block`` rows each (blank lines are skipped)."""
+        start = 0
+        with self._open() as fh:
+            while True:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no rows left is not an error
+                    try:
+                        block = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                           quotechar='"', max_rows=rows_per_block)
+                    except ValueError:  # a non-numeric entry or a ragged row
+                        block = None
+                if block is not None and len(block) == 0:
+                    return
+                if block is None or block.shape[1] != 2 * self.state_dim:
+                    raise self._bad_line(start)
+                yield block
+                start += len(block)
+                if len(block) < rows_per_block:
+                    return
+
+    def _bad_line(self, start):
+        """InvalidInput naming the first line, from data row ``start`` on,
+        that is not 2n comma-separated numbers."""
+        cols, rows = 2 * self.state_dim, 0
+        with self._open() as fh:
+            for number, line in enumerate(fh, start=2):
+                if not line.strip("\r\n"):
+                    continue
+                rows += 1
+                try:
+                    ok = rows <= start or np.loadtxt(
+                        [line], delimiter=",", comments=None, ndmin=2,
+                        quotechar='"').shape == (1, cols)
+                except ValueError:
+                    ok = False
+                if not ok:
+                    return InvalidInput(f"{self.path}: line {number} is not {cols} "
+                                        f"comma-separated numbers: {line.rstrip()!r}")
+        return InvalidInput(f"{self.path}: the rows from data row {start + 1} on "
+                            f"are not {cols} comma-separated numbers")
 
 
 def read_snapshot_csv(path):
-    """Read a snapshot CSV produced by :func:`write_snapshot_csv` (or any file
-    with the same header layout).
-
-    After the header check, the body is parsed unless the sidecar binds a
-    binary twin that still matches the CSV (see :func:`_bound_twin`)."""
-    path = pathlib.Path(path)
-    prov = {"system": "ingested", "path": str(path)}
-    prov.update(_read_sidecar(path))
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise InvalidInput(f"{path}: empty snapshot file")
-            names = [h.strip() for h in header]
-            n = sum(1 for h in names if h.startswith("x_"))
-            if n == 0 or names != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
-                raise InvalidInput(f"{path}: header must be x_1..x_n,y_1..y_n")
-            binding = prov.get(TWIN_KEY)
-            data = None if binding is None else _bound_twin(path, binding, 2 * n)
-            if data is None:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # no data rows is checked below
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                      quotechar='"')
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
-    except ValueError as exc:  # a non-numeric entry or a ragged row
-        raise InvalidInput(f"{path}: {exc}") from exc
-    if data.shape[1] != 2 * n or data.shape[0] == 0:
-        raise InvalidInput(f"{path}: expected nonempty rows of {2*n} values")
-    if not np.isfinite(data).all():
-        row, col = np.argwhere(~np.isfinite(data))[0]
-        raise InvalidInput(f"{path}: data row {row + 1}, column {names[col]} "
-                           f"is {float(data[row, col])}, not a finite number")
-    return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=prov)
+    """Read a snapshot CSV into memory: the concatenation of the blocks of
+    :meth:`SnapshotStream.scan`."""
+    stream = SnapshotStream(path)
+    data = stream.scan(lambda blocks: np.concatenate([np.hstack(b) for b in blocks]))
+    n = stream.state_dim
+    return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=stream.provenance)

@@ -159,6 +159,13 @@ class TestIdentify:
         assert "need at least N_d = 500001500001 snapshots, got 2000" in \
             capsys.readouterr().err
 
+    def test_degree_guard_counts_the_rows_of_a_csv_without_twin(
+            self, workdir, capsys, monkeypatch):
+        # the count comes from the twin's header, or else from the CSV
+        (workdir / "snap.snapshots.npy").unlink()
+        self.test_degree_beyond_the_sample_count_stops_before_building(
+            workdir, capsys, monkeypatch)
+
     def test_degree_and_dict_file_are_exclusive(self, workdir):
         out = workdir / "result.json"
         code = cli.main(["identify", "--snapshots", str(workdir / "snap.csv"),
@@ -452,6 +459,56 @@ class TestTamperedArtifacts:
         entries[a]["coefficients_re"][1] += 1e-6
         out.write_text(json.dumps(result))
         assert cli.main(["verify", str(out), str(snap)]) == cli.EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize("method", ["ssd", "fb-edmd"])
+    def test_stored_evolutions_in_another_order_verify(self, linear3, tmp_path, method):
+        # identify stores them by descending real part, conjugate pairs
+        # adjacent and +Im first; verify puts the stored ones in that order
+        lams = [complex(e["lambda_re"], e["lambda_im"])
+                for e in linear3[1][method]["evolutions"]]
+        assert lams == [ev.eigenvalue for ev in koopid.edmd.sort_evolutions(
+            [koopid.MatchedEvolution(lam, None, 0.0, 0.0, 0.0) for lam in lams])]
+        assert [lam.real for lam in lams] == sorted((lam.real for lam in lams), reverse=True)
+
+        def reverse(result):
+            result["evolutions"].reverse()
+
+        assert _verify_edited(linear3, tmp_path, method, reverse) == cli.EXIT_OK
+
+
+class TestStreamedFactor:
+    @pytest.mark.parametrize("twin", ["kept", "deleted"])
+    @pytest.mark.parametrize("rows", [63, 64, 65, 3 * 64 + 7])
+    def test_cli_factor_is_the_in_memory_factor(self, tmp_path, monkeypatch,
+                                                small_blocks, rows, twin):
+        # the reader's 50-row blocks straddle the factor's 64-row ones
+        monkeypatch.setattr(koopid.systems, "_READ_BYTES", 50 * 32)
+        factors = []
+        evaluate_factor = koopid.dictionary.evaluate_factor
+
+        def recorded(*args):
+            factors.append(evaluate_factor(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(cli.dict_mod, "evaluate_factor", recorded)
+        snap = tmp_path / "snap.csv"
+        assert cli.main(["generate", "--system", "linear", "--A", "0.8,0.5,-0.5,0.8",
+                         "--n", str(rows), "--box", "-2,2,-2,2", "--seed", "3",
+                         "--out", str(snap)]) == 0
+        if twin == "deleted":
+            snap.with_suffix(".snapshots.npy").unlink()
+        out = tmp_path / "result.json"
+        assert cli.main(["identify", "--snapshots", str(snap), "--degree", "3",
+                         "--method", "ssd", "--out", str(out)]) == 0
+        assert cli.main(["verify", str(out), str(snap)]) == 0
+        assert json.loads(out.read_text())["snapshots"]["count"] == rows
+        data = koopid.generate(koopid.SystemSpec.discrete_linear(
+            [[0.8, 0.5], [-0.5, 0.8]], [(-2, 2), (-2, 2)], seed=3), rows)
+        expected = evaluate_factor(koopid.monomials_up_to_degree(2, 3), data.X, data.Y)
+        assert len(factors) == 2
+        for factor in factors:
+            assert np.array_equal(factor.RX, expected.RX)
+            assert np.array_equal(factor.RY, expected.RY)
 
 
 class TestConfigFile:

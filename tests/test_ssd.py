@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 
@@ -469,6 +470,48 @@ class TestRowOrder:
             gap = np.sort(np.abs(lam_a - ev.eigenvalue))[1]
             assert np.abs(lift_b[j].coefficients - ev.coefficients).max() \
                 <= 1e-9 + 1e-11 / gap
+
+
+class TestEvolutionOrder:
+    @pytest.fixture(scope="class")
+    def vdp_run(self, vdp_dictionary, vdp_snapshots, tol):
+        factor = koopid.evaluate_factor(vdp_dictionary, vdp_snapshots.X, vdp_snapshots.Y)
+        result = koopid.approximate_ssd(factor, None, 1e-4, tol)
+        return factor, result, koopid.reduced_koopman(factor, None, result, tol)
+
+    @pytest.mark.parametrize("change", ["last-bits", "rotated-basis"])
+    def test_order_does_not_follow_the_eigensolver(self, vdp_run, change, tol):
+        factor, result, reduced = vdp_run
+        rng = np.random.Generator(np.random.PCG64(11))
+        K, C = reduced.matrix, result.C
+        if change == "last-bits":
+            K = K * (1.0 + np.spacing(1.0) * rng.integers(-2, 3, K.shape))
+        else:
+            # the same subspace in another orthonormal basis, as a different
+            # BLAS thread count can give; eig orders it differently
+            Q, _ = np.linalg.qr(rng.standard_normal(K.shape))
+            K, C = Q.T @ K @ Q, C @ Q
+        runs = [koopid.lift_eigenvectors(factor, None, res, red, tol)
+                for res, red in ((result, reduced),
+                                 (dataclasses.replace(result, C=C),
+                                  dataclasses.replace(reduced, matrix=K)))]
+        lam, moved = (np.array([ev.eigenvalue for ev in run]) for run in runs)
+        assert lam.size == 25
+        assert np.abs(lam - moved).max() <= 1e-10
+        # descending real parts, each conjugate pair adjacent with +Im first
+        assert np.all(np.diff(lam.real) <= 0)
+        for a, b in zip(lam[:-1], lam[1:]):
+            assert a.imag <= 0 or b == a.conjugate()
+
+    def test_both_methods_give_the_same_order(self, ex2_matrices, ex2_ssd, tol):
+        DX, DY = ex2_matrices
+        reduced = koopid.reduced_koopman(DX, DY, ex2_ssd, tol)
+        for run in (koopid.lift_eigenvectors(DX, DY, ex2_ssd, reduced, tol),
+                    koopid.forward_backward_eigenpairs(DX, DY, tol)):
+            np.testing.assert_allclose(
+                [ev.eigenvalue for ev in run],
+                [1.0, 0.89, 0.8 + 0.5j, 0.8 - 0.5j, 0.39 + 0.8j, 0.39 - 0.8j],
+                atol=1e-10)
 
 
 class TestRowDuplication:

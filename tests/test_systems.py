@@ -5,6 +5,7 @@ import json
 import os
 import signal
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -125,6 +126,13 @@ class TestStep:
             err_h = np.linalg.norm(koopid.step(spec_h, x0[None])[0] - ref)
             err_h2 = np.linalg.norm(koopid.step(spec_h2, x0[None])[0] - ref)
             assert err_h / err_h2 >= 2**4 * 0.9
+
+    def test_linear_step_is_the_matrix_product_bit_for_bit(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        A = rng.standard_normal((3, 3))
+        spec = koopid.SystemSpec.discrete_linear(A, [(-2, 2)] * 3)
+        X = rng.uniform(-2, 2, size=(300_000, 3))
+        assert np.array_equal(koopid.step(spec, X), X @ A.T)
 
     def test_state_dim_mismatch(self):
         spec = koopid.SystemSpec.continuous("vanderpol", 1e-2, [(-4, 4)] * 2)
@@ -580,3 +588,131 @@ class TestBinaryTwin:
         assert [rec.levelname for rec in caplog.records] == ([level] if level else [])
         if change is _edit_one_digit:
             assert back.X[0, 0] != snap.X[0, 0]
+
+
+def _bound_csv(path, data):
+    """A snapshot CSV of ``data`` (N x 4, non-finite values allowed) with its
+    twin and a sidecar binding the two, as write_snapshot_csv writes them."""
+    size, crc = systems._write_csv(path, ["x_1", "x_2", "y_1", "y_2"], data)
+    twin = path.with_suffix(".snapshots.npy")
+    np.save(twin, data)
+    path.with_suffix(".provenance.json").write_text(json.dumps({"binary_twin": {
+        "file": twin.name, "csv_bytes": size, "csv_crc32": crc,
+        "payload_crc32": zlib.crc32(data)}}))
+    return twin
+
+
+@pytest.fixture()
+def read_blocks(monkeypatch):
+    """The snapshot reader yields blocks of 50 rows of 2 x 2 values."""
+    monkeypatch.setattr(systems, "_READ_BYTES", 50 * 32)
+    return 50
+
+
+def _vdp_data(rows, seed=5):
+    spec = koopid.SystemSpec.continuous("vanderpol", 5e-3, [(-4, 4)] * 2, seed=seed)
+    snap = koopid.generate(spec, rows)
+    return np.hstack([snap.X, snap.Y])
+
+
+class TestStreamedRead:
+    @twin_case
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_in_a_later_block_names_its_row_and_column(
+            self, tmp_path, parses, read_blocks, twin, value):
+        data = _vdp_data(200)
+        data[2 * read_blocks + 7, 2] = float(value)  # third block, column y_1
+        path = tmp_path / "snap.csv"
+        twin_path = _bound_csv(path, data)
+        if twin == "deleted":
+            twin_path.unlink()
+        with pytest.raises(InvalidInput, match=f"data row {2 * read_blocks + 8}, "
+                                               f"column y_1 is {value}"):
+            koopid.read_snapshot_csv(path)
+        # the twin, bound and intact, names the value without a parse
+        assert (len(parses) > 0) == (twin == "deleted")
+
+    @pytest.mark.parametrize("bad", ["1,2,3", "1,2,x,4", "1,2,3,4,5"])
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, read_blocks, bad):
+        lines = [",".join("%.17g" % v for v in row) for row in _vdp_data(200)]
+        lines[130] = bad
+        lines.insert(10, "")  # a blank line counts as a line, not a row
+        path = tmp_path / "snap.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(InvalidInput, match=f"line 133 is not 4 comma-separated "
+                                               f"numbers: '{bad}'"):
+            koopid.read_snapshot_csv(path)
+
+    @pytest.mark.parametrize("value", [0.5, 1e200])
+    def test_tampered_payload_of_a_later_block_falls_back_to_parsing(
+            self, tmp_path, parses, read_blocks, caplog, value):
+        data = _vdp_data(200)
+        path = tmp_path / "snap.csv"
+        twin = _bound_csv(path, data)
+        changed = data.copy()
+        changed[170, 1] = value  # 1e200 overflows the degree-7 dictionary
+        np.save(twin, changed)
+        dictionary = koopid.monomials_up_to_degree(2, 7)
+        with caplog.at_level("WARNING", logger="koopid.systems"):
+            stream = systems.SnapshotStream(path)
+            factor = stream.scan(lambda b: koopid.evaluate_factor(dictionary, b))
+        assert parses and stream.count == 200
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"ignoring binary twin {twin}: not the array bound to {path}"]
+        expected = koopid.evaluate_factor(dictionary, data[:, :2], data[:, 2:])
+        assert np.array_equal(factor.RX, expected.RX)
+        assert np.array_equal(factor.RY, expected.RY)
+
+    @twin_case
+    def test_no_rows_is_invalid_input(self, tmp_path, twin):
+        path = tmp_path / "snap.csv"
+        koopid.write_snapshot_csv(koopid.SnapshotSet(np.zeros((0, 2)), np.zeros((0, 2))),
+                                  path)
+        if twin == "deleted":
+            path.with_suffix(".snapshots.npy").unlink()
+        with pytest.raises(InvalidInput, match="expected nonempty rows of 4 values"):
+            koopid.read_snapshot_csv(path)
+
+    @pytest.mark.parametrize("where", ["header", "later-block"])
+    def test_bytes_that_are_not_text_are_invalid_input(self, tmp_path, read_blocks, where):
+        lines = [",".join("%.17g" % v for v in row).encode() for row in _vdp_data(200)]
+        lines[150] = b"\xff\xfe,1,2,3"
+        header = b"x_1,x_2,y_1,y_2" if where == "later-block" else b"\xff"
+        path = tmp_path / "snap.csv"
+        path.write_bytes(b"\n".join([header] + lines) + b"\n")
+        with pytest.raises(InvalidInput):
+            stream = systems.SnapshotStream(path)
+            stream.scan(lambda b: sum(len(x) for x, y in b))
+        with pytest.raises(InvalidInput):
+            systems.SnapshotStream(path).count
+
+    @twin_case
+    def test_count_is_known_before_the_scan(self, tmp_path, parses, twin):
+        data = _vdp_data(130)
+        path = tmp_path / "snap.csv"
+        twin_path = _bound_csv(path, data)
+        if twin == "deleted":
+            twin_path.unlink()
+        assert systems.SnapshotStream(path).count == 130
+        assert not parses
+
+    @twin_case
+    def test_read_and_factor_memory_does_not_grow_with_n(
+            self, tmp_path, read_blocks, small_blocks, ex2_dictionary, twin):
+        # numpy's data buffers are traced: the peak of 16 blocks of rows may
+        # exceed that of 4 blocks by less than one block of [D(X), D(Y)]
+        block_bytes = small_blocks * 2 * ex2_dictionary.size * 8
+        peaks = []
+        for rows in (4 * small_blocks, 16 * small_blocks):
+            path = tmp_path / f"snap{rows}.csv"
+            twin_path = _bound_csv(path, _vdp_data(rows))
+            if twin == "deleted":
+                twin_path.unlink()
+            tracemalloc.start()
+            try:
+                stream = systems.SnapshotStream(path)
+                stream.scan(lambda b: koopid.evaluate_factor(ex2_dictionary, b))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
