@@ -278,10 +278,9 @@ def _select_grid_evolutions(evolutions, selector):
     return chosen
 
 
-def _edmd_residual(factor, tol):
+def _edmd_residual(RX, RY, tol):
     """e_r of the forward EDMD matrix, the fit an fb-edmd result stores."""
-    return edmd.relative_residual(factor.RX, factor.RY,
-                                  edmd.edmd_matrix(factor, None, tol).matrix)
+    return edmd.relative_residual(RX, RY, edmd.edmd_matrix(RX, RY, tol).matrix)
 
 
 def cmd_identify(args):
@@ -298,6 +297,7 @@ def cmd_identify(args):
 
     # every step below works on the R-factor blocks of [D(X), D(Y)]
     factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
+    RX, RY = factor.RX, factor.RY
 
     result = {
         "method": args.method,
@@ -316,21 +316,20 @@ def cmd_identify(args):
     }
 
     if args.method == "fb-edmd":
-        evolutions = edmd.forward_backward_eigenpairs(factor, None, tol)
-        result["e_r"] = _edmd_residual(factor, tol)
+        evolutions = edmd.forward_backward_eigenpairs(RX, RY, tol)
+        result["e_r"] = _edmd_residual(RX, RY, tol)
     else:
         if args.method == "ssd":
-            decomposition = ssd(factor, None, tol)
+            decomposition = ssd(RX, RY, tol)
         else:
-            decomposition = approximate_ssd(factor, None, args.eps, tol)
+            decomposition = approximate_ssd(RX, RY, args.eps, tol)
         result["ssd"] = _ssd_dict(decomposition)
         evolutions = []
         if not decomposition.is_zero:
-            reduced = reduced_koopman(factor, None, decomposition, tol,
-                                      dictionary=dictionary)
+            reduced = reduced_koopman(RX, RY, decomposition, tol)
             result["reduced_koopman"] = _json_matrix(reduced.matrix)
             result["e_r"] = reduced.e_r
-            evolutions = lift_eigenvectors(factor, None, decomposition, reduced, tol)
+            evolutions = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
     result["evolutions"] = [_evolution_dict(ev) for ev in evolutions]
 
     out_path = pathlib.Path(args.out)
@@ -462,13 +461,14 @@ def _diff(stored, replayed):
 
 def _span_gap(P, Q, tol):
     """The largest principal angle between the spans of P and Q, infinite
-    when they differ in dimension or P and Q in column count: at most
-    ``tol.subspace_atol`` exactly when ``numerics.subspace_equal`` holds
-    with as many columns, so a stored basis with a surplus or dependent
-    column fails against a full-rank replay."""
-    angle = float(numerics.principal_angles(P, Q, tol).max(initial=0.0))
-    same = P.shape[1] == Q.shape[1] and numerics.subspace_equal(P, Q, tol)
-    return angle if same or angle > tol.subspace_atol else math.inf
+    when it is within ``tol.subspace_atol`` but P and Q are not both of full
+    numerical column rank in as many columns, so a stored basis with a
+    surplus or dependent column fails against a full-rank replay."""
+    angles = numerics.principal_angles(P, Q, tol)
+    angle = float(angles.max(initial=0.0))
+    # there are min(dim P, dim Q) angles
+    full = P.shape[1] == Q.shape[1] == angles.size
+    return angle if full or angle > tol.subspace_atol else math.inf
 
 
 def _evolution_gap(stored, replayed, tol):
@@ -502,6 +502,7 @@ def cmd_verify(args):
         raise InvalidInput("result dictionary does not match the snapshot state dim")
 
     factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
+    RX, RY = factor.RX, factor.RY
 
     # each stage of the stored run is replayed on its stored input, and the
     # replay's output must match the stored output
@@ -511,11 +512,11 @@ def cmd_verify(args):
         checks.append((f"{stage}: difference {diff:.3e}, bound {bound:.1e}", diff <= bound))
 
     if method == "fb-edmd":
-        compare("EDMD residual e_r reproducible", _diff(e_r, _edmd_residual(factor, tol)), 1e-9)
-        replayed = edmd.forward_backward_eigenpairs(factor, None, tol)
+        compare("EDMD residual e_r reproducible", _diff(e_r, _edmd_residual(RX, RY, tol)), 1e-9)
+        replayed = edmd.forward_backward_eigenpairs(RX, RY, tol)
     else:
-        rerun = (ssd(factor, None, tol) if method == "ssd"
-                 else approximate_ssd(factor, None, decomposition.epsilon, tol))
+        rerun = (ssd(RX, RY, tol) if method == "ssd"
+                 else approximate_ssd(RX, RY, decomposition.epsilon, tol))
         compare("ssd decisions and range angle reproducible",
                 _diff(dataclasses.replace(decomposition, C=None),
                       dataclasses.replace(rerun, C=None)), 1e-9)
@@ -524,15 +525,15 @@ def cmd_verify(args):
         C, C_rerun = (np.zeros((dictionary.size, 0)) if r.is_zero else r.C
                       for r in (decomposition, rerun))
         compare("C spans the re-run's subspace",
-                _span_gap(factor.RX @ C, factor.RX @ C_rerun, tol), tol.subspace_atol)
+                _span_gap(RX @ C, RX @ C_rerun, tol), tol.subspace_atol)
         if method == "ssd":
             compare("range equality of DX@C and DY@C",
-                    _span_gap(factor.RX @ C, factor.RY @ C, tol), tol.subspace_atol)
+                    _span_gap(RX @ C, RY @ C, tol), tol.subspace_atol)
         replayed = []
         if reduced is not None:
             compare("reduced Koopman matrix and e_r reproducible",
-                    _diff(reduced, reduced_koopman(factor, None, decomposition, tol)), 1e-9)
-            replayed = lift_eigenvectors(factor, None, decomposition, reduced, tol)
+                    _diff(reduced, reduced_koopman(RX, RY, decomposition, tol)), 1e-9)
+            replayed = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
     compare(f"evolutions ({len(evolutions)} stored, {len(replayed)} replayed) with "
             "their forward, backward and data defects",
             _evolution_gap(evolutions, replayed, tol), tol.eig_match_atol)

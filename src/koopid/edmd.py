@@ -65,8 +65,8 @@ def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
 
     Rank deficiency of DX (including N < N_d) triggers a RankWarning; the
     computation still goes through the pseudo-inverse.  Here and below, DX
-    may instead be the :class:`numerics.SnapshotFactor` of both matrices,
-    with DY None; N-row DX, DY are factored first.
+    and DY are factored first (:func:`numerics.snapshot_factor`); to share
+    one factorization, pass its blocks ``RX, RY``.
     """
     F = numerics.snapshot_factor(DX, DY)
     U, s, V, rank = numerics._svd(F.RX, tol)

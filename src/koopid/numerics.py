@@ -172,10 +172,9 @@ def snapshot_factor(DX, DY):
     """The :class:`SnapshotFactor` of N-row snapshot matrices DX, DY.
 
     DX and DY are validated, then read one row block at a time and never
-    overwritten.  A factor passed as DX, with DY None, is returned as it is.
+    overwritten.  A factor's own blocks ``RX, RY`` give it back bit for bit:
+    the Householder QR of a triangular matrix leaves it as it is.
     """
-    if isinstance(DX, SnapshotFactor) and DY is None:
-        return DX
     DX, DY = _pair(DX, DY)
     rows, n_d = DX.shape
 
@@ -222,15 +221,12 @@ class EigenpairSet:
     Eigenvectors are unit 2-norm columns with the largest-magnitude entry
     (the first within a relative 1e-8 of it) rotated onto the positive real
     axis.  Non-real eigenvalues appear in exactly conjugate adjacent pairs
-    (the second member's eigenvector is the exact conjugate of the first's);
-    ``conj_partner[i]`` gives the index of the pair member, or -1 for real
-    eigenvalues.
+    (the second member's eigenvector is the exact conjugate of the first's).
     """
 
     values: np.ndarray
     vectors: np.ndarray
     is_real: np.ndarray
-    conj_partner: np.ndarray
 
     def __len__(self):
         return self.values.size
@@ -268,7 +264,6 @@ def eig(M):
     values = np.asarray(lam, dtype=np.complex128).copy()
     vectors = np.asarray(V, dtype=np.complex128).copy()
     is_real = np.zeros(k, dtype=bool)
-    partner = np.full(k, -1, dtype=np.intp)
     j = 0
     while j < k:
         if values[j].imag == 0.0:
@@ -286,11 +281,8 @@ def eig(M):
         vectors[:, j] = v
         vectors[:, j + 1] = np.conj(v)
         values[j + 1] = np.conj(values[j])
-        partner[j] = j + 1
-        partner[j + 1] = j
         j += 2
-    return EigenpairSet(values=values, vectors=vectors, is_real=is_real,
-                        conj_partner=partner)
+    return EigenpairSet(values=values, vectors=vectors, is_real=is_real)
 
 
 def orthonormal_range(M, tol=DEFAULT_TOL):

@@ -93,11 +93,10 @@ class SsdResult:
 @dataclass(frozen=True)
 class ReducedKoopman:
     """Koopman matrix restricted to an identified subspace, with its
-    relative fitting residual e_r and (optionally) the reduced dictionary."""
+    relative fitting residual e_r."""
 
     matrix: np.ndarray
     e_r: float
-    dictionary: dict_mod.DerivedDictionary = None
 
 
 def _check_preconditions(DX, DY, tol):
@@ -221,8 +220,8 @@ def ssd(DX, DY, tol=DEFAULT_TOL):
     :class:`SsdResult` whose ``C`` satisfies range(DX @ C) == range(DY @ C)
     (tolerance-exactly) and is maximal among all such recombinations; ``C``
     is None when no nonzero linear evolution exists in the span.  Here and
-    below, DX may instead be the :class:`numerics.SnapshotFactor` of both
-    matrices, with DY None; N-row DX, DY are factored first.
+    below, DX and DY are factored first (:func:`numerics.snapshot_factor`);
+    to share one factorization, pass its blocks ``RX, RY``.
     """
     return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=None)
 
@@ -243,14 +242,14 @@ def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
     return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=float(epsilon))
 
 
-def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
+def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL):
     """Least-squares Koopman matrix on the identified subspace.
 
     ``K = pinv(DX @ C) @ (DY @ C)`` together with the relative residual of
     the fit.  In exact mode the residual is tolerance-zero and K invertible;
     in approximate mode the residual measures the quality of the identified
-    subspace.  If the original dictionary is supplied, the reduced dictionary
-    ``D(x) @ C`` is attached to the result.
+    subspace.  The reduced dictionary ``D(x) @ C`` is
+    :func:`dictionary.restrict` of the dictionary and ``result.C``.
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
@@ -269,10 +268,7 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL, dictionary=None):
         if numerics.numerical_rank(K, tol) < K.shape[1]:
             warnings.warn("exact-mode reduced Koopman matrix is singular",
                           UserWarning, stacklevel=2)
-    reduced_dict = None
-    if dictionary is not None:
-        reduced_dict = dict_mod.restrict(dictionary, result.C, tol)
-    return ReducedKoopman(matrix=K, e_r=e_r, dictionary=reduced_dict)
+    return ReducedKoopman(matrix=K, e_r=e_r)
 
 
 def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):

@@ -122,12 +122,12 @@ class TestIdentify:
                     "forward_defect": ev.forward_defect,
                     "backward_defect": ev.backward_defect,
                     "data_defect": ev.data_defect}
-                   for ev in koopid.forward_backward_eigenpairs(factor, None, tol)]
+                   for ev in koopid.forward_backward_eigenpairs(factor.RX, factor.RY, tol)]
         # float reprs round-trip, so equal dumps mean equal bits
         assert json.dumps(library, sort_keys=True) == json.dumps(result["evolutions"],
                                                                  sort_keys=True)
         assert result["e_r"] == koopid.relative_residual(
-            factor.RX, factor.RY, koopid.edmd_matrix(factor, None, tol).matrix)
+            factor.RX, factor.RY, koopid.edmd_matrix(factor.RX, factor.RY, tol).matrix)
 
     def test_ssd_approx_requires_eps(self, workdir):
         code, _ = run_identify(workdir, "--method", "ssd-approx")
@@ -676,6 +676,20 @@ class TestMalformedInputs:
         result = json.loads(out.read_text())
         assert result["tolerances"]["rank_rtol"] == 1e-10
         assert {g["resolution"] for g in result["grids"]} == {5}
+
+
+def test_span_gap_needs_full_column_rank_in_as_many_columns(tol):
+    rng = np.random.Generator(np.random.PCG64(5))
+    Q = rng.standard_normal((8, 3))
+    assert cli._span_gap(Q @ rng.standard_normal((3, 3)), Q, tol) <= tol.subspace_atol
+    # a column that combines the others spans no more, in either argument
+    dependent = np.column_stack([Q[:, :2], Q[:, 0] + Q[:, 1]])
+    assert cli._span_gap(dependent, Q, tol) == np.inf
+    assert cli._span_gap(dependent, dependent, tol) == np.inf
+    assert cli._span_gap(Q[:, :2], Q, tol) == np.inf
+    assert cli._span_gap(np.zeros((8, 0)), np.zeros((8, 0)), tol) == 0.0
+    # a gap beyond the bound is reported as it is
+    assert tol.subspace_atol < cli._span_gap(rng.standard_normal((8, 3)), Q, tol) < np.inf
 
 
 def test_tolerance_defaults_follow_tolerance_config():

@@ -255,21 +255,18 @@ class TestFactorRoute:
         DX, DY = (counterexample_matrices if case == "counterexample"
                   else ex2_matrices)
         factor = koopid.snapshot_factor(DX, DY)
-        # the data as its own blocks (Q = I)
-        as_blocks = koopid.SnapshotFactor(DX, DY)
         def by_eigenvalue(matched):
             return sorted(matched, key=lambda e: (e.eigenvalue.real, e.eigenvalue.imag))
 
         on_blocks = by_eigenvalue(
-            koopid.forward_backward_eigenpairs(factor, None, tol))
-        for other in (koopid.forward_backward_eigenpairs(DX, DY, tol),
-                      koopid.forward_backward_eigenpairs(as_blocks, None, tol)):
-            assert len(other) == len(on_blocks)
-            for a, b in zip(by_eigenvalue(other), on_blocks):
-                assert abs(a.eigenvalue - b.eigenvalue) <= 1e-6
-                assert abs(abs(np.vdot(a.coefficients, b.coefficients)) - 1.0) <= 1e-6
-                assert abs(a.data_defect - b.data_defect) <= tol.eig_match_atol
-        k_blocks = koopid.edmd_matrix(factor, None, tol)
+            koopid.forward_backward_eigenpairs(factor.RX, factor.RY, tol))
+        on_data = by_eigenvalue(koopid.forward_backward_eigenpairs(DX, DY, tol))
+        assert len(on_data) == len(on_blocks)
+        for a, b in zip(on_data, on_blocks):
+            assert abs(a.eigenvalue - b.eigenvalue) <= 1e-6
+            assert abs(abs(np.vdot(a.coefficients, b.coefficients)) - 1.0) <= 1e-6
+            assert abs(a.data_defect - b.data_defect) <= tol.eig_match_atol
+        k_blocks = koopid.edmd_matrix(factor.RX, factor.RY, tol)
         k_full = koopid.edmd_matrix(DX, DY, tol)
         np.testing.assert_allclose(k_blocks.matrix, k_full.matrix, atol=1e-8)
         assert koopid.relative_residual(factor.RX, factor.RY,
@@ -282,9 +279,10 @@ class TestFactorRoute:
         # bit what edmd_matrix builds: fb-edmd identify stores e_r of the latter
         factor = koopid.snapshot_factor(*ex2_matrices)
         pair = edmd._full_rank_pair(factor, tol)
-        backward = koopid.SnapshotFactor(factor.RY, factor.RX)
-        assert np.array_equal(pair[0].matrix, koopid.edmd_matrix(factor, None, tol).matrix)
-        assert np.array_equal(pair[1].matrix, koopid.edmd_matrix(backward, None, tol).matrix)
+        forward = koopid.edmd_matrix(factor.RX, factor.RY, tol).matrix
+        assert np.array_equal(pair[0].matrix, forward)
+        assert np.array_equal(pair[1].matrix,
+                              koopid.pseudo_inverse(factor.RY, tol) @ factor.RX)
 
     def test_defect_is_the_same_on_blocks(self, ex2_matrices):
         DX, DY = ex2_matrices

@@ -188,16 +188,18 @@ class TestEig:
         rng = np.random.Generator(np.random.PCG64(7))
         M = rng.standard_normal((8, 8))
         pairs = koopid.eig(M)
-        for j in range(len(pairs)):
-            partner = pairs.conj_partner[j]
+        assert not pairs.is_real.all()
+        j = 0
+        while j < len(pairs):
             if pairs.is_real[j]:
-                assert partner == -1
                 assert pairs.values[j].imag == 0.0
-            else:
-                assert abs(partner - j) == 1
-                assert pairs.values[partner] == np.conj(pairs.values[j])
-                assert np.array_equal(pairs.vectors[:, partner],
-                                      np.conj(pairs.vectors[:, j]))
+                j += 1
+                continue
+            # the second member of each pair follows the first
+            assert not pairs.is_real[j + 1]
+            assert pairs.values[j + 1] == np.conj(pairs.values[j])
+            assert np.array_equal(pairs.vectors[:, j + 1], np.conj(pairs.vectors[:, j]))
+            j += 2
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(9))
@@ -325,6 +327,22 @@ class TestSnapshotFactor:
                                    atol=1e-13 * np.linalg.norm(M) ** 2)
         # the inputs are copied, never overwritten
         assert np.array_equal(DX, DX_before) and np.array_equal(DY, DY_before)
+
+    @pytest.mark.parametrize("cap", ["64-row", "default"])
+    @pytest.mark.parametrize("rows", [20, 50, 10_000], ids=["N<Nd", "N<2Nd", "N>=2Nd"])
+    def test_blocks_passed_as_data_give_the_factor_back(self, rows, cap, vdp_dictionary,
+                                                        vdp_snapshots, request):
+        # the library takes a factor as its blocks RX, RY, which it factors
+        # again: the QR of a triangular matrix is that matrix, bit for bit.
+        # With 64-row blocks the 72 rows of R (N_d = 36) span two of them.
+        if cap == "64-row":
+            request.getfixturevalue("small_blocks")
+        factor = koopid.evaluate_factor(vdp_dictionary, vdp_snapshots.X[:rows],
+                                        vdp_snapshots.Y[:rows])
+        again = koopid.snapshot_factor(factor.RX, factor.RY)
+        assert factor.RX.shape == (min(rows, 72), 36)
+        for block, twin in ((again.RX, factor.RX), (again.RY, factor.RY)):
+            assert block.shape == twin.shape and block.tobytes() == twin.tobytes()
 
     def test_rejects_unequal_shapes(self):
         with pytest.raises(InvalidInput):

@@ -172,19 +172,27 @@ class TestReducedKoopman:
 
     def test_linear_system_spectrum(self, ex2_matrices, ex2_ssd, ex2_dictionary):
         DX, DY = ex2_matrices
-        reduced = koopid.reduced_koopman(DX, DY, ex2_ssd,
-                                         dictionary=ex2_dictionary)
+        reduced = koopid.reduced_koopman(DX, DY, ex2_ssd)
         assert reduced.matrix.shape == (6, 6)
         assert reduced.e_r <= 1e-10
         spectrum = np.sort_complex(np.linalg.eigvals(reduced.matrix))
         np.testing.assert_allclose(spectrum, EX2_SPECTRUM, atol=1e-9)
         assert koopid.numerical_rank(reduced.matrix) == 6
-        assert reduced.dictionary.size == 6
+        assert koopid.restrict(ex2_dictionary, ex2_ssd.C).size == 6
 
     def test_constant_subspace_gives_unit_koopman(self, vdp_matrices, vdp_ssd):
         DX, DY = vdp_matrices
         reduced = koopid.reduced_koopman(DX, DY, vdp_ssd)
         np.testing.assert_allclose(reduced.matrix, [[1.0]], atol=1e-8)
+
+    def test_exact_mode_warns_when_c_is_not_invariant(self, ex2_matrices):
+        # the whole 9-function span does not evolve linearly (x1^3 is
+        # missing), so its exact-mode fit leaves a residual
+        DX, DY = ex2_matrices
+        result = koopid.SsdResult(C=np.eye(9), iterations=1, log=(), mode="exact")
+        with pytest.warns(UserWarning, match="exact-mode reduced Koopman residual"):
+            reduced = koopid.reduced_koopman(DX, DY, result)
+        assert reduced.e_r > 10.0 * koopid.DEFAULT_TOL.subspace_atol
 
     def test_zero_result_rejected(self):
         rng = np.random.Generator(np.random.PCG64(14))
@@ -371,9 +379,8 @@ def _assert_same_outcome(a, b, tol):
 
 
 class TestFactorRoute:
-    """The CLI route (one QR, then the blocks with N) against the public
-    full-data calls and against the same loop run on the N-row data itself
-    (the data as its own blocks, Q = I)."""
+    """The CLI route (one QR, then the blocks RX, RY passed as data) against
+    the public calls on the N-row data."""
 
     @pytest.mark.parametrize("case,epsilon", [
         ("ex2", None), ("vdp", None), ("vdp", 1e-4),
@@ -381,10 +388,9 @@ class TestFactorRoute:
     def test_same_decisions_spans_and_modes(self, case, epsilon, ex2_matrices,
                                             vdp_matrices, tol):
         DX, DY = ex2_matrices if case == "ex2" else vdp_matrices
-        blocks = _run_route(numerics.snapshot_factor(DX, DY), None, epsilon, tol)
+        factor = numerics.snapshot_factor(DX, DY)
+        blocks = _run_route(factor.RX, factor.RY, epsilon, tol)
         _assert_same_outcome(_run_route(DX, DY, epsilon, tol), blocks, tol)
-        as_blocks = numerics.SnapshotFactor(DX, DY)
-        _assert_same_outcome(_run_route(as_blocks, None, epsilon, tol), blocks, tol)
         expected = {"ex2": 6, "vdp": 1 if epsilon is None else None}[case]
         if expected is not None:
             assert blocks[0].subspace_dim == expected
@@ -396,8 +402,8 @@ class TestFactorRoute:
         # lifting calls the data-defect check once per mode, on 2 * N_d rows
         DX, DY = ex2_matrices
         factor = numerics.snapshot_factor(DX, DY)
-        result = koopid.ssd(factor, None)
-        reduced = koopid.reduced_koopman(factor, None, result)
+        result = koopid.ssd(factor.RX, factor.RY)
+        reduced = koopid.reduced_koopman(factor.RX, factor.RY, result)
         ssd_mod = importlib.import_module("koopid.ssd")  # koopid.ssd is the function
         seen = []
         original = ssd_mod.check_linear_evolution
@@ -407,7 +413,7 @@ class TestFactorRoute:
             return original(A, B, *args, **kwargs)
 
         monkeypatch.setattr(ssd_mod, "check_linear_evolution", spy)
-        lifted = koopid.lift_eigenvectors(factor, None, result, reduced)
+        lifted = koopid.lift_eigenvectors(factor.RX, factor.RY, result, reduced)
         assert len(seen) == len(lifted) == 6
         assert all(shape == (18, 9) for shape in seen)
 
@@ -418,7 +424,7 @@ class TestFactorRoute:
         factor = numerics.snapshot_factor(DX, DY)
         assert factor.RX.shape == (5, 3)
         with pytest.warns(UserWarning, match="snapshots"):
-            koopid.ssd(factor, None)
+            koopid.ssd(factor.RX, factor.RY)
 
     def test_fewer_samples_than_functions_violate_the_assumption(self):
         rng = np.random.Generator(np.random.PCG64(15))
@@ -426,7 +432,7 @@ class TestFactorRoute:
         DY = rng.standard_normal((2, 3))
         factor = numerics.snapshot_factor(DX, DY)
         with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
-            koopid.ssd(factor, None)
+            koopid.ssd(factor.RX, factor.RY)
         with pytest.raises(koopid.AssumptionViolation, match="N_d = 3"):
             koopid.approximate_ssd(DX, DY, 1e-4)
 
@@ -434,12 +440,18 @@ class TestFactorRoute:
         # factored again as 2 * N_d samples, RX and RY have the singular
         # values of the N-row data, so no decision reads the sample count
         factor = numerics.snapshot_factor(*vdp_matrices)
-        on_factor = koopid.ssd(factor, None, tol)
+        on_data = koopid.ssd(*vdp_matrices, tol)
         as_data = koopid.ssd(factor.RX, factor.RY, tol)
-        assert as_data.subspace_dim == on_factor.subspace_dim == 1
-        assert _log_key(as_data) == _log_key(on_factor)
+        assert as_data.subspace_dim == on_data.subspace_dim == 1
+        assert _log_key(as_data) == _log_key(on_data)
+        # the blocks go through the one input check, so a factor object
+        # itself, or blocks of unequal shape, are invalid input
+        with pytest.raises(InvalidInput, match="DX must be 2-dimensional"):
+            koopid.ssd(factor, None, tol)
         with pytest.raises(InvalidInput, match="DX"):
             koopid.ssd(factor, factor.RY, tol)
+        with pytest.raises(InvalidInput, match="differ in shape"):
+            koopid.ssd(factor.RX[:8], factor.RY[:6], tol)
 
 
 class TestRowOrder:
@@ -452,9 +464,9 @@ class TestRowOrder:
         monkeypatch.setattr(numerics, "_BLOCK_ROWS", 1_000)
         X, Y = vdp_snapshots.X, vdp_snapshots.Y
         order = np.random.Generator(np.random.PCG64(900 + seed)).permutation(len(X))
-        runs = [_run_route(koopid.evaluate_factor(vdp_dictionary, X[p], Y[p]),
-                           None, 1e-4, tol)
-                for p in (slice(None), order)]
+        factors = [koopid.evaluate_factor(vdp_dictionary, X[p], Y[p])
+                   for p in (slice(None), order)]
+        runs = [_run_route(F.RX, F.RY, 1e-4, tol) for F in factors]
         (res_a, red_a, lift_a), (res_b, red_b, lift_b) = runs
         assert _log_key(res_a) == _log_key(res_b)
         assert [it.kept_rank for it in res_a.log] == [43, 33, 25]
@@ -476,8 +488,8 @@ class TestEvolutionOrder:
     @pytest.fixture(scope="class")
     def vdp_run(self, vdp_dictionary, vdp_snapshots, tol):
         factor = koopid.evaluate_factor(vdp_dictionary, vdp_snapshots.X, vdp_snapshots.Y)
-        result = koopid.approximate_ssd(factor, None, 1e-4, tol)
-        return factor, result, koopid.reduced_koopman(factor, None, result, tol)
+        result = koopid.approximate_ssd(factor.RX, factor.RY, 1e-4, tol)
+        return factor, result, koopid.reduced_koopman(factor.RX, factor.RY, result, tol)
 
     @pytest.mark.parametrize("change", ["last-bits", "rotated-basis"])
     def test_order_does_not_follow_the_eigensolver(self, vdp_run, change, tol):
@@ -491,7 +503,7 @@ class TestEvolutionOrder:
             # BLAS thread count can give; eig orders it differently
             Q, _ = np.linalg.qr(rng.standard_normal(K.shape))
             K, C = Q.T @ K @ Q, C @ Q
-        runs = [koopid.lift_eigenvectors(factor, None, res, red, tol)
+        runs = [koopid.lift_eigenvectors(factor.RX, factor.RY, res, red, tol)
                 for res, red in ((result, reduced),
                                  (dataclasses.replace(result, C=C),
                                   dataclasses.replace(reduced, matrix=K)))]
@@ -523,8 +535,8 @@ class TestRowDuplication:
         once = koopid.evaluate_factor(vdp_dictionary, X, Y)
         tiled = koopid.evaluate_factor(vdp_dictionary, np.tile(X, (50, 1)),
                                        np.tile(Y, (50, 1)))
-        for run in (lambda F: koopid.ssd(F, None, tol),
-                    lambda F: koopid.approximate_ssd(F, None, 1e-4, tol)):
+        for run in (lambda F: koopid.ssd(F.RX, F.RY, tol),
+                    lambda F: koopid.approximate_ssd(F.RX, F.RY, 1e-4, tol)):
             res_once, res_tiled = run(once), run(tiled)
             assert _log_key(res_tiled) == _log_key(res_once)
             assert res_tiled.subspace_dim == res_once.subspace_dim
@@ -542,8 +554,8 @@ class TestColumnOrder:
             vdp_dictionary.size)
         permuted = koopid.MonomialDictionary(
             2, tuple(vdp_dictionary.exponents[k] for k in order))
-        runs = [_run_route(koopid.evaluate_factor(d, X, Y), None, epsilon, tol)
-                for d in (vdp_dictionary, permuted)]
+        factors = [koopid.evaluate_factor(d, X, Y) for d in (vdp_dictionary, permuted)]
+        runs = [_run_route(F.RX, F.RY, epsilon, tol) for F in factors]
         (res_a, red_a, lift_a), (res_b, red_b, lift_b) = runs
         assert _log_key(res_a) == _log_key(res_b)
         assert [it.kept_rank for it in res_a.log] == kept_ranks

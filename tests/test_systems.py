@@ -663,6 +663,24 @@ class TestStreamedRead:
         assert np.array_equal(factor.RX, expected.RX)
         assert np.array_equal(factor.RY, expected.RY)
 
+    def test_twin_shortened_after_opening_falls_back_to_parsing(
+            self, tmp_path, parses, read_blocks, caplog):
+        data = _vdp_data(200)
+        path = tmp_path / "snap.csv"
+        twin = _bound_csv(path, data)
+        dictionary = koopid.monomials_up_to_degree(2, 7)
+        with caplog.at_level("WARNING", logger="koopid.systems"):
+            stream = systems.SnapshotStream(path)
+            # bound when opened, then cut 60 rows short: the third block ends early
+            os.truncate(twin, twin.stat().st_size - 60 * 4 * 8)
+            factor = stream.scan(lambda b: koopid.evaluate_factor(dictionary, b))
+        assert parses and stream.count == 200
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"ignoring binary twin {twin}: not the array bound to {path}"]
+        expected = koopid.evaluate_factor(dictionary, data[:, :2], data[:, 2:])
+        assert np.array_equal(factor.RX, expected.RX)
+        assert np.array_equal(factor.RY, expected.RY)
+
     @twin_case
     def test_no_rows_is_invalid_input(self, tmp_path, twin):
         path = tmp_path / "snap.csv"
