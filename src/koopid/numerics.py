@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import InternalInvariantViolation, InvalidInput
 
@@ -123,12 +124,40 @@ class SnapshotFactor:
 
 # Bytes and most rows per block of the streamed QR: a block has
 # min(_BLOCK_ROWS, _BLOCK_BYTES // (16 N_d)) rows of the 2N_d columns, so a
-# wide dictionary gets fewer rows.  numpy.linalg.qr copies its block twice
-# (its astype and its LAPACK buffer), so a block takes three times its
-# bytes: 3 x 6.0 MB at 10,416 x 72 for the degree-7 dictionary (N_d = 36).
-# Below about 10,000 rows the factor of that dictionary slows down.
+# wide dictionary gets fewer rows.  LAPACK factors the block in place, so a
+# block takes its own bytes: 6.0 MB at 10,416 x 72 for the degree-7
+# dictionary (N_d = 36).  Below about 10,000 rows the factor of that
+# dictionary slows down.  The block size and the merge rule fix the tree of
+# QRs, and with it every bit of the factor, so they stay as they are.
 _BLOCK_BYTES = 6_000_000
 _BLOCK_ROWS = 16_384
+
+
+def _qr_r(M, rows, work):
+    """The R factor of the first ``rows`` rows of the Fortran-ordered M.
+
+    LAPACK ``dgeqrf`` overwrites those rows of M with its Householder
+    reflectors, as ``numpy.linalg.qr(mode="r")`` does to its own copy, so R
+    is the same bit for bit.  ``work`` is the workspace of
+    :func:`_qr_workspace` for M's column count.
+    """
+    n = M.shape[1]
+    tau = np.empty(min(rows, n))
+    info = lapack_lite.dgeqrf(rows, n, M.T, M.shape[0], tau, work, work.size,
+                              0)["info"]
+    if info:
+        raise InternalInvariantViolation(
+            f"LAPACK dgeqrf returned info {info} on a {rows} x {n} block")
+    return np.triu(M[:min(rows, n)])
+
+
+def _qr_workspace(M):
+    """The ``work`` of :func:`_qr_r` for M's column count, sized as numpy
+    sizes it: LAPACK's optimal size, and at least the column count."""
+    n = M.shape[1]
+    size = np.empty(1)
+    lapack_lite.dgeqrf(M.shape[0], n, M.T, M.shape[0], np.empty(n), size, -1, 0)
+    return np.empty(max(1, n, int(size[0])))
 
 
 def _factor_blocks(n_d, parts):
@@ -139,14 +168,20 @@ def _factor_blocks(n_d, parts):
     ``[DX, DY]``: ``fill(M, start)`` writes rows ``start : start + len(M)``
     of the range into the Fortran-ordered block M.  Every block is filled to
     its row count across ranges, so any split of the same rows gives the
-    same blocks and a bitwise-identical factor.  Each block is reduced to
-    its R factor; the stacked block factors are merged by one more QR
-    whenever they reach a quarter of a block's rows, and at the end.
+    same blocks and a bitwise-identical factor.  Each block is reduced in
+    place to its R factor; the stacked block factors are merged by one more
+    QR whenever they reach a quarter of a block's rows, and at the end.
     """
     if n_d == 0:
         return SnapshotFactor(np.zeros((0, 0)), np.zeros((0, 0)))
     block_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (16 * n_d)))
     M = np.empty((block_rows, 2 * n_d), order="F")
+    work = _qr_workspace(M)
+
+    def merge(factors):
+        stack = np.empty((sum(map(len, factors)), 2 * n_d), order="F")
+        return _qr_r(np.concatenate(factors, out=stack), len(stack), work)
+
     factors, filled = [], 0
     for rows, fill in parts:
         start = 0
@@ -156,15 +191,15 @@ def _factor_blocks(n_d, parts):
             start += take
             filled += take
             if filled == block_rows:
-                factors.append(np.linalg.qr(M, mode="r"))
+                factors.append(_qr_r(M, block_rows, work))
                 filled = 0
                 if len(factors) > 1 and 4 * sum(map(len, factors)) >= block_rows:
-                    factors = [np.linalg.qr(np.vstack(factors), mode="r")]
+                    factors = [merge(factors)]
     if filled:
-        factors.append(np.linalg.qr(M[:filled], mode="r"))
+        factors.append(_qr_r(M, filled, work))
     if not factors:
         return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)))
-    R = np.linalg.qr(np.vstack(factors), mode="r")
+    R = merge(factors)
     return SnapshotFactor(R[:, :n_d], R[:, n_d:])
 
 

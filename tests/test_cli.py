@@ -746,18 +746,19 @@ def test_only_the_front_ends_reach_past_the_public_api():
 
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: the package runs on numpy alone.  Nor
-    # does it load OpenSSL (_hashlib): its checksums are zlib's CRC-32, and
-    # reading a snapshot CSV through its binary twin loads nothing more.  The
-    # thread pool of the CSV writer is imported only when it has more than
-    # one chunk to format, so writing the one-chunk grid of identify does not
-    # load it either, and no write loads multiprocessing.
+    # does it load hashlib and OpenSSL (_hashlib), which cost 3.5 MB of RSS:
+    # its checksums are zlib's CRC-32, and reading a snapshot CSV through its
+    # binary twin loads nothing more.  The thread pool of the CSV writer is
+    # imported only when it has more than one chunk to format, so writing the
+    # one-chunk grid of identify does not load it either, and no write loads
+    # multiprocessing.
     snap = tmp_path / "snap.csv"
     assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, koopid\n"
              "def loaded():\n"
-             "    return sorted(m for m in sys.modules if m in ('scipy', '_hashlib',\n"
+             "    return sorted(m for m in sys.modules if m in ('scipy', 'hashlib', '_hashlib',\n"
              "                  'multiprocessing', 'concurrent.futures')\n"
              "                  or m.startswith('scipy.'))\n"
              "print(loaded())\n"

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import koopid
+from koopid import numerics
 from koopid.dictionary import dictionary_from_descriptor
 from koopid.errors import EvaluationOverflow, InvalidInput, RankError
 
@@ -179,6 +181,23 @@ class TestEvaluateFactor:
         np.testing.assert_allclose(R_s.T @ R_s, R_f.T @ R_f, rtol=0,
                                    atol=1e-13 * scale)
         assert np.array_equal(X, X_before) and np.array_equal(Y, Y_before)
+
+    def test_peak_memory_is_one_block(self, vdp_dictionary):
+        # the dictionary is evaluated straight into the one block, which
+        # LAPACK factors in place: four full blocks and a short one never
+        # take a second block's bytes
+        n_d = vdp_dictionary.size
+        block_rows = min(numerics._BLOCK_ROWS, numerics._BLOCK_BYTES // (16 * n_d))
+        rng = np.random.Generator(np.random.PCG64(11))
+        X = rng.uniform(-4, 4, size=(4 * block_rows + 1000, 2))
+        Y = rng.uniform(-4, 4, size=X.shape)
+        tracemalloc.start()
+        try:
+            koopid.evaluate_factor(vdp_dictionary, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_rows * 2 * n_d * 8
 
     @pytest.mark.parametrize("side", ["X", "Y"])
     def test_overflow_reports_the_global_row(self, side, small_blocks):

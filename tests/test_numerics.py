@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 import koopid
-from koopid.errors import InvalidInput
+from koopid import numerics
+from koopid.errors import InternalInvariantViolation, InvalidInput
 from koopid.numerics import _normalize_eigenvector
 
 
@@ -343,6 +344,47 @@ class TestSnapshotFactor:
         assert factor.RX.shape == (min(rows, 72), 36)
         for block, twin in ((again.RX, factor.RX), (again.RY, factor.RY)):
             assert block.shape == twin.shape and block.tobytes() == twin.tobytes()
+
+    # (cap, rows, N_d): eight 64-row blocks of 4 columns merge at the fourth
+    # block and at the seventh; default blocks of 400 columns have 1,875
+    # rows and merge after the second.  Short last blocks of 8, 5, 700 and
+    # 13,616 rows; 5 and 20 < 2N_d rows.
+    @pytest.mark.parametrize("cap,rows,n_d", [
+        ("64-row", 512, 2), ("64-row", 200, 6), ("64-row", 133, 6),
+        ("64-row", 5, 6), ("default", 2 * 1875 + 700, 200),
+        ("default", 30_000, 2), ("default", 20, 36),
+    ], ids=["full", "short-last", "last-below-2Nd", "N<2Nd", "default-merge",
+            "default-short-last", "default-N<2Nd"])
+    def test_factor_is_numpy_qr_of_each_block_and_merge(self, cap, rows, n_d, request):
+        # the factor is numpy.linalg.qr(mode="r") of every block and every
+        # merge of the same tree, bit for bit: this pins the in-place LAPACK
+        # route to numpy's own wrapper
+        if cap == "64-row":
+            request.getfixturevalue("small_blocks")
+        block_rows = min(numerics._BLOCK_ROWS, numerics._BLOCK_BYTES // (16 * n_d))
+        rng = np.random.Generator(np.random.PCG64(800 + rows))
+        M = rng.standard_normal((rows, 2 * n_d)) * np.exp(rng.uniform(-9, 9, 2 * n_d))
+        factors, full = [], rows - rows % block_rows
+        for start in range(0, full, block_rows):
+            factors.append(np.linalg.qr(M[start:start + block_rows], mode="r"))
+            if len(factors) > 1 and 4 * sum(map(len, factors)) >= block_rows:
+                factors = [np.linalg.qr(np.vstack(factors), mode="r")]
+        if full < rows:
+            factors.append(np.linalg.qr(M[full:], mode="r"))
+        R = np.linalg.qr(np.vstack(factors), mode="r")
+        factor = koopid.snapshot_factor(M[:, :n_d], M[:, n_d:])
+        assert np.array_equal(np.hstack([factor.RX, factor.RY]), R)
+
+    def test_lapack_failure_names_info_and_shape(self, monkeypatch):
+        dgeqrf = numerics.lapack_lite.dgeqrf
+
+        def failing(m, n, a, lda, tau, work, lwork, info):
+            result = dgeqrf(m, n, a, lda, tau, work, lwork, info)
+            return result if lwork == -1 else {**result, "info": -4}
+
+        monkeypatch.setattr(numerics.lapack_lite, "dgeqrf", failing)
+        with pytest.raises(InternalInvariantViolation, match=r"info -4 on a 10 x 6 block"):
+            koopid.snapshot_factor(np.ones((10, 3)), np.ones((10, 3)))
 
     def test_rejects_unequal_shapes(self):
         with pytest.raises(InvalidInput):
