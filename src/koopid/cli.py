@@ -72,13 +72,13 @@ def _parse_floats(text, name):
         raise InvalidInput(f"cannot parse {name} {text!r}: {exc}") from exc
 
 
-def _parse_box(text, expected_dim=None):
-    values = _parse_floats(text, "--box")
+def _parse_box(text, name, expected_dim=None):
+    values = _parse_floats(text, name)
     if len(values) % 2 != 0 or not values:
-        raise InvalidInput("--box needs an even number of values: lo1,hi1,lo2,hi2,...")
+        raise InvalidInput(f"{name} needs an even number of values: lo1,hi1,lo2,hi2,...")
     box = [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
     if expected_dim is not None and len(box) != expected_dim:
-        raise InvalidInput(f"--box must describe {expected_dim} dimensions")
+        raise InvalidInput(f"{name} must describe {expected_dim} dimensions")
     return box
 
 
@@ -198,7 +198,7 @@ def _build_parser():
 def cmd_generate(args):
     if args.system is None or args.n is None or args.box is None:
         raise InvalidInput("generate requires --system, --n and --box")
-    box = _parse_box(args.box)
+    box = _parse_box(args.box, "--box")
     if args.n < 1:
         raise InvalidInput("--n must be at least 1")
     if args.system == "linear":
@@ -258,22 +258,29 @@ def _ssd_dict(result):
             "subspace_dim": result.subspace_dim}
 
 
-def _select_grid_evolutions(evolutions, selector):
-    if selector.strip().lower() == "all":
+def _parse_grid_options(args, state_dim):
+    """The box and the eigenvalues (None for 'all') of the --grid-* options."""
+    box = _parse_box(args.grid_box, "--grid-box", expected_dim=state_dim)
+    if args.grid_resolution < 2:
+        raise InvalidInput("--grid-resolution must be at least 2")
+    if args.grid_eigenvalues.strip().lower() == "all":
+        return box, None
+    try:
+        return box, [complex(t) for t in args.grid_eigenvalues.split(",") if t.strip()]
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse --grid-eigenvalues "
+                           f"{args.grid_eigenvalues!r}: {exc}") from exc
+
+
+def _select_grid_evolutions(evolutions, targets):
+    if targets is None:
         return list(range(len(evolutions)))
     chosen = []
-    for token in selector.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            target = complex(token)
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse eigenvalue {token!r}") from exc
+    for target in targets:
         hits = [i for i, ev in enumerate(evolutions)
                 if abs(ev.eigenvalue - target) <= 1e-6 * (1.0 + abs(target))]
         if not hits:
-            raise InvalidInput(f"no identified evolution has eigenvalue near {token}")
+            raise InvalidInput(f"no identified evolution has eigenvalue near {target}")
         chosen.extend(h for h in hits if h not in chosen)
     return chosen
 
@@ -287,6 +294,8 @@ def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
     snapshots = systems.SnapshotStream(args.snapshots)
+    if args.grid_box is not None:
+        grid_box, grid_targets = _parse_grid_options(args, snapshots.state_dim)
     dictionary = _load_dictionary(args, snapshots)
     tol = ToleranceConfig(rank_rtol=args.rank_rtol, eig_match_atol=args.eig_atol,
                           subspace_atol=args.subspace_atol)
@@ -334,13 +343,12 @@ def cmd_identify(args):
 
     out_path = pathlib.Path(args.out)
     if args.grid_box is not None and evolutions:
-        grid_box = _parse_box(args.grid_box, expected_dim=snapshots.state_dim)
         grid_dir = pathlib.Path(args.out_dir) if args.out_dir else out_path.parent
         try:
             grid_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ArtifactIOError(f"cannot create grid directory: {exc}") from exc
-        for idx in _select_grid_evolutions(evolutions, args.grid_eigenvalues):
+        for idx in _select_grid_evolutions(evolutions, grid_targets):
             ev = evolutions[idx]
             grid = eigenfunction_grid(dictionary, ev.coefficients, grid_box,
                                           args.grid_resolution)
@@ -376,9 +384,10 @@ def _finite(value, field):
 
 
 def _parse_result(stored):
-    """The stored run as the library's own records: ``(method, dictionary,
-    tol, decomposition, reduced, e_r, evolutions)``, with None for the
-    stages the run did not have.
+    """The stored run as the library's own records: ``(method, shape,
+    dictionary, tol, decomposition, reduced, e_r, evolutions)``, where shape
+    is the stored snapshot ``(count, state_dim)``, with None for the stages
+    the run did not have.
 
     Every stored field ``verify`` reads is parsed here, under one check: a
     missing or malformed field raises InvalidInput (exit 2), so only a
@@ -388,6 +397,11 @@ def _parse_result(stored):
         method = stored["method"]
         if method not in ("fb-edmd", "ssd", "ssd-approx"):
             raise InvalidInput(f"unknown stored method {method!r}")
+        if not isinstance(stored["snapshots"], dict):
+            raise InvalidInput("result field 'snapshots' must be an object")
+        shape = (stored["snapshots"]["count"], stored["snapshots"]["state_dim"])
+        if any(type(v) is not int for v in shape):
+            raise InvalidInput("stored snapshot count and state_dim must be integers")
         dictionary = dict_mod.dictionary_from_descriptor(stored["dictionary"])
         tol = ToleranceConfig(**{f.name: float(stored["tolerances"][f.name])
                                  for f in dataclasses.fields(ToleranceConfig)})
@@ -436,7 +450,7 @@ def _parse_result(stored):
         raise InvalidInput(f"result file is missing the field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"result file has a malformed field: {exc}") from exc
-    return method, dictionary, tol, decomposition, reduced, e_r, evolutions
+    return method, shape, dictionary, tol, decomposition, reduced, e_r, evolutions
 
 
 def _diff(stored, replayed):
@@ -495,7 +509,8 @@ def _evolution_gap(stored, replayed, tol):
 
 def cmd_verify(args):
     stored = _read_json(args.result, "result file")
-    method, dictionary, tol, decomposition, reduced, e_r, evolutions = _parse_result(stored)
+    (method, shape, dictionary, tol, decomposition, reduced, e_r,
+     evolutions) = _parse_result(stored)
 
     snapshots = systems.SnapshotStream(args.snapshots)
     if dictionary.state_dim != snapshots.state_dim:
@@ -511,6 +526,8 @@ def cmd_verify(args):
     def compare(stage, diff, bound):
         checks.append((f"{stage}: difference {diff:.3e}, bound {bound:.1e}", diff <= bound))
 
+    compare(f"stored snapshot count {shape[0]} and state dim {shape[1]} match the data",
+            _diff(shape, (snapshots.count, snapshots.state_dim)), 0.0)
     if method == "fb-edmd":
         compare("EDMD residual e_r reproducible", _diff(e_r, _edmd_residual(RX, RY, tol)), 1e-9)
         replayed = edmd.forward_backward_eigenpairs(RX, RY, tol)

@@ -252,17 +252,16 @@ def _filler(dictionary, X, Y, offset):
     return fill
 
 
-def restrict(dictionary, C, tol=numerics.DEFAULT_TOL):
+def restrict(dictionary, C):
     """Derived dictionary D~(x) = D(x) @ C; compositions collapse into one
-    coefficient matrix."""
+    coefficient matrix, whose full column rank :class:`DerivedDictionary`
+    checks."""
     C = numerics._as_matrix(C, "C")
     if C.shape[0] != dictionary.size:
         raise InvalidInput(
             f"C has {C.shape[0]} rows but the dictionary has {dictionary.size} "
             "functions"
         )
-    if C.shape[1] == 0 or numerics.numerical_rank(C, tol) != C.shape[1]:
-        raise RankError("restriction matrix must have full column rank")
     if isinstance(dictionary, DerivedDictionary):
         return DerivedDictionary(base=dictionary.base,
                                  coeffs=dictionary.coeffs @ C)

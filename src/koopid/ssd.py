@@ -1,14 +1,17 @@
 """Symmetric subspace decomposition of dictionary snapshot matrices.
 
-The decomposition iteratively prunes a dictionary down to the maximal
-subspace on which the snapshots evolve linearly: each round takes the null
-space of the stacked pair ``[A_i, B_i]``, whose upper block recombines the
-current dictionary into candidates shared by the ranges of both snapshot
-matrices, and stops once the candidate count reaches the current dimension.
-An epsilon-truncated variant replaces the stacked pair with its nearest
-rank-deficient matrix (by trailing singular-value mass) before each
-reduction, which identifies subspaces that evolve only approximately
-linearly.
+The decomposition prunes a dictionary down to the maximal subspace on which
+the snapshots evolve linearly.  Each round takes the SVD of the stacked pair
+``[A_i, B_i]`` at round 1's rank threshold, cuts it at an index k, records
+one :class:`SsdIteration` and stops when the null space (the directions past
+k) is empty or at least as large as the current dimension; otherwise its
+upper block recombines the current dictionary into candidates shared by the
+ranges of both snapshot matrices.  Two steps depend on the mode.  The cut is
+the numerical rank in exact mode; the epsilon-truncated variant zeroes the
+smallest trailing singular-value mass and carries the projection of the
+pair onto the kept directions into the next round, which identifies
+subspaces that evolve only approximately linearly.  And only exact mode
+orthonormalizes the upper block before the reduction.
 """
 
 import logging
@@ -99,15 +102,6 @@ class ReducedKoopman:
     e_r: float
 
 
-def _check_preconditions(DX, DY, tol):
-    F = numerics.snapshot_factor(DX, DY)
-    _require_full_rank(F, tol)
-    if F.RX.shape[0] < 2 * F.RX.shape[1]:
-        warnings.warn("fewer than 2 * N_d snapshots; rank decisions may be fragile",
-                      UserWarning, stacklevel=3)
-    return F
-
-
 def _truncation_split(s, epsilon, rank):
     """Index k of the first singular value to zero out under the trailing
     sum-ratio rule, plus the achieved ratio and whether the rule had no
@@ -130,87 +124,69 @@ def _truncation_split(s, epsilon, rank):
     return k, float(tail_ratios[k]), False
 
 
-def _finish(C, iterations, log, mode, epsilon, F, tol):
-    max_angle = None
-    if C is not None:
-        angles = numerics.principal_angles(F.RX @ C, F.RY @ C, tol)
-        max_angle = float(angles.max()) if angles.size else 0.0
-    return SsdResult(C=C, iterations=iterations, log=tuple(log), mode=mode,
-                     epsilon=epsilon, max_range_angle=max_angle)
-
-
-def _ssd_loop(F, tol, epsilon):
+def _ssd_loop(DX, DY, tol, epsilon):
+    """The decomposition of either mode: exact when epsilon is None."""
+    F = numerics.snapshot_factor(DX, DY)
+    _require_full_rank(F, tol)
+    if F.RX.shape[0] < 2 * F.RX.shape[1]:
+        warnings.warn("fewer than 2 * N_d snapshots; rank decisions may be fragile",
+                      UserWarning, stacklevel=3)
     # iterates are [RX, RY] @ G: the same singular pairs as [D(X), D(Y)] @ G
     n_d = F.RX.shape[1]
     A, B = F.RX, F.RY
     C = np.eye(n_d)
-    mode = "exact" if epsilon is None else "approximate"
     log = []
-    iteration = 0
     # every round counts against round 1's threshold, rank_rtol * sigma_max
     # * 2N_d of [RX, RY]: re-taken of each smaller iterate it would tighten
     # round by round and prune exact Van der Pol to the zero subspace
     threshold = None
-    while True:
-        iteration += 1
-        if iteration > n_d + 1:
-            raise InternalInvariantViolation(
-                "subspace dimension failed to decrease; inconsistent rank decisions"
-            )
+    for iteration in range(1, n_d + 2):
         m = A.shape[1]
         M = np.hstack([A, B])
         _, s, V, rank = numerics._svd(M, tol, threshold)
         if threshold is None:
             threshold = numerics._threshold(s, tol)
-        kept_rank = truncation_ratio = None
-        fallback = False
         if epsilon is None:
-            k = rank
-            next_A, next_B = A, B
+            k, kept_rank, ratio, fallback = rank, None, None, False
+            if rank < m:
+                raise InternalInvariantViolation(
+                    f"null space dimension {2 * m - rank} exceeds subspace dimension {m} "
+                    "in exact mode; the full-rank precondition has degraded")
         else:
-            k, truncation_ratio, fallback = _truncation_split(s, epsilon, rank)
+            k, ratio, fallback = _truncation_split(s, epsilon, rank)
             kept_rank = k
             if fallback:
-                logger.info(
-                    "iteration %d: no truncation index satisfies the ratio "
-                    "condition for epsilon=%g; using the exact rank decision",
-                    iteration, epsilon,
-                )
+                logger.info("iteration %d: no truncation index satisfies the ratio condition "
+                            "for epsilon=%g; using the exact rank decision", iteration, epsilon)
             # continue with the rank-deficient replacement of [A, B]: project
             # out the truncated trailing directions
             kept = V[:, :k]
-            M_trunc = M @ (kept @ kept.T)
-            next_A, next_B = M_trunc[:, :m], M_trunc[:, m:]
-        Z = V[:, k:]
-        c = Z.shape[1]
-        if c == 0:
-            log.append(SsdIteration(m, 0, "empty", kept_rank, truncation_ratio,
-                                    fallback))
-            return _finish(None, iteration, log, mode, epsilon, F, tol)
-        Z_A = Z[:m, :]
-        if epsilon is None and c > m:
-            raise InternalInvariantViolation(
-                f"null space dimension {c} exceeds subspace dimension {m} in "
-                "exact mode; the full-rank precondition has degraded"
-            )
-        if m <= c:
-            log.append(SsdIteration(m, c, "complete", kept_rank,
-                                    truncation_ratio, fallback))
-            return _finish(C, iteration, log, mode, epsilon, F, tol)
-        log.append(SsdIteration(m, c, "reduce", kept_rank, truncation_ratio,
-                                fallback))
+            M = M @ (kept @ kept.T)
+        c = 2 * m - k
+        action = "empty" if c == 0 else "complete" if c >= m else "reduce"
+        log.append(SsdIteration(m, c, action, kept_rank, ratio, fallback))
+        if action != "reduce":
+            break
+        Z_A = V[:m, k:]
         if epsilon is None:
-            # Z_A is the top block of an orthonormal stacked basis and is full
-            # column rank, but generally not orthonormal itself; in exact mode
-            # orthonormalizing it (a span-preserving right rotation) keeps the
-            # products below from losing singular-value resolution over many
-            # rounds.  The truncated mode must not rescale: its singular-value
-            # ratios are taken of the blocks exactly as the reduction built
-            # them.
+            # Z_A is full column rank but generally not orthonormal; the QR (a
+            # span-preserving right rotation) keeps the products below from
+            # losing singular-value resolution over many rounds.  The truncated
+            # mode must not rescale: its ratios are taken of the blocks as built.
             Z_A, _ = np.linalg.qr(Z_A)
         C = C @ Z_A
-        A = next_A @ Z_A
-        B = next_B @ Z_A
+        A, B = M[:, :m] @ Z_A, M[:, m:] @ Z_A
+    else:
+        raise InternalInvariantViolation("subspace dimension failed to decrease; "
+                                         "inconsistent rank decisions")
+    if action == "empty":
+        C = max_angle = None
+    else:
+        angles = numerics.principal_angles(F.RX @ C, F.RY @ C, tol)
+        max_angle = float(angles.max()) if angles.size else 0.0
+    return SsdResult(C=C, iterations=iteration, log=tuple(log),
+                     mode="exact" if epsilon is None else "approximate",
+                     epsilon=epsilon, max_range_angle=max_angle)
 
 
 def ssd(DX, DY, tol=DEFAULT_TOL):
@@ -223,7 +199,7 @@ def ssd(DX, DY, tol=DEFAULT_TOL):
     below, DX and DY are factored first (:func:`numerics.snapshot_factor`);
     to share one factorization, pass its blocks ``RX, RY``.
     """
-    return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=None)
+    return _ssd_loop(DX, DY, tol, epsilon=None)
 
 
 def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
@@ -239,7 +215,7 @@ def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
     """
     if epsilon is None or not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie strictly between 0 and 1")
-    return _ssd_loop(_check_preconditions(DX, DY, tol), tol, epsilon=float(epsilon))
+    return _ssd_loop(DX, DY, tol, epsilon=float(epsilon))
 
 
 def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL):

@@ -238,6 +238,30 @@ class TestIdentify:
                                "--grid-eigenvalues", "3.5")
         assert code == cli.EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("grid, named", [
+        (["--grid-box", "1,2,3", "--grid-resolution", "0", "--grid-eigenvalues", "zz"],
+         "--grid-box"),
+        (["--grid-box", "-2,2,-2,2", "--grid-resolution", "0"], "--grid-resolution"),
+        (["--grid-box", "-2,2,-2,2", "--grid-eigenvalues", "zz"], "--grid-eigenvalues"),
+    ], ids=["box", "resolution", "eigenvalues"])
+    def test_grid_options_are_checked_when_nothing_is_identified(self, tmp_path, capsys,
+                                                                 grid, named):
+        # the five non-constant monomials of degree <= 2 hold no function
+        # that evolves linearly under Van der Pol, so no grid is drawn
+        snap, dict_file = tmp_path / "vdp.csv", tmp_path / "dict5.json"
+        assert cli.main(["generate", "--system", "vanderpol", "--n", "2000",
+                         "--box", "-4,4,-4,4", "--dt", "5e-3", "--seed", "0",
+                         "--out", str(snap)]) == 0
+        dict_file.write_text(json.dumps({"state_dim": 2, "coeffs": None, "exponents": [
+            [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]}))
+        argv = ["identify", "--snapshots", str(snap), "--dict-file", str(dict_file),
+                "--method", "ssd", "--out", str(tmp_path / "vdp.json")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads((tmp_path / "vdp.json").read_text())["ssd"]["C"] is None
+        capsys.readouterr()
+        assert cli.main(argv + grid) == cli.EXIT_INVALID_INPUT
+        assert named in capsys.readouterr().err
+
     def test_vanderpol_pipeline_has_trivial_subspace(self, tmp_path):
         snap = tmp_path / "vdp.csv"
         assert cli.main(["generate", "--system", "vanderpol", "--n", "10000",
@@ -392,9 +416,11 @@ class TestTamperedArtifacts:
         ("ssd", lambda r: r["reduced_koopman"][0].__setitem__(0, 2.0)),
         ("ssd", _surplus_column(lambda C: [0.0] * len(C))),
         ("ssd-approx", _surplus_column(lambda C: [row[0] for row in C])),
+        ("fb-edmd", lambda r: r["snapshots"].update(count=7, state_dim=5)),
     ], ids=["fb-edmd-defects", "ssd-defects", "ssd-incomplete-evolutions",
             "ssd-non-maximal-subspace", "approx-decision", "approx-range-angle",
-            "ssd-reduced-matrix", "ssd-zero-column", "approx-repeated-column"])
+            "ssd-reduced-matrix", "ssd-zero-column", "approx-repeated-column",
+            "snapshot-count-and-dim"])
     def test_changed_claim_fails(self, linear3, tmp_path, method, edit):
         assert _verify_edited(linear3, tmp_path, method, lambda r: None) == cli.EXIT_OK
         assert _verify_edited(linear3, tmp_path, method, edit) == cli.EXIT_VERIFY_FAILED
@@ -413,8 +439,10 @@ class TestTamperedArtifacts:
         ("ssd", lambda r: r["ssd"].update(subspace_dim=2)),
         ("fb-edmd", lambda r: r.update(reduced_koopman=[[1.0]])),
         ("ssd", lambda r: r.update(method="dmd")),
+        ("ssd", lambda r: r.pop("snapshots")),
+        ("fb-edmd", lambda r: r["snapshots"].update(count="2000")),
     ], ids=["approx-without-epsilon", "ssd-wrong-subspace-dim", "fb-edmd-with-reduced-matrix",
-            "unknown-method"])
+            "unknown-method", "missing-snapshots", "snapshot-count-not-an-integer"])
     def test_inconsistent_artifact_is_invalid_input(self, linear3, tmp_path, capsys,
                                                     method, edit):
         assert _verify_edited(linear3, tmp_path, method, edit) == cli.EXIT_INVALID_INPUT

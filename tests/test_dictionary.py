@@ -146,6 +146,13 @@ class TestRestrict:
         with pytest.raises(RankError):
             koopid.restrict(ex2_dictionary, C)
 
+    def test_one_rank_check_of_the_stored_coefficients(self):
+        # singular values 1 and 1e-12: below DEFAULT_TOL's threshold, so the
+        # one check, of the coefficients the dictionary stores, raises
+        C = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
+        with pytest.raises(RankError):
+            koopid.restrict(koopid.monomials_up_to_degree(2, 1), C)
+
     def test_wrong_row_count_raises(self, ex2_dictionary):
         with pytest.raises(InvalidInput):
             koopid.restrict(ex2_dictionary, np.eye(5))

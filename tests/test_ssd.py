@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import importlib
+import inspect
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +108,33 @@ class TestExactSsd:
         DY = rng.standard_normal((5, 3))
         with pytest.warns(UserWarning, match="snapshots"):
             koopid.ssd(DX, DY)
+
+
+class TestLoopEdges:
+    @pytest.mark.parametrize("epsilon", [None, 1e-4], ids=["exact", "approximate"])
+    def test_few_samples_warn_once_at_the_caller(self, epsilon):
+        rng = np.random.Generator(np.random.PCG64(21))
+        DX, DY = rng.standard_normal((12, 9)), rng.standard_normal((12, 9))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            koopid.ssd(DX, DY) if epsilon is None else koopid.approximate_ssd(DX, DY, epsilon)
+        fragile = [w for w in caught if "fewer than 2 * N_d" in str(w.message)]
+        assert [(w.filename, w.lineno) for w in fragile] == [(__file__, line)]
+
+    # x -> s x scales each monomial by s^|alpha|, a rescaling of the columns
+    # of [D(X), D(Y)] that keeps their span, so the exact decision (the
+    # constant alone) should not move
+    @pytest.mark.parametrize("scale", [2.0, pytest.param(0.5, marks=pytest.mark.xfail(
+        strict=True, reason="at s = 1/2 round 2 keeps a singular value only 1.69x the "
+                            "threshold; the constant's residual grows past it round by "
+                            "round and round 4 finds no null direction (null dims "
+                            "[14, 5, 1, 0])"))])
+    def test_a_change_of_units_keeps_the_exact_decision(self, vdp_dictionary,
+                                                        vdp_snapshots, scale):
+        factor = koopid.evaluate_factor(vdp_dictionary, scale * vdp_snapshots.X,
+                                        scale * vdp_snapshots.Y)
+        assert koopid.ssd(factor.RX, factor.RY).subspace_dim == 1
 
 
 class TestApproximateSsd:
