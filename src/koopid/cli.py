@@ -16,6 +16,7 @@ import json
 import math
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -520,41 +521,47 @@ def cmd_verify(args):
     RX, RY = factor.RX, factor.RY
 
     # each stage of the stored run is replayed on its stored input, and the
-    # replay's output must match the stored output
+    # replay's output must match the stored output; a warning the replay
+    # raises becomes a line of the report
     checks = []
 
     def compare(stage, diff, bound):
         checks.append((f"{stage}: difference {diff:.3e}, bound {bound:.1e}", diff <= bound))
 
-    compare(f"stored snapshot count {shape[0]} and state dim {shape[1]} match the data",
-            _diff(shape, (snapshots.count, snapshots.state_dim)), 0.0)
-    if method == "fb-edmd":
-        compare("EDMD residual e_r reproducible", _diff(e_r, _edmd_residual(RX, RY, tol)), 1e-9)
-        replayed = edmd.forward_backward_eigenpairs(RX, RY, tol)
-    else:
-        rerun = (ssd(RX, RY, tol) if method == "ssd"
-                 else approximate_ssd(RX, RY, decomposition.epsilon, tol))
-        compare("ssd decisions and range angle reproducible",
-                _diff(dataclasses.replace(decomposition, C=None),
-                      dataclasses.replace(rerun, C=None)), 1e-9)
-        # C spanning the re-run's C, in as many independent columns, makes
-        # it complete and maximal
-        C, C_rerun = (np.zeros((dictionary.size, 0)) if r.is_zero else r.C
-                      for r in (decomposition, rerun))
-        compare("C spans the re-run's subspace",
-                _span_gap(RX @ C, RX @ C_rerun, tol), tol.subspace_atol)
-        if method == "ssd":
-            compare("range equality of DX@C and DY@C",
-                    _span_gap(RX @ C, RY @ C, tol), tol.subspace_atol)
-        replayed = []
-        if reduced is not None:
-            compare("reduced Koopman matrix and e_r reproducible",
-                    _diff(reduced, reduced_koopman(RX, RY, decomposition, tol)), 1e-9)
-            replayed = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
-    compare(f"evolutions ({len(evolutions)} stored, {len(replayed)} replayed) with "
-            "their forward, backward and data defects",
-            _evolution_gap(evolutions, replayed, tol), tol.eig_match_atol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compare(f"stored snapshot count {shape[0]} and state dim {shape[1]} match the data",
+                _diff(shape, (snapshots.count, snapshots.state_dim)), 0.0)
+        if method == "fb-edmd":
+            compare("EDMD residual e_r reproducible",
+                    _diff(e_r, _edmd_residual(RX, RY, tol)), 1e-9)
+            replayed = edmd.forward_backward_eigenpairs(RX, RY, tol)
+        else:
+            rerun = (ssd(RX, RY, tol) if method == "ssd"
+                     else approximate_ssd(RX, RY, decomposition.epsilon, tol))
+            compare("ssd decisions and range angle reproducible",
+                    _diff(dataclasses.replace(decomposition, C=None),
+                          dataclasses.replace(rerun, C=None)), 1e-9)
+            # C spanning the re-run's C, in as many independent columns, makes
+            # it complete and maximal
+            C, C_rerun = (np.zeros((dictionary.size, 0)) if r.is_zero else r.C
+                          for r in (decomposition, rerun))
+            compare("C spans the re-run's subspace",
+                    _span_gap(RX @ C, RX @ C_rerun, tol), tol.subspace_atol)
+            if method == "ssd":
+                compare("range equality of DX@C and DY@C",
+                        _span_gap(RX @ C, RY @ C, tol), tol.subspace_atol)
+            replayed = []
+            if reduced is not None:
+                compare("reduced Koopman matrix and e_r reproducible",
+                        _diff(reduced, reduced_koopman(RX, RY, decomposition, tol)), 1e-9)
+                replayed = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
+        compare(f"evolutions ({len(evolutions)} stored, {len(replayed)} replayed) with "
+                "their forward, backward and data defects",
+                _evolution_gap(evolutions, replayed, tol), tol.eig_match_atol)
 
+    for warning in caught:
+        print(f"verify: warning in the replay: {warning.message}")
     for name, ok in checks:
         print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
     failed = sum(not ok for _, ok in checks)

@@ -148,26 +148,73 @@ def monomials_up_to_degree(n, degree):
 
 
 def _evaluate_monomials(dictionary, X, out):
-    n_samples, n = X.shape
-    max_deg = max((max(e) for e in dictionary.exponents), default=0)
-    # power tables per state variable keep the evaluation at one multiply
-    # per (function, variable) instead of repeated exponentiation; overflow
-    # surfaces as EvaluationOverflow in the caller's finiteness check
+    """Write the monomials of the rows of X into the columns of out; return
+    the first row with a non-finite value, or None.
+
+    x_i^k is the column of x_i^(k-1) times x_i, and a mixed monomial the
+    product of its variables' powers from left to right, so every value is
+    the product from 1.0 in variable order, bit for bit.  Only a power of
+    two or more that the dictionary lacks takes a scratch column.  Each
+    column is checked on its own; the first non-finite row is looked for
+    only when a check fails.
+    """
+    n = dictionary.state_dim
+    columns = {e: out[:, j] for j, e in enumerate(dictionary.exponents)}
+    top = [max(e[i] for e in columns) for i in range(n)]
+
+    def power(i, k):
+        return (0,) * i + (k,) + (0,) * (n - i - 1)
+
+    lacking = sum(power(i, k) not in columns
+                  for i in range(n) for k in range(2, top[i] + 1))
+    scratch = iter(np.empty((len(X), lacking), order="F").T)
+    powers, finite = {}, True
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = []
         for i in range(n):
-            table = np.empty((max_deg + 1, n_samples))
-            table[0] = 1.0
-            for k in range(1, max_deg + 1):
-                table[k] = table[k - 1] * X[:, i]
-            powers.append(table)
-        for j, e in enumerate(dictionary.exponents):
-            col = out[:, j]
-            col[:] = 1.0
-            for i, k in enumerate(e):
-                if k:
-                    col *= powers[i][k]
-    return out
+            x = powers[i, 1] = X[:, i]
+            for k in range(2, top[i] + 1):
+                col = columns.get(power(i, k))
+                powers[i, k] = np.multiply(powers[i, k - 1], x,
+                                           out=next(scratch) if col is None else col)
+        for e, col in columns.items():
+            factors = [powers[i, k] for i, k in enumerate(e) if k]
+            if not factors:
+                col[:] = 1.0
+                continue
+            if len(factors) > 1:
+                np.multiply(factors[0], factors[1], out=col)
+                for factor in factors[2:]:
+                    col *= factor
+            elif sum(e) == 1:  # x_i itself; its higher powers are in place
+                col[:] = factors[0]
+            finite = finite and np.isfinite(col).all()
+    if finite:
+        return None
+    return int(np.argmin(np.isfinite(out).all(axis=1)))
+
+
+def _evaluate_into(dictionary, X, out):
+    """Write D(X) into out; return the first row of X with a non-finite
+    value, or None.  X is not checked."""
+    if isinstance(dictionary, MonomialDictionary):
+        return _evaluate_monomials(dictionary, X, out)
+    base = np.empty((len(X), dictionary.base.size))
+    row = _evaluate_monomials(dictionary.base, X, base)
+    if row is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(base, dictionary.coeffs, out=out)
+        bad = ~np.all(np.isfinite(out), axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+    return row
+
+
+def _check_state_dim(dictionary, X):
+    if X.shape[1] != dictionary.state_dim:
+        raise InvalidInput(
+            f"X has {X.shape[1]} columns but the dictionary expects "
+            f"{dictionary.state_dim}"
+        )
 
 
 def evaluate(dictionary, X, out=None):
@@ -190,27 +237,23 @@ def evaluate(dictionary, X, out=None):
     ------
     EvaluationOverflow
         If a value is not finite; ``row`` is the first such row of X.
+
+    Notes
+    -----
+    The values are reproducible bit for bit: x_i^k is x_i^(k-1) times x_i,
+    from x_i^1 = x_i, and a monomial is the product of its variables'
+    powers taken in variable order, ``((1 * x_0^a_0) * x_1^a_1) * ...``.
+    A derived dictionary multiplies the monomial values by its ``coeffs``.
     """
     X = numerics._as_matrix(X, "X")
-    if X.shape[1] != dictionary.state_dim:
-        raise InvalidInput(
-            f"X has {X.shape[1]} columns but the dictionary expects "
-            f"{dictionary.state_dim}"
-        )
+    _check_state_dim(dictionary, X)
     if out is None:
         out = np.empty((X.shape[0], dictionary.size))
-    if isinstance(dictionary, DerivedDictionary):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.matmul(evaluate(dictionary.base, X), dictionary.coeffs, out=out)
-    else:
-        values = _evaluate_monomials(dictionary, X, out)
-    bad = ~np.all(np.isfinite(values), axis=1)
-    if bad.any():
+    row = _evaluate_into(dictionary, X, out)
+    if row is not None:
         raise EvaluationOverflow(
-            "dictionary evaluation produced a non-finite value",
-            row=int(np.nonzero(bad)[0][0]),
-        )
-    return values
+            "dictionary evaluation produced a non-finite value", row=row)
+    return out
 
 
 def evaluate_factor(dictionary, X, Y=None):
@@ -229,6 +272,7 @@ def evaluate_factor(dictionary, X, Y=None):
         offset = 0
         for X_block, Y_block in blocks:
             X_block, Y_block = numerics._pair(X_block, Y_block, ("X", "Y"))
+            _check_state_dim(dictionary, X_block)
             yield len(X_block), _filler(dictionary, X_block, Y_block, offset)
             offset += len(X_block)
 
@@ -242,12 +286,11 @@ def _filler(dictionary, X, Y, offset):
 
     def fill(M, start):
         for name, S, out in (("X", X, M[:, :n_d]), ("Y", Y, M[:, n_d:])):
-            try:
-                evaluate(dictionary, S[start:start + len(M)], out=out)
-            except EvaluationOverflow as exc:
+            row = _evaluate_into(dictionary, S[start:start + len(M)], out)
+            if row is not None:
                 raise EvaluationOverflow(
                     f"dictionary evaluation on {name} produced a non-finite value",
-                    row=offset + start + exc.row) from None
+                    row=offset + start + row)
 
     return fill
 

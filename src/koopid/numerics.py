@@ -124,11 +124,15 @@ class SnapshotFactor:
 
 # Bytes and most rows per block of the streamed QR: a block has
 # min(_BLOCK_ROWS, _BLOCK_BYTES // (16 N_d)) rows of the 2N_d columns, so a
-# wide dictionary gets fewer rows.  LAPACK factors the block in place, so a
-# block takes its own bytes: 6.0 MB at 10,416 x 72 for the degree-7
-# dictionary (N_d = 36).  Below about 10,000 rows the factor of that
-# dictionary slows down.  The block size and the merge rule fix the tree of
-# QRs, and with it every bit of the factor, so they stay as they are.
+# wide dictionary gets fewer rows.  The dictionary is evaluated into the
+# block and LAPACK factors it in place, so a block takes its own bytes:
+# 6.0 MB at 10,416 x 72 for the degree-7 dictionary (N_d = 36).  With it,
+# Van der Pol at degree 7 (ssd-approx) peaks at 37.2 MB in identify and
+# 37.3 MB in verify at N = 1e5, and at 39.7 and 39.8 MB at N = 1e6 (2
+# OpenBLAS threads), about 29 MB of it the interpreter and numpy.  Below
+# about 10,000 rows the factor of that dictionary slows down.  The block
+# size and the merge rule fix the tree of QRs, and with it every bit of the
+# factor, so they stay as they are.
 _BLOCK_BYTES = 6_000_000
 _BLOCK_ROWS = 16_384
 
@@ -160,7 +164,7 @@ def _qr_workspace(M):
     return np.empty(max(1, n, int(size[0])))
 
 
-def _factor_blocks(n_d, parts):
+def _factor_blocks(n_d, parts, total=None):
     """The :class:`SnapshotFactor` of the N x 2N_d matrix ``[DX, DY]``, built
     one row block at a time (TSQR).
 
@@ -171,11 +175,14 @@ def _factor_blocks(n_d, parts):
     same blocks and a bitwise-identical factor.  Each block is reduced in
     place to its R factor; the stacked block factors are merged by one more
     QR whenever they reach a quarter of a block's rows, and at the end.
+    A known ``total`` of rows N below a block's rows sizes the block to N.
     """
     if n_d == 0:
         return SnapshotFactor(np.zeros((0, 0)), np.zeros((0, 0)))
     block_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (16 * n_d)))
-    M = np.empty((block_rows, 2 * n_d), order="F")
+    # numpy asks for huge pages for 4 MiB and more, so a full block would be
+    # resident for the few rows of a small input
+    M = np.empty((min(block_rows, total or block_rows), 2 * n_d), order="F")
     work = _qr_workspace(M)
 
     def merge(factors):
@@ -197,6 +204,7 @@ def _factor_blocks(n_d, parts):
                     factors = [merge(factors)]
     if filled:
         factors.append(_qr_r(M, filled, work))
+    del M  # before the last merge, so that its stack does not add to the peak
     if not factors:
         return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)))
     R = merge(factors)
@@ -217,7 +225,7 @@ def snapshot_factor(DX, DY):
         M[:, :n_d] = DX[start:start + len(M)]
         M[:, n_d:] = DY[start:start + len(M)]
 
-    return _factor_blocks(n_d, [(rows, fill)])
+    return _factor_blocks(n_d, [(rows, fill)], rows)
 
 
 def numerical_rank(M, tol=DEFAULT_TOL):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,15 @@ class TestTamperedArtifacts:
     def test_changed_claim_fails(self, linear3, tmp_path, method, edit):
         assert _verify_edited(linear3, tmp_path, method, lambda r: None) == cli.EXIT_OK
         assert _verify_edited(linear3, tmp_path, method, edit) == cli.EXIT_VERIFY_FAILED
+
+    def test_a_replay_warning_is_a_line_of_the_report(self, linear3, tmp_path, capsys):
+        # the zero column makes the replayed reduced matrix singular
+        edit = _surplus_column(lambda C: [0.0] * len(C))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _verify_edited(linear3, tmp_path, "ssd", edit) == cli.EXIT_VERIFY_FAILED
+        assert ("verify: warning in the replay: exact-mode reduced Koopman matrix is "
+                "singular\n") in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit", [
         lambda r: r.update(reduced_koopman=None, ssd={

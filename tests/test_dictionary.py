@@ -6,7 +6,7 @@ import pytest
 
 import koopid
 from koopid import numerics
-from koopid.dictionary import dictionary_from_descriptor
+from koopid.dictionary import _evaluate_monomials, dictionary_from_descriptor
 from koopid.errors import EvaluationOverflow, InvalidInput, RankError
 
 
@@ -103,6 +103,68 @@ class TestEvaluate:
         X = rng.uniform(-1.5, 1.5, size=(200, 2))
         DX = koopid.evaluate(d, X)
         assert koopid.numerical_rank(DX) == d.size
+
+
+def _repeated_products(exponents, X):
+    """Each monomial as repeated multiplication from 1.0, variable by
+    variable in order: the evaluation order that evaluate promises."""
+    out = np.empty((len(X), len(exponents)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, e in enumerate(exponents):
+            value = np.ones(len(X))
+            for i, k in enumerate(e):
+                if k:
+                    power = np.ones(len(X))
+                    for _ in range(k):
+                        power = power * X[:, i]
+                    value = value * power
+            out[:, j] = value
+    return out
+
+
+_KERNEL_DICTIONARIES = {
+    "2-vars-degree-7": koopid.monomials_up_to_degree(2, 7),
+    "3-vars-degree-4": koopid.monomials_up_to_degree(3, 4),
+    # without their pure powers, so these take scratch columns
+    "file-2-vars": koopid.MonomialDictionary(2, ((0, 0), (2, 1), (1, 3), (0, 4))),
+    "file-3-vars": koopid.MonomialDictionary(3, ((1, 2, 3), (0, 0, 5), (4, 0, 1))),
+}
+
+
+def _kernel_samples(n, overflow):
+    X = np.random.Generator(np.random.PCG64(n)).uniform(-4, 4, size=(120, n))
+    X[30] = 1e-170  # underflows to zero in the higher powers
+    if overflow:
+        # row 20 overflows only where x_0 is squared, to inf or (inf * 0) NaN
+        X[20, 0], X[20, 1:] = 1e160, 0.0
+        X[57] = 1e200
+    return X
+
+
+class TestEvaluationKernel:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("overflow", [False, True])
+    @pytest.mark.parametrize("name", sorted(_KERNEL_DICTIONARIES))
+    def test_bit_for_bit_the_repeated_products(self, name, overflow, order):
+        d = _KERNEL_DICTIONARIES[name]
+        X = _kernel_samples(d.state_dim, overflow)
+        expected = _repeated_products(d.exponents, X)
+        # a column slice of a wider array, as the QR block hands it over
+        out = np.full((len(X), d.size + 3), 7.0, order=order)[:, 1:1 + d.size]
+        row = _evaluate_monomials(d, X, out)
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        bad = ~np.all(np.isfinite(expected), axis=1)
+        assert bad.any() == overflow
+        assert row == (int(np.argmax(bad)) if overflow else None)
+
+    def test_derived_dictionary_is_the_product_with_its_coefficients(self):
+        base = _KERNEL_DICTIONARIES["3-vars-degree-4"]
+        C = np.random.Generator(np.random.PCG64(9)).standard_normal((base.size, 6))
+        X = _kernel_samples(3, overflow=False)
+        np.testing.assert_array_equal(
+            koopid.evaluate(koopid.restrict(base, C), X),
+            _repeated_products(base.exponents, X) @ C)
 
 
 class TestRestrict:
@@ -204,7 +266,7 @@ class TestEvaluateFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block_rows * 2 * n_d * 8
+        assert peak < 1.15 * block_rows * 2 * n_d * 8
 
     @pytest.mark.parametrize("side", ["X", "Y"])
     def test_overflow_reports_the_global_row(self, side, small_blocks):
@@ -218,3 +280,8 @@ class TestEvaluateFactor:
     def test_rejects_unequal_shapes(self, ex2_dictionary):
         with pytest.raises(InvalidInput):
             koopid.evaluate_factor(ex2_dictionary, np.ones((5, 2)), np.ones((4, 2)))
+
+    def test_rejects_a_state_dim_mismatch_in_a_later_block(self, ex2_dictionary):
+        blocks = [(np.ones((5, 2)), np.ones((5, 2))), (np.ones((5, 3)), np.ones((5, 3)))]
+        with pytest.raises(InvalidInput, match="3 columns"):
+            koopid.evaluate_factor(ex2_dictionary, iter(blocks))

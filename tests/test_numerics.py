@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -374,6 +376,21 @@ class TestSnapshotFactor:
         R = np.linalg.qr(np.vstack(factors), mode="r")
         factor = koopid.snapshot_factor(M[:, :n_d], M[:, n_d:])
         assert np.array_equal(np.hstack([factor.RX, factor.RY]), R)
+
+    def test_a_factor_given_as_data_takes_its_own_rows_of_block(self, vdp_dictionary,
+                                                                vdp_snapshots):
+        # the 72 rows of R get a 72-row block, not a 10,416-row one: numpy
+        # asks for huge pages for arrays of 4 MiB and more, so a full block
+        # would be resident for the few rows that are touched
+        factor = koopid.evaluate_factor(vdp_dictionary, vdp_snapshots.X,
+                                        vdp_snapshots.Y)
+        tracemalloc.start()
+        try:
+            koopid.snapshot_factor(factor.RX, factor.RY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < numerics._BLOCK_BYTES / 10
 
     def test_lapack_failure_names_info_and_shape(self, monkeypatch):
         dgeqrf = numerics.lapack_lite.dgeqrf
