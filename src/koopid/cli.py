@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -39,6 +40,7 @@ from .errors import (
     InvalidInput,
     KoopidError,
     RankError,
+    artifact_io,
 )
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
@@ -64,6 +66,19 @@ def _fail(exc):
             print(f"error[{label}]: {exc}", file=sys.stderr)
             return code
     raise exc
+
+
+@contextlib.contextmanager
+def _printed_warnings(prefix):
+    """Record the warnings the block raises and print each, when the block
+    ends, as a line ``<prefix><message>`` of the command's output."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for warning in caught:
+                print(f"{prefix}{warning.message}")
 
 
 def _parse_floats(text, name):
@@ -108,10 +123,8 @@ def _join_numeric_list_flags(argv):
 
 def _read_json(path, what):
     try:
-        with open(path) as fh:
+        with artifact_io(f"read {what}", path), open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{what} is not valid JSON: {exc}") from exc
 
@@ -291,6 +304,7 @@ def _edmd_residual(RX, RY, tol):
     return edmd.relative_residual(RX, RY, edmd.edmd_matrix(RX, RY, tol).matrix)
 
 
+@_printed_warnings("identify: warning: ")
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
@@ -345,10 +359,8 @@ def cmd_identify(args):
     out_path = pathlib.Path(args.out)
     if args.grid_box is not None and evolutions:
         grid_dir = pathlib.Path(args.out_dir) if args.out_dir else out_path.parent
-        try:
+        with artifact_io("create grid directory"):
             grid_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot create grid directory: {exc}") from exc
         for idx in _select_grid_evolutions(evolutions, grid_targets):
             ev = evolutions[idx]
             grid = eigenfunction_grid(dictionary, ev.coefficients, grid_box,
@@ -362,13 +374,11 @@ def cmd_identify(args):
                 "resolution": int(args.grid_resolution),
             })
 
-    try:
+    with artifact_io("write result file"):
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write result file: {exc}") from exc
     print(f"identified {len(evolutions)} linear evolution(s); wrote {out_path}")
     return EXIT_OK
 
@@ -528,8 +538,7 @@ def cmd_verify(args):
     def compare(stage, diff, bound):
         checks.append((f"{stage}: difference {diff:.3e}, bound {bound:.1e}", diff <= bound))
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _printed_warnings("verify: warning in the replay: "):
         compare(f"stored snapshot count {shape[0]} and state dim {shape[1]} match the data",
                 _diff(shape, (snapshots.count, snapshots.state_dim)), 0.0)
         if method == "fb-edmd":
@@ -560,8 +569,6 @@ def cmd_verify(args):
                 "their forward, backward and data defects",
                 _evolution_gap(evolutions, replayed, tol), tol.eig_match_atol)
 
-    for warning in caught:
-        print(f"verify: warning in the replay: {warning.message}")
     for name, ok in checks:
         print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
     failed = sum(not ok for _, ok in checks)

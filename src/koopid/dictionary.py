@@ -217,7 +217,7 @@ def _check_state_dim(dictionary, X):
         )
 
 
-def evaluate(dictionary, X, out=None):
+def evaluate(dictionary, X):
     """Evaluate a dictionary on a sample matrix.
 
     Parameters
@@ -225,8 +225,6 @@ def evaluate(dictionary, X, out=None):
     dictionary : MonomialDictionary or DerivedDictionary
     X : ndarray, shape (N, n)
         One state per row; ``n`` must equal the dictionary's state dimension.
-    out : ndarray, shape (N, size), optional
-        Array the values are written into (and returned).
 
     Returns
     -------
@@ -247,8 +245,7 @@ def evaluate(dictionary, X, out=None):
     """
     X = numerics._as_matrix(X, "X")
     _check_state_dim(dictionary, X)
-    if out is None:
-        out = np.empty((X.shape[0], dictionary.size))
+    out = np.empty((X.shape[0], dictionary.size))
     row = _evaluate_into(dictionary, X, out)
     if row is not None:
         raise EvaluationOverflow(

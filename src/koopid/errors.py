@@ -1,4 +1,7 @@
-"""Exception and warning types shared by all koopid modules."""
+"""Exception and warning types shared by all koopid modules, and the one
+rule that turns a failed read or write into one of them."""
+
+import contextlib
 
 
 class KoopidError(Exception):
@@ -33,6 +36,21 @@ class InternalInvariantViolation(KoopidError):
 
 class ArtifactIOError(KoopidError):
     """Reading or writing a snapshot/result artifact failed."""
+
+
+@contextlib.contextmanager
+def artifact_io(action, file=None):
+    """Raise an OSError of the block as ``ArtifactIOError("cannot <action>:
+    <error>")``; given the file, raise a UnicodeDecodeError, a file that is
+    not UTF-8 text, as ``InvalidInput("<file>: <error>")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot {action}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        if file is None:
+            raise
+        raise InvalidInput(f"{file}: {exc}") from exc
 
 
 class RankWarning(UserWarning):

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from . import numerics
-from .errors import ArtifactIOError, EvaluationOverflow, InvalidInput, KoopidError
+from .errors import EvaluationOverflow, InvalidInput, KoopidError, artifact_io
 
 __all__ = [
     "SystemSpec",
@@ -392,12 +392,9 @@ def _write_csv(path, header, data):
         size += len(encoded)
         crc = zlib.crc32(encoded, crc)
 
-    try:
-        with open(path, "wb") as fh:
-            put((",".join(header) + "\r\n").encode())
-            _format_chunks(chunks, put)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write CSV file: {exc}") from exc
+    with artifact_io("write CSV file"), open(path, "wb") as fh:
+        put((",".join(header) + "\r\n").encode())
+        _format_chunks(chunks, put)
     return size, crc
 
 
@@ -417,20 +414,14 @@ def write_snapshot_csv(snapshots, path):
     data = np.hstack([snapshots.X, snapshots.Y])
     size, crc = _write_csv(path, header, data)
     twin = path.with_suffix(TWIN_SUFFIX)
-    try:
-        with open(twin, "wb") as fh:
-            np.save(fh, data, allow_pickle=False)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write binary snapshot file: {exc}") from exc
+    with artifact_io("write binary snapshot file"), open(twin, "wb") as fh:
+        np.save(fh, data, allow_pickle=False)
     binding = {"file": twin.name, "csv_bytes": size, "csv_crc32": crc,
                "payload_crc32": zlib.crc32(data)}
-    try:
-        with open(path.with_suffix(".provenance.json"), "w") as fh:
-            json.dump({**snapshots.provenance, TWIN_KEY: binding}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write provenance file: {exc}") from exc
+    sidecar = path.with_suffix(".provenance.json")
+    with artifact_io("write provenance file"), open(sidecar, "w") as fh:
+        json.dump({**snapshots.provenance, TWIN_KEY: binding}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 
@@ -564,13 +555,8 @@ class SnapshotStream:
         self.path = pathlib.Path(path)
         self.provenance = {"system": "ingested", "path": str(self.path)}
         self.provenance.update(_read_sidecar(self.path))
-        try:
-            with open(self.path, newline="") as fh:
-                header = next(csv.reader(fh), None)
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
-        except ValueError as exc:  # not UTF-8 text
-            raise InvalidInput(f"{self.path}: {exc}") from exc
+        with self._reading(), open(self.path, newline="") as fh:
+            header = next(csv.reader(fh), None)
         if header is None:
             raise InvalidInput(f"{self.path}: empty snapshot file")
         self._names = [h.strip() for h in header]
@@ -579,10 +565,8 @@ class SnapshotStream:
             raise InvalidInput(f"{self.path}: header must be x_1..x_n,y_1..y_n")
         self.state_dim = n
         binding = self.provenance.get(TWIN_KEY)
-        try:
+        with self._reading():  # the CSV's CRC-32
             self._twin = None if binding is None else _bound_twin(self.path, binding, 2 * n)
-        except OSError as exc:  # reading the CSV for its CRC-32
-            raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
         self._rows = None if self._twin is None else self._twin.rows
 
     @property
@@ -591,11 +575,8 @@ class SnapshotStream:
         non-blank lines after the CSV's header, counted on first use; after a
         :meth:`scan`, the rows it read."""
         if self._rows is None:
-            try:
-                with self._open() as fh:
-                    self._rows = sum(1 for line in fh if line.strip("\r\n"))
-            except UnicodeDecodeError as exc:
-                raise InvalidInput(f"{self.path}: {exc}") from exc
+            with self._reading(), self._open() as fh:
+                self._rows = sum(1 for line in fh if line.strip("\r\n"))
         return self._rows
 
     def scan(self, consume):
@@ -610,7 +591,7 @@ class SnapshotStream:
         and ``consume`` runs again on the parsed CSV.
         """
         rows_per_block = max(1, _READ_BYTES // (16 * self.state_dim))
-        try:
+        with self._reading():
             twin = self._twin
             if twin is not None:
                 blocks = twin.blocks(rows_per_block)
@@ -626,10 +607,10 @@ class SnapshotStream:
                                twin.path, self.path)
                 self._twin = None
             return consume(self._pairs(self._parsed(rows_per_block)))
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read snapshot file: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"{self.path}: {exc}") from exc
+
+    def _reading(self):
+        """The rule for a failed read of the snapshot file or its twin."""
+        return artifact_io("read snapshot file", self.path)
 
     def _open(self):
         """The CSV opened as text after its header line."""

@@ -233,6 +233,19 @@ class TestIdentify:
         assert code == cli.EXIT_IO_ERROR
         assert "error[io-error]" in capsys.readouterr().err
 
+    def test_a_library_warning_is_a_line_of_the_output(self, tmp_path, capsys):
+        # 60 samples for the 36 monomials of degree 7: fewer than 2 * N_d
+        snap = tmp_path / "vdp.csv"
+        assert cli.main(["generate", "--system", "vanderpol", "--n", "60", "--box",
+                         "-4,4,-4,4", "--dt", "5e-3", "--seed", "7",
+                         "--out", str(snap)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["identify", "--snapshots", str(snap), "--degree", "7",
+                             "--method", "ssd", "--out", str(tmp_path / "r.json")]) == 0
+        assert ("identify: warning: fewer than 2 * N_d snapshots; rank decisions may be "
+                "fragile\n") in capsys.readouterr().out
+
     def test_grid_eigenvalue_selector_must_match(self, workdir):
         code, _ = run_identify(workdir, "--method", "ssd",
                                "--grid-box", "-2,2,-2,2",
@@ -716,6 +729,62 @@ class TestMalformedInputs:
         assert {g["resolution"] for g in result["grids"]} == {5}
 
 
+_IDENTIFY = ["identify", "--snapshots", "{d}/snap.csv", "--dict-file", "{d}/dict9.json",
+             "--method", "ssd", "--out", "{d}/result.json"]
+
+
+class TestFileFailures:
+    """A file the CLI cannot read or write is an I/O error (exit 4) that
+    names what was being done; a file that is not UTF-8 text is invalid
+    input (exit 2).  Neither ends in a traceback."""
+
+    # (the argv, "{d}" standing for the directory; the path that is made a
+    # directory, or for the grid a file; the message)
+    @pytest.mark.parametrize("argv, target, message", [
+        (GEN_LINEAR + ["--out", "{d}/new.csv"], "new.csv", "cannot write CSV file"),
+        (GEN_LINEAR + ["--out", "{d}/new.csv"], "new.snapshots.npy",
+         "cannot write binary snapshot file"),
+        (GEN_LINEAR + ["--out", "{d}/new.csv"], "new.provenance.json",
+         "cannot write provenance file"),
+        (_IDENTIFY, "result.json", "cannot write result file"),
+        (_IDENTIFY + ["--grid-box", "-2,2,-2,2", "--out-dir", "{d}/grids"], "grids",
+         "cannot create grid directory"),
+        (_IDENTIFY, "snap.csv", "cannot read snapshot file"),
+        (["verify", "{d}/result.json", "{d}/snap.csv"], "result.json",
+         "cannot read result file"),
+        (["identify", "--config", "{d}/run.json"], "run.json", "cannot read config file"),
+        (_IDENTIFY, "dict9.json", "cannot read dictionary file"),
+    ], ids=["csv", "binary-twin", "provenance", "result", "grid-directory", "snapshots",
+            "verify-result", "config", "dictionary"])
+    def test_an_unusable_path_is_an_io_error_naming_the_action(self, workdir, capsys,
+                                                              argv, target, message):
+        path = workdir / target
+        if path.exists():
+            path.unlink()
+        if target == "grids":
+            path.write_text("")
+        else:
+            path.mkdir()
+        code = cli.main([arg.replace("{d}", str(workdir)) for arg in argv])
+        assert code == cli.EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[io-error]: {message}: [Errno ")
+        assert err.endswith(f" {str(path)!r}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, target", [
+        (["verify", "{d}/result.json", "{d}/snap.csv"], "result.json"),
+        (["identify", "--config", "{d}/run.json"], "run.json"),
+        (_IDENTIFY, "dict9.json"),
+    ], ids=["verify-result", "config", "dictionary"])
+    def test_a_file_that_is_not_utf8_is_invalid_input(self, workdir, capsys, argv, target):
+        path = workdir / target
+        path.write_bytes(b'{"method": "\xff"}')
+        code = cli.main([arg.replace("{d}", str(workdir)) for arg in argv])
+        assert code == cli.EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error[invalid-input]: {path}: 'utf-8' codec can't decode byte 0xff ")
+
+
 def test_span_gap_needs_full_column_rank_in_as_many_columns(tol):
     rng = np.random.Generator(np.random.PCG64(5))
     Q = rng.standard_normal((8, 3))
@@ -780,6 +849,20 @@ def test_only_the_front_ends_reach_past_the_public_api():
                     and node.value.id in modules and node.attr.startswith("_")
                     and (modules[node.value.id], node.attr) not in allowed]
     assert (private, systems_importers) == ([], [])
+
+
+def test_only_the_error_module_makes_an_io_error():
+    # a failed read or write becomes an ArtifactIOError through the one
+    # rule of errors.artifact_io, so no other module constructs one
+    package = pathlib.Path(koopid.__file__).resolve().parent
+    makers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "ArtifactIOError":
+                    makers.append(path.stem)
+    assert makers == ["errors"]
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -91,12 +91,6 @@ class TestEvaluate:
             koopid.evaluate(derived, np.array([[1.0], [1e10]]))
         assert excinfo.value.row == 1
 
-    def test_writes_into_out(self, ex2_dictionary):
-        X = np.random.Generator(np.random.PCG64(5)).uniform(-2, 2, size=(7, 2))
-        out = np.empty((7, 20), order="F")[:, 3:12]
-        assert koopid.evaluate(ex2_dictionary, X, out=out) is out
-        np.testing.assert_array_equal(out, koopid.evaluate(ex2_dictionary, X))
-
     def test_full_column_rank_on_generic_samples(self):
         d = koopid.monomials_up_to_degree(2, 3)
         rng = np.random.Generator(np.random.PCG64(4))

@@ -704,6 +704,14 @@ class TestStreamedRead:
         with pytest.raises(InvalidInput):
             systems.SnapshotStream(path).count
 
+    def test_a_csv_deleted_after_opening_is_an_io_error(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        _bound_csv(path, _vdp_data(20)).unlink()
+        stream = systems.SnapshotStream(path)
+        path.unlink()  # with no twin, the count has to read the CSV
+        with pytest.raises(ArtifactIOError, match="^cannot read snapshot file: "):
+            stream.count
+
     @twin_case
     def test_count_is_known_before_the_scan(self, tmp_path, parses, twin):
         data = _vdp_data(130)
