@@ -5,7 +5,10 @@ one SVD helper here, parameterized by a single :class:`ToleranceConfig`, so
 that the iterative subspace pruning never mixes inconsistent thresholds.
 """
 
+import contextlib
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,37 +125,61 @@ class SnapshotFactor:
     RY: np.ndarray
 
 
-# Bytes and most rows per block of the streamed QR: a block has
-# min(_BLOCK_ROWS, _BLOCK_BYTES // (16 N_d)) rows of the 2N_d columns, so a
-# wide dictionary gets fewer rows.  The dictionary is evaluated into the
-# block and LAPACK factors it in place, so a block takes its own bytes:
-# 6.0 MB at 10,416 x 72 for the degree-7 dictionary (N_d = 36).  With it,
-# Van der Pol at degree 7 (ssd-approx) peaks at 37.2 MB in identify and
-# 37.3 MB in verify at N = 1e5, and at 39.7 and 39.8 MB at N = 1e6 (2
-# OpenBLAS threads), about 29 MB of it the interpreter and numpy.  Below
-# about 10,000 rows the factor of that dictionary slows down.  The block
-# size and the merge rule fix the tree of QRs, and with it every bit of the
-# factor, so they stay as they are.
-_BLOCK_BYTES = 6_000_000
+# Bytes and most rows per leaf of the streamed QR: a leaf has
+# max(4 N_d, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 N_d))) rows of the 2N_d
+# columns, the last 2N_d of them the R factor of the rows before it, and
+# LAPACK factors it in place at one BLAS thread.  At degree 7 (N_d = 36) the
+# 2,048 rows, 1.2 MB, stay in a 2 MiB L2 cache and take 1.0 us a row (1.5 us
+# for 10,416-row blocks at 2 OpenBLAS threads); Van der Pol then peaks at
+# 34 MB (was 37-40).  The leaf size fixes every bit of the factor: keep it.
+_BLOCK_BYTES = 1_179_648
 _BLOCK_ROWS = 16_384
+_BLAS_PIN = threading.RLock()
+
+
+@functools.cache
+def _thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` in the BLAS that numpy's
+    LAPACK links, or None where that BLAS has no such setter."""
+    import ctypes
+    blas = ctypes.CDLL(lapack_lite.__file__)  # with the libraries it links
+    setter = getattr(blas, "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one BLAS thread, and restore the count after it, where
+    :func:`_thread_setter` finds the setter.  In an OpenBLAS on pthreads the
+    count is the whole process's, so concurrent blocks take turns."""
+    with _BLAS_PIN:
+        setter = _thread_setter() or (lambda count: count)
+        previous = setter(1)
+        try:
+            yield
+        finally:
+            setter(previous)
 
 
 def _qr_r(M, rows, work):
-    """The R factor of the first ``rows`` rows of the Fortran-ordered M.
+    """Reduce the first ``rows`` rows of the Fortran-ordered M in place to
+    their R factor, in its first ``min(rows, cols)`` rows; returns that count.
 
-    LAPACK ``dgeqrf`` overwrites those rows of M with its Householder
-    reflectors, as ``numpy.linalg.qr(mode="r")`` does to its own copy, so R
-    is the same bit for bit.  ``work`` is the workspace of
-    :func:`_qr_workspace` for M's column count.
+    LAPACK ``dgeqrf`` overwrites the rows with R and its Householder
+    reflectors, as ``numpy.linalg.qr(mode="r")`` does to its own copy, so R,
+    its reflectors zeroed, is the same bit for bit.  ``work`` is the
+    workspace of :func:`_qr_workspace` for M's column count.
     """
     n = M.shape[1]
-    tau = np.empty(min(rows, n))
-    info = lapack_lite.dgeqrf(rows, n, M.T, M.shape[0], tau, work, work.size,
-                              0)["info"]
+    k = min(rows, n)
+    info = lapack_lite.dgeqrf(rows, n, M.T, len(M), np.empty(k), work, work.size, 0)["info"]
     if info:
         raise InternalInvariantViolation(
             f"LAPACK dgeqrf returned info {info} on a {rows} x {n} block")
-    return np.triu(M[:min(rows, n)])
+    M[:k][np.tri(k, n, -1, dtype=bool)] = 0.0
+    return k
 
 
 def _qr_workspace(M):
@@ -166,48 +193,38 @@ def _qr_workspace(M):
 
 def _factor_blocks(n_d, parts, total=None):
     """The :class:`SnapshotFactor` of the N x 2N_d matrix ``[DX, DY]``, built
-    one row block at a time (TSQR).
+    one leaf of rows at a time (flat TSQR) at one BLAS thread.
 
     ``parts`` yields ``(rows, fill)`` for consecutive row ranges of
     ``[DX, DY]``: ``fill(M, start)`` writes rows ``start : start + len(M)``
-    of the range into the Fortran-ordered block M.  Every block is filled to
-    its row count across ranges, so any split of the same rows gives the
-    same blocks and a bitwise-identical factor.  Each block is reduced in
-    place to its R factor; the stacked block factors are merged by one more
-    QR whenever they reach a quarter of a block's rows, and at the end.
-    A known ``total`` of rows N below a block's rows sizes the block to N.
+    of the range into the Fortran-ordered leaf M.  A leaf, the next rows
+    over the R factor of the rows before them, is filled across ranges and
+    reduced in place to its R factor, so any split of the same rows gives
+    the same leaves and a bitwise-identical factor.  A known ``total`` of
+    rows N below a leaf's rows sizes the leaf to N.
     """
     if n_d == 0:
         return SnapshotFactor(np.zeros((0, 0)), np.zeros((0, 0)))
-    block_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (16 * n_d)))
-    # numpy asks for huge pages for 4 MiB and more, so a full block would be
-    # resident for the few rows of a small input
-    M = np.empty((min(block_rows, total or block_rows), 2 * n_d), order="F")
+    leaf_rows = max(4 * n_d, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * n_d)))
+    M = np.empty((min(leaf_rows, total or leaf_rows), 2 * n_d), order="F")
     work = _qr_workspace(M)
-
-    def merge(factors):
-        stack = np.empty((sum(map(len, factors)), 2 * n_d), order="F")
-        return _qr_r(np.concatenate(factors, out=stack), len(stack), work)
-
-    factors, filled = [], 0
-    for rows, fill in parts:
-        start = 0
-        while start < rows:
-            take = min(rows - start, block_rows - filled)
-            fill(M[filled:filled + take], start)
-            start += take
-            filled += take
-            if filled == block_rows:
-                factors.append(_qr_r(M, block_rows, work))
-                filled = 0
-                if len(factors) > 1 and 4 * sum(map(len, factors)) >= block_rows:
-                    factors = [merge(factors)]
-    if filled:
-        factors.append(_qr_r(M, filled, work))
-    del M  # before the last merge, so that its stack does not add to the peak
-    if not factors:
-        return SnapshotFactor(np.zeros((0, n_d)), np.zeros((0, n_d)))
-    R = merge(factors)
+    r = filled = 0  # rows of the R carried at the leaf's end; rows of data before it
+    with _one_blas_thread():
+        for rows, fill in parts:
+            start = 0
+            while start < rows:
+                take = min(rows - start, len(M) - r - filled)
+                fill(M[filled:filled + take], start)
+                start += take
+                filled += take
+                if filled + r == len(M):
+                    r, filled = _qr_r(M, len(M), work), 0
+                    M[len(M) - r:] = M[:r]
+        if filled:
+            M[filled:filled + r] = M[len(M) - r:]
+            r = _qr_r(M, filled + r, work)
+            M[len(M) - r:] = M[:r]
+    R = M[len(M) - r:].copy()
     return SnapshotFactor(R[:, :n_d], R[:, n_d:])
 
 

@@ -20,7 +20,8 @@ EX2_SPECTRUM = np.sort_complex(np.array(
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
-    """Streamed factors take 64-row blocks, so small data spans several."""
+    """Streamed factors take leaves of 64 rows (4 N_d for N_d > 16), so
+    small data spans several."""
     monkeypatch.setattr(koopid.numerics, "_BLOCK_ROWS", 64)
     return 64
 

@@ -872,7 +872,8 @@ def test_import_loads_no_scipy(tmp_path):
     # binary twin loads nothing more.  The thread pool of the CSV writer is
     # imported only when it has more than one chunk to format, so writing the
     # one-chunk grid of identify does not load it either, and no write loads
-    # multiprocessing.
+    # multiprocessing.  Importing it does not look up the BLAS's thread-count
+    # setter either (numpy itself has loaded ctypes by then).
     snap = tmp_path / "snap.csv"
     assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
@@ -882,7 +883,8 @@ def test_import_loads_no_scipy(tmp_path):
              "    return sorted(m for m in sys.modules if m in ('scipy', 'hashlib', '_hashlib',\n"
              "                  'multiprocessing', 'concurrent.futures')\n"
              "                  or m.startswith('scipy.'))\n"
-             "print(loaded())\n"
+             "setter = koopid.numerics._thread_setter\n"
+             "print(loaded(), setter.cache_info().currsize)\n"
              "koopid.systems.np.loadtxt = None  # read the twin, not the text\n"
              "snapshots = koopid.read_snapshot_csv(sys.argv[1])\n"
              "print(snapshots.count, loaded())\n"
@@ -895,5 +897,35 @@ def test_import_loads_no_scipy(tmp_path):
              "print(long.count, loaded())\n")
     out = subprocess.run([sys.executable, "-c", probe, str(snap), str(tmp_path / "copy.csv")],
                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.splitlines() == ["[]", "2000 []", "[]",
+    assert out.stdout.splitlines() == ["[] 0", "2000 []", "[]",
                                        "18000 ['concurrent.futures']"]
+
+
+@pytest.fixture(scope="module")
+def vdp_1e5(tmp_path_factory):
+    snap = tmp_path_factory.mktemp("vdp") / "vdp.csv"
+    assert cli.main(["generate", "--system", "vanderpol", "--dt", "5e-3",
+                     "--box", "-4,4,-4,4", "--n", "100000", "--seed", "7",
+                     "--out", str(snap)]) == 0
+    return snap
+
+
+@pytest.mark.parametrize("method", [["ssd-approx", "--eps", "1e-4"], ["fb-edmd"]],
+                         ids=["ssd-approx", "fb-edmd"])
+def test_result_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, vdp_1e5, method):
+    # the factor of 49 leaves runs at one BLAS thread, so identify writes the
+    # same bytes at 1 and 2 OpenBLAS threads; at each BLAS's own count the
+    # last bits of the factor, and with them the result's numbers, differ
+    if koopid.numerics._thread_setter() is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    src = pathlib.Path(koopid.__file__).resolve().parent.parent
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"result{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "koopid", "identify", "--snapshots",
+                        str(vdp_1e5), "--degree", "7", "--method", *method,
+                        "--out", str(out)], env=env, capture_output=True, timeout=120,
+                       check=True)
+        results.append(out.read_bytes())
+    assert results[0] == results[1]

@@ -246,13 +246,14 @@ class TestEvaluateFactor:
         assert np.array_equal(X, X_before) and np.array_equal(Y, Y_before)
 
     def test_peak_memory_is_one_block(self, vdp_dictionary):
-        # the dictionary is evaluated straight into the one block, which
-        # LAPACK factors in place: four full blocks and a short one never
-        # take a second block's bytes
+        # the dictionary is evaluated straight into the one leaf, which
+        # LAPACK factors in place and which carries the R factor on: four
+        # full leaves and a short one never take a second leaf's bytes
         n_d = vdp_dictionary.size
-        block_rows = min(numerics._BLOCK_ROWS, numerics._BLOCK_BYTES // (16 * n_d))
+        leaf_rows = max(4 * n_d, min(numerics._BLOCK_ROWS,
+                                     numerics._BLOCK_BYTES // (16 * n_d)))
         rng = np.random.Generator(np.random.PCG64(11))
-        X = rng.uniform(-4, 4, size=(4 * block_rows + 1000, 2))
+        X = rng.uniform(-4, 4, size=(4 * leaf_rows + 1000, 2))
         Y = rng.uniform(-4, 4, size=X.shape)
         tracemalloc.start()
         try:
@@ -260,13 +261,13 @@ class TestEvaluateFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.15 * block_rows * 2 * n_d * 8
+        assert peak < 1.15 * leaf_rows * 2 * n_d * 8
 
     @pytest.mark.parametrize("side", ["X", "Y"])
     def test_overflow_reports_the_global_row(self, side, small_blocks):
         d = koopid.monomials_up_to_degree(1, 2)
         data = {"X": np.ones((150, 1)), "Y": np.ones((150, 1))}
-        data[side][100, 0] = 1e200  # second block, row 36 within it
+        data[side][100, 0] = 1e200  # second leaf, its 37th new row
         with pytest.raises(EvaluationOverflow, match=f"on {side}") as excinfo:
             koopid.evaluate_factor(d, data["X"], data["Y"])
         assert excinfo.value.row == 100

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,17 @@ from koopid.numerics import _normalize_eigenvector
 
 def rank_deficient_matrix(rng, rows, cols, rank):
     return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+def _reads(M, sizes):
+    """The ``parts`` of ``numerics._factor_blocks`` for the rows of M, read
+    in blocks of the given sizes."""
+    def filler(block):
+        def fill(out, start):
+            out[:] = block[start:start + len(out)]
+        return fill
+    bounds = np.cumsum((0,) + sizes)
+    return [(b - a, filler(M[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class TestToleranceConfig:
@@ -311,10 +325,93 @@ class TestSubspaceEqual:
         np.testing.assert_allclose(ours, oracle, atol=1e-10)
 
 
+def _blas_threads(setter):
+    """The BLAS thread count, read through its setter."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.fixture()
+def setter():
+    """OpenBLAS's thread-count setter, at 2 threads for the test."""
+    setter = numerics._thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    before = setter(2)
+    yield setter
+    setter(before)
+
+
+class TestOneBlasThread:
+    def test_finds_the_setter_of_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {blas}")
+        assert numerics._thread_setter() is not None
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_restores_the_count_on_any_exit(self, setter, raises):
+        with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+            with numerics._one_blas_thread():
+                assert _blas_threads(setter) == 1
+                if raises:
+                    raise KeyError
+        assert _blas_threads(setter) == 2
+
+    def test_a_second_thread_waits_and_the_count_comes_back(self, setter):
+        # OpenBLAS on pthreads sets the count of the whole process, so a
+        # block that another thread enters meanwhile runs after this one,
+        # and the count both restore is the one this block found
+        seen = []
+
+        def second():
+            with numerics._one_blas_thread():
+                seen.append(_blas_threads(setter))
+
+        thread = threading.Thread(target=second)
+        with numerics._one_blas_thread():
+            thread.start()
+            thread.join(0.2)
+            assert thread.is_alive() and not seen
+        thread.join(30)
+        assert seen == [1] and _blas_threads(setter) == 2
+
+
+    def test_concurrent_factors_restore_the_count(self, setter, small_blocks):
+        # more threads than cores, switching often: a block that began inside
+        # another one and restored the one thread it found would leave the
+        # count at 1, and a leaf factored at 2 threads could change the bits
+        rng = np.random.Generator(np.random.PCG64(5))
+        M = rng.standard_normal((2000, 12))
+        expected = koopid.snapshot_factor(M[:, :6], M[:, 6:])
+        results = []
+
+        def factor():
+            for _ in range(5):
+                results.append(koopid.snapshot_factor(M[:, :6], M[:, 6:]))
+
+        threads = [threading.Thread(target=factor) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 30 and _blas_threads(setter) == 2
+        for F in results:
+            assert np.array_equal(F.RX, expected.RX) and np.array_equal(F.RY, expected.RY)
+
+
 class TestSnapshotFactor:
-    # with 64-row blocks: one block short of, at, one past and two blocks
-    # past a boundary, and 500 rows in 8 blocks
-    @pytest.mark.parametrize("rows,n_d", [(500, 6), (12, 6), (8, 6), (3, 6),
+    # with 64-row leaves: one leaf short of, at, one past and two leaves
+    # past a boundary, 500 rows in 10 leaves, and a 20-row leaf shorter
+    # than twice its 12-row R
+    @pytest.mark.parametrize("rows,n_d", [(500, 6), (12, 6), (8, 6), (3, 6), (20, 6),
                                           (63, 6), (64, 6), (65, 6), (131, 6)])
     def test_r_reproduces_the_gram_matrix(self, rows, n_d, small_blocks):
         rng = np.random.Generator(np.random.PCG64(600 + rows))
@@ -337,7 +434,8 @@ class TestSnapshotFactor:
                                                         vdp_snapshots, request):
         # the library takes a factor as its blocks RX, RY, which it factors
         # again: the QR of a triangular matrix is that matrix, bit for bit.
-        # With 64-row blocks the 72 rows of R (N_d = 36) span two of them.
+        # With the 64-row cap, leaves of N_d = 36 have their floor of 4 N_d
+        # rows.
         if cap == "64-row":
             request.getfixturevalue("small_blocks")
         factor = koopid.evaluate_factor(vdp_dictionary, vdp_snapshots.X[:rows],
@@ -347,41 +445,44 @@ class TestSnapshotFactor:
         for block, twin in ((again.RX, factor.RX), (again.RY, factor.RY)):
             assert block.shape == twin.shape and block.tobytes() == twin.tobytes()
 
-    # (cap, rows, N_d): eight 64-row blocks of 4 columns merge at the fourth
-    # block and at the seventh; default blocks of 400 columns have 1,875
-    # rows and merge after the second.  Short last blocks of 8, 5, 700 and
-    # 13,616 rows; 5 and 20 < 2N_d rows.
-    @pytest.mark.parametrize("cap,rows,n_d", [
-        ("64-row", 512, 2), ("64-row", 200, 6), ("64-row", 133, 6),
-        ("64-row", 5, 6), ("default", 2 * 1875 + 700, 200),
-        ("default", 30_000, 2), ("default", 20, 36),
-    ], ids=["full", "short-last", "last-below-2Nd", "N<2Nd", "default-merge",
-            "default-short-last", "default-N<2Nd"])
-    def test_factor_is_numpy_qr_of_each_block_and_merge(self, cap, rows, n_d, request):
-        # the factor is numpy.linalg.qr(mode="r") of every block and every
-        # merge of the same tree, bit for bit: this pins the in-place LAPACK
-        # route to numpy's own wrapper
+    # (cap, rows, N_d, reader blocks): a 64-row leaf of 4 columns takes 64
+    # rows, and each later one 60 rows over the 4-row R; of 12 columns, 64
+    # and then 52.  Default leaves have 2,048 rows at N_d = 36, 16,384 at
+    # N_d = 2, and 4 N_d = 800 at N_d = 200.
+    @pytest.mark.parametrize("cap,rows,n_d,split", [
+        ("64-row", 64 + 7 * 60, 2, None), ("64-row", 200, 6, None),
+        ("64-row", 64 + 52 + 5, 6, None), ("64-row", 5, 6, None),
+        ("64-row", 200, 6, (7, 50, 1, 90, 52)), ("default", 2048 + 1976 + 700, 36, None),
+        ("default", 30_000, 2, None), ("default", 800 + 9 * 400 + 50, 200, None),
+        ("default", 20, 36, None), ("default", 100, 36, None),
+    ], ids=["full", "short-last", "last-below-2Nd", "N<2Nd", "split-across-reads",
+            "default-short-last", "default-narrow", "default-wide", "default-N<2Nd",
+            "default-N<4Nd"])
+    def test_factor_is_numpy_qr_of_each_leaf(self, cap, rows, n_d, split, request):
+        # the factor is numpy.linalg.qr(mode="r") of each leaf, the next rows
+        # over the R of the rows before them, bit for bit and at one BLAS
+        # thread: this pins the in-place LAPACK route to numpy's own wrapper
         if cap == "64-row":
             request.getfixturevalue("small_blocks")
-        block_rows = min(numerics._BLOCK_ROWS, numerics._BLOCK_BYTES // (16 * n_d))
+        leaf_rows = max(4 * n_d, min(numerics._BLOCK_ROWS,
+                                     numerics._BLOCK_BYTES // (16 * n_d)))
         rng = np.random.Generator(np.random.PCG64(800 + rows))
         M = rng.standard_normal((rows, 2 * n_d)) * np.exp(rng.uniform(-9, 9, 2 * n_d))
-        factors, full = [], rows - rows % block_rows
-        for start in range(0, full, block_rows):
-            factors.append(np.linalg.qr(M[start:start + block_rows], mode="r"))
-            if len(factors) > 1 and 4 * sum(map(len, factors)) >= block_rows:
-                factors = [np.linalg.qr(np.vstack(factors), mode="r")]
-        if full < rows:
-            factors.append(np.linalg.qr(M[full:], mode="r"))
-        R = np.linalg.qr(np.vstack(factors), mode="r")
-        factor = koopid.snapshot_factor(M[:, :n_d], M[:, n_d:])
+        R, start = M[:0], 0
+        with numerics._one_blas_thread():
+            while start < rows:
+                take = leaf_rows - len(R)
+                R = np.linalg.qr(np.vstack([M[start:start + take], R]), mode="r")
+                start += take
+        if split is None:
+            factor = koopid.snapshot_factor(M[:, :n_d], M[:, n_d:])
+        else:
+            factor = numerics._factor_blocks(n_d, _reads(M, split))
         assert np.array_equal(np.hstack([factor.RX, factor.RY]), R)
 
     def test_a_factor_given_as_data_takes_its_own_rows_of_block(self, vdp_dictionary,
                                                                 vdp_snapshots):
-        # the 72 rows of R get a 72-row block, not a 10,416-row one: numpy
-        # asks for huge pages for arrays of 4 MiB and more, so a full block
-        # would be resident for the few rows that are touched
+        # the 72 rows of R get a 72-row leaf, not a 2,048-row one
         factor = koopid.evaluate_factor(vdp_dictionary, vdp_snapshots.X,
                                         vdp_snapshots.Y)
         tracemalloc.start()

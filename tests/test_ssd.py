@@ -488,8 +488,8 @@ class TestRowOrder:
     def test_permuting_rows_keeps_decisions_and_modes(self, seed, vdp_dictionary,
                                                       vdp_snapshots, monkeypatch,
                                                       tol):
-        # 10 blocks of 1,000 rows, so the permutation reorders whole blocks
-        # and the rows within them
+        # leaves of 1,000 rows, 928 of them new after the first, so the
+        # permutation reorders the rows of every leaf
         monkeypatch.setattr(numerics, "_BLOCK_ROWS", 1_000)
         X, Y = vdp_snapshots.X, vdp_snapshots.Y
         order = np.random.Generator(np.random.PCG64(900 + seed)).permutation(len(X))

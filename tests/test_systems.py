@@ -230,8 +230,9 @@ class TestSnapshotCsv:
     @pytest.mark.parametrize("side", [0, 1])
     def test_overflowing_snapshot_reports_its_csv_row(self, side, tmp_path,
                                                       small_blocks):
-        # one stored sample overflows the degree-7 dictionary in the second
-        # 64-row block; the error names that sample's index in the file
+        # one stored sample overflows the degree-7 dictionary, whose leaves
+        # have their 144-row floor here; the error names that sample's index
+        # in the file
         spec = koopid.SystemSpec.continuous("vanderpol", 5e-3, [(-4, 4)] * 2, seed=5)
         snap = koopid.generate(spec, 150)
         X, Y = snap.X.copy(), snap.Y.copy()
@@ -711,6 +712,28 @@ class TestStreamedRead:
         path.unlink()  # with no twin, the count has to read the CSV
         with pytest.raises(ArtifactIOError, match="^cannot read snapshot file: "):
             stream.count
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 19])
+    @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+    @pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\r\n", "\r", "\n"]],
+                             ids=["lf", "crlf", "cr", "mixed"])
+    def test_count_is_the_non_blank_lines_after_the_header(self, tmp_path, monkeypatch,
+                                                            chunk, final, ends):
+        # the count read in chunks of `chunk` characters equals Python's text
+        # mode count of the lines after the header that are not blank; a
+        # space-only line counts, and a chunk can end inside "\r\n"
+        monkeypatch.setattr(systems, "_READ_BYTES", chunk)
+        lines = ["x_1,x_2,y_1,y_2", "", "1,2,3,4", "", "", " ", "5,6,7,8", "\t",
+                 "9,10,11,12", "", "13,14,15,16"]
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        text = text if final else text.rstrip("\r\n")
+        path = tmp_path / "snap.csv"
+        path.write_bytes(text.encode())
+        with open(path, newline="") as fh:
+            next(fh)
+            expected = sum(1 for line in fh if line.strip("\r\n"))
+        assert expected == 6
+        assert systems.SnapshotStream(path).count == expected
 
     @twin_case
     def test_count_is_known_before_the_scan(self, tmp_path, parses, twin):
