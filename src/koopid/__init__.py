@@ -36,6 +36,7 @@ from .numerics import (
     eig,
     null_space_basis,
     numerical_rank,
+    one_blas_thread,
     orthonormal_range,
     principal_angles,
     pseudo_inverse,

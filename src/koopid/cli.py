@@ -591,11 +591,15 @@ def main(argv=None):
             command_parser = commands[args.command]
             command_parser.set_defaults(**_config_defaults(args.config, command_parser))
             args = parser.parse_args(argv)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "identify":
-            return cmd_identify(args)
-        return cmd_verify(args)
+        # the commands' matrix products are narrow (at most 2N_d columns,
+        # the factor's leaves included), where a second BLAS thread does
+        # not pay and was seen to stall
+        with numerics.one_blas_thread():
+            if args.command == "generate":
+                return cmd_generate(args)
+            if args.command == "identify":
+                return cmd_identify(args)
+            return cmd_verify(args)
     except KoopidError as exc:
         return _fail(exc)
 

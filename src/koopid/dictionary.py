@@ -7,6 +7,7 @@ enough to express every derived dictionary the subspace algorithms produce
 while keeping evaluation exact and reproducible.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -147,6 +148,31 @@ def monomials_up_to_degree(n, degree):
     return MonomialDictionary(state_dim=n, exponents=tuple(exps))
 
 
+@functools.cache
+def _monomial_plan(exponents):
+    """How :func:`_evaluate_monomials` builds the columns of ``exponents``:
+    ``(powers, products, lacking)``.
+
+    ``powers`` lists ``(i, k, j)`` in order for each power x_i^k, k >= 2,
+    that a column needs, with j the column it is, or None for a scratch
+    column, of which there are ``lacking``.  ``products`` lists ``(j,
+    factors)`` for every other column j: the ``(i, k)`` of its variables'
+    powers in variable order, none for the constant.
+    """
+    columns = {e: j for j, e in enumerate(exponents)}
+    n = len(exponents[0])
+    powers, lacking = [], 0
+    for i in range(n):
+        for k in range(2, max(e[i] for e in exponents) + 1):
+            j = columns.get((0,) * i + (k,) + (0,) * (n - i - 1))
+            powers.append((i, k, j))
+            lacking += j is None
+    in_place = {j for _, _, j in powers}
+    products = [(j, tuple((i, k) for i, k in enumerate(e) if k))
+                for e, j in columns.items() if j not in in_place]
+    return powers, products, lacking
+
+
 def _evaluate_monomials(dictionary, X, out):
     """Write the monomials of the rows of X into the columns of out; return
     the first row with a non-finite value, or None.
@@ -154,43 +180,37 @@ def _evaluate_monomials(dictionary, X, out):
     x_i^k is the column of x_i^(k-1) times x_i, and a mixed monomial the
     product of its variables' powers from left to right, so every value is
     the product from 1.0 in variable order, bit for bit.  Only a power of
-    two or more that the dictionary lacks takes a scratch column.  Each
-    column is checked on its own; the first non-finite row is looked for
-    only when a check fails.
+    two or more that the dictionary lacks takes a scratch column.
     """
-    n = dictionary.state_dim
-    columns = {e: out[:, j] for j, e in enumerate(dictionary.exponents)}
-    top = [max(e[i] for e in columns) for i in range(n)]
-
-    def power(i, k):
-        return (0,) * i + (k,) + (0,) * (n - i - 1)
-
-    lacking = sum(power(i, k) not in columns
-                  for i in range(n) for k in range(2, top[i] + 1))
+    powers, products, lacking = _monomial_plan(dictionary.exponents)
     scratch = iter(np.empty((len(X), lacking), order="F").T)
-    powers, finite = {}, True
+    columns = {(i, 1): X[:, i] for i in range(dictionary.state_dim)}
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            x = powers[i, 1] = X[:, i]
-            for k in range(2, top[i] + 1):
-                col = columns.get(power(i, k))
-                powers[i, k] = np.multiply(powers[i, k - 1], x,
-                                           out=next(scratch) if col is None else col)
-        for e, col in columns.items():
-            factors = [powers[i, k] for i, k in enumerate(e) if k]
+        for i, k, j in powers:
+            columns[i, k] = np.multiply(columns[i, k - 1], columns[i, 1],
+                                        out=next(scratch) if j is None else out[:, j])
+        for j, factors in products:
+            col = out[:, j]
             if not factors:
                 col[:] = 1.0
-                continue
-            if len(factors) > 1:
-                np.multiply(factors[0], factors[1], out=col)
+            elif len(factors) == 1:  # x_i itself
+                col[:] = columns[factors[0]]
+            else:
+                np.multiply(columns[factors[0]], columns[factors[1]], out=col)
                 for factor in factors[2:]:
-                    col *= factor
-            elif sum(e) == 1:  # x_i itself; its higher powers are in place
-                col[:] = factors[0]
-            finite = finite and np.isfinite(col).all()
-    if finite:
-        return None
-    return int(np.argmin(np.isfinite(out).all(axis=1)))
+                    col *= columns[factor]
+    return _first_nonfinite_row(out)
+
+
+def _first_nonfinite_row(out):
+    """The first row of out with a non-finite value, or None.  One sum tests
+    the whole block (it is finite only when every value is), and the rows
+    are searched only when it is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(out.sum()):
+            return None
+    bad = ~np.isfinite(out).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _evaluate_into(dictionary, X, out):
@@ -203,9 +223,7 @@ def _evaluate_into(dictionary, X, out):
     if row is None:
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(base, dictionary.coeffs, out=out)
-        bad = ~np.all(np.isfinite(out), axis=1)
-        if bad.any():
-            row = int(np.argmax(bad))
+        row = _first_nonfinite_row(out)
     return row
 
 

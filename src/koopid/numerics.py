@@ -6,6 +6,7 @@ that the iterative subspace pruning never mixes inconsistent thresholds.
 """
 
 import contextlib
+import ctypes
 import functools
 import math
 import threading
@@ -22,6 +23,7 @@ __all__ = [
     "EigenpairSet",
     "SnapshotFactor",
     "snapshot_factor",
+    "one_blas_thread",
     "numerical_rank",
     "null_space_basis",
     "pseudo_inverse",
@@ -129,31 +131,49 @@ class SnapshotFactor:
 # max(4 N_d, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 N_d))) rows of the 2N_d
 # columns, the last 2N_d of them the R factor of the rows before it, and
 # LAPACK factors it in place at one BLAS thread.  At degree 7 (N_d = 36) the
-# 2,048 rows, 1.2 MB, stay in a 2 MiB L2 cache and take 1.0 us a row (1.5 us
-# for 10,416-row blocks at 2 OpenBLAS threads); Van der Pol then peaks at
-# 34 MB (was 37-40).  The leaf size fixes every bit of the factor: keep it.
+# 2,048 rows, 1.2 MB, stay in a 2 MiB L2 cache, and dgeqrt's panels of
+# _QR_PANEL columns take 0.4 us a row (dgeqrf 1.0 us, 1.5 us for 10,416-row
+# blocks at 2 OpenBLAS threads); Van der Pol then peaks at 34 MB (was
+# 37-40).  The leaf size and the panel width fix every bit of the factor:
+# keep them.
 _BLOCK_BYTES = 1_179_648
 _BLOCK_ROWS = 16_384
+_QR_PANEL = 16
 _BLAS_PIN = threading.RLock()
+
+
+@functools.cache
+def _lapack():
+    """The library numpy's LAPACK is, with the libraries it links."""
+    return ctypes.CDLL(lapack_lite.__file__)
 
 
 @functools.cache
 def _thread_setter():
     """OpenBLAS's ``openblas_set_num_threads_local`` in the BLAS that numpy's
     LAPACK links, or None where that BLAS has no such setter."""
-    import ctypes
-    blas = ctypes.CDLL(lapack_lite.__file__)  # with the libraries it links
-    setter = getattr(blas, "openblas_set_num_threads_local", None)
+    setter = getattr(_lapack(), "openblas_set_num_threads_local", None)
     if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
     return setter
 
 
+@functools.cache
+def _dgeqrt():
+    """LAPACK's ``dgeqrt`` in numpy's scipy-openblas (64-bit integers, every
+    argument by address), or None where numpy's LAPACK does not export it."""
+    kernel = getattr(_lapack(), "scipy_dgeqrt_64_", None)
+    if kernel is not None:
+        kernel.argtypes, kernel.restype = [ctypes.c_void_p] * 9, None
+    return kernel
+
+
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block at one BLAS thread, and restore the count after it, where
-    :func:`_thread_setter` finds the setter.  In an OpenBLAS on pthreads the
-    count is the whole process's, so concurrent blocks take turns."""
+    numpy's BLAS is an OpenBLAS with ``openblas_set_num_threads_local``.  In
+    an OpenBLAS on pthreads the count is the whole process's, so concurrent
+    blocks take turns; a block may nest in another on the same thread."""
     with _BLAS_PIN:
         setter = _thread_setter() or (lambda count: count)
         previous = setter(1)
@@ -167,28 +187,33 @@ def _qr_r(M, rows, work):
     """Reduce the first ``rows`` rows of the Fortran-ordered M in place to
     their R factor, in its first ``min(rows, cols)`` rows; returns that count.
 
-    LAPACK ``dgeqrf`` overwrites the rows with R and its Householder
-    reflectors, as ``numpy.linalg.qr(mode="r")`` does to its own copy, so R,
-    its reflectors zeroed, is the same bit for bit.  ``work`` is the
-    workspace of :func:`_qr_workspace` for M's column count.
+    LAPACK ``dgeqrt`` overwrites the rows with R and its Householder
+    reflectors, in panels of ``_QR_PANEL`` columns, and puts their block
+    reflectors' T factors in ``work``, ``2 * _QR_PANEL * cols`` numbers.
+    Where numpy's LAPACK lacks ``dgeqrt``, ``dgeqrf`` does the same with
+    ``work`` as its workspace, which holds its blocks of 32 columns, as
+    ``numpy.linalg.qr(mode="r")`` does to its own copy, so R is that R bit
+    for bit.  Either way the reflectors are zeroed.
     """
     n = M.shape[1]
     k = min(rows, n)
-    info = lapack_lite.dgeqrf(rows, n, M.T, len(M), np.empty(k), work, work.size, 0)["info"]
+    kernel = _dgeqrt()
+    if kernel is None:
+        name = "dgeqrf"
+        info = lapack_lite.dgeqrf(rows, n, M.T, len(M), np.empty(k), work, work.size, 0)["info"]
+    else:
+        name, nb = "dgeqrt", min(_QR_PANEL, k)
+        # m, n, nb, lda, ldt, info
+        ints = np.array([rows, n, nb, len(M), nb, 0], dtype=np.int64)
+        at = ints.ctypes.data
+        kernel(at, at + 8, at + 16, M.ctypes.data, at + 24, work.ctypes.data, at + 32,
+               work[nb * n:].ctypes.data, at + 40)
+        info = int(ints[5])
     if info:
         raise InternalInvariantViolation(
-            f"LAPACK dgeqrf returned info {info} on a {rows} x {n} block")
+            f"LAPACK {name} returned info {info} on a {rows} x {n} block")
     M[:k][np.tri(k, n, -1, dtype=bool)] = 0.0
     return k
-
-
-def _qr_workspace(M):
-    """The ``work`` of :func:`_qr_r` for M's column count, sized as numpy
-    sizes it: LAPACK's optimal size, and at least the column count."""
-    n = M.shape[1]
-    size = np.empty(1)
-    lapack_lite.dgeqrf(M.shape[0], n, M.T, M.shape[0], np.empty(n), size, -1, 0)
-    return np.empty(max(1, n, int(size[0])))
 
 
 def _factor_blocks(n_d, parts, total=None):
@@ -207,9 +232,9 @@ def _factor_blocks(n_d, parts, total=None):
         return SnapshotFactor(np.zeros((0, 0)), np.zeros((0, 0)))
     leaf_rows = max(4 * n_d, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * n_d)))
     M = np.empty((min(leaf_rows, total or leaf_rows), 2 * n_d), order="F")
-    work = _qr_workspace(M)
+    work = np.empty(2 * _QR_PANEL * 2 * n_d)
     r = filled = 0  # rows of the R carried at the leaf's end; rows of data before it
-    with _one_blas_thread():
+    with one_blas_thread():
         for rows, fill in parts:
             start = 0
             while start < rows:

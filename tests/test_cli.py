@@ -872,8 +872,8 @@ def test_import_loads_no_scipy(tmp_path):
     # binary twin loads nothing more.  The thread pool of the CSV writer is
     # imported only when it has more than one chunk to format, so writing the
     # one-chunk grid of identify does not load it either, and no write loads
-    # multiprocessing.  Importing it does not look up the BLAS's thread-count
-    # setter either (numpy itself has loaded ctypes by then).
+    # multiprocessing.  Importing it looks up neither the BLAS's thread-count
+    # setter nor LAPACK's dgeqrt (numpy itself has loaded ctypes by then).
     snap = tmp_path / "snap.csv"
     assert cli.main(GEN_LINEAR + ["--out", str(snap)]) == 0
     src = pathlib.Path(koopid.__file__).resolve().parent.parent
@@ -883,8 +883,9 @@ def test_import_loads_no_scipy(tmp_path):
              "    return sorted(m for m in sys.modules if m in ('scipy', 'hashlib', '_hashlib',\n"
              "                  'multiprocessing', 'concurrent.futures')\n"
              "                  or m.startswith('scipy.'))\n"
-             "setter = koopid.numerics._thread_setter\n"
-             "print(loaded(), setter.cache_info().currsize)\n"
+             "numerics = koopid.numerics\n"
+             "print(loaded(), numerics._thread_setter.cache_info().currsize,\n"
+             "      numerics._dgeqrt.cache_info().currsize)\n"
              "koopid.systems.np.loadtxt = None  # read the twin, not the text\n"
              "snapshots = koopid.read_snapshot_csv(sys.argv[1])\n"
              "print(snapshots.count, loaded())\n"
@@ -897,8 +898,53 @@ def test_import_loads_no_scipy(tmp_path):
              "print(long.count, loaded())\n")
     out = subprocess.run([sys.executable, "-c", probe, str(snap), str(tmp_path / "copy.csv")],
                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.splitlines() == ["[] 0", "2000 []", "[]",
+    assert out.stdout.splitlines() == ["[] 0 0", "2000 []", "[]",
                                        "18000 ['concurrent.futures']"]
+
+
+@pytest.fixture()
+def blas_threads():
+    """Reads OpenBLAS's thread count, which is 2 when the test starts."""
+    setter = koopid.numerics._thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    before = setter(2)
+
+    def count():
+        current = setter(1)
+        setter(current)
+        return current
+
+    yield count
+    setter(before)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "error-exit"])
+@pytest.mark.parametrize("command", ["generate", "identify", "verify"])
+def test_a_command_runs_at_one_blas_thread_and_restores_the_count(workdir, blas_threads,
+                                                                  monkeypatch, command, fails):
+    # the sampling of generate and the decomposition of identify and verify
+    # run at one thread, and the count the process had comes back however
+    # main ends
+    snap = str(workdir / "snap.csv")
+    _, result = run_identify(workdir, "--method", "ssd-approx", "--eps", "1e-4")
+    argv = {"generate": GEN_LINEAR + ["--out", str(workdir / "again.csv")],
+            "identify": ["identify", "--snapshots", snap, "--degree", "3", "--method",
+                         "ssd-approx", "--eps", "1e-4", "--out", str(workdir / "r.json")],
+            "verify": ["verify", str(result), snap]}[command]
+    module, name = (koopid.systems, "generate") if command == "generate" else (cli, "approximate_ssd")
+    inner, seen = getattr(module, name), []
+
+    def recording(*args):
+        seen.append(blas_threads())
+        if fails:
+            raise koopid.AssumptionViolation("stopped inside the command")
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    assert blas_threads() == 2
+    assert cli.main(argv) == (cli.EXIT_ASSUMPTION_VIOLATION if fails else cli.EXIT_OK)
+    assert seen == [1] and blas_threads() == 2
 
 
 @pytest.fixture(scope="module")

@@ -84,6 +84,17 @@ class TestEvaluate:
             koopid.evaluate(d, X)
         assert excinfo.value.row == 1
 
+    @pytest.mark.parametrize("coeffs", [None, [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["monomials", "derived"])
+    def test_finite_values_whose_sum_overflows_are_no_overflow(self, coeffs):
+        # the block's sum is infinite, but every value is finite
+        d = koopid.MonomialDictionary(1, [(0,), (1,)])
+        if coeffs is not None:
+            d = koopid.restrict(d, np.array(coeffs))
+        X = np.array([[1e308], [1.5e308], [-1e308]])
+        np.testing.assert_array_equal(koopid.evaluate(d, X),
+                                      np.hstack([np.ones((3, 1)), X]))
+
     def test_overflow_in_a_derived_recombination_reports_row(self):
         base = koopid.MonomialDictionary(1, [(1,), (2,)])
         derived = koopid.restrict(base, np.array([[1.0], [1e300]]))

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,28 @@ import koopid
 from koopid import numerics
 from koopid.errors import InternalInvariantViolation, InvalidInput
 from koopid.numerics import _normalize_eigenvector
+
+
+@pytest.fixture()
+def without_dgeqrt(monkeypatch):
+    """Factors through dgeqrf, as where numpy's LAPACK lacks dgeqrt."""
+    monkeypatch.setattr(numerics, "_dgeqrt", lambda: None)
+
+
+def _dgeqrt_r(A):
+    """R of a copy of A by numpy's LAPACK dgeqrt in panels of
+    ``numerics._QR_PANEL`` columns."""
+    A = np.array(A, order="F")
+    m, n = A.shape
+    k = min(m, n)
+    nb = min(numerics._QR_PANEL, k)
+    T, work = np.empty((nb, n), order="F"), np.empty((nb, n), order="F")
+    m_, n_, nb_, lda, ldt, info = (ctypes.c_int64(v) for v in (m, n, nb, m, nb, 0))
+    numerics._dgeqrt()(*map(ctypes.addressof, (m_, n_, nb_)), A.ctypes.data,
+                       ctypes.addressof(lda), T.ctypes.data, ctypes.addressof(ldt),
+                       work.ctypes.data, ctypes.addressof(info))
+    assert info.value == 0
+    return np.triu(A[:k])
 
 
 def rank_deficient_matrix(rng, rows, cols, rank):
@@ -350,10 +373,16 @@ class TestOneBlasThread:
             pytest.skip(f"numpy's BLAS is {blas}")
         assert numerics._thread_setter() is not None
 
+    def test_finds_dgeqrt_in_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {blas}")
+        assert numerics._dgeqrt() is not None
+
     @pytest.mark.parametrize("raises", [False, True])
     def test_restores_the_count_on_any_exit(self, setter, raises):
         with pytest.raises(KeyError) if raises else contextlib.nullcontext():
-            with numerics._one_blas_thread():
+            with numerics.one_blas_thread():
                 assert _blas_threads(setter) == 1
                 if raises:
                     raise KeyError
@@ -366,11 +395,11 @@ class TestOneBlasThread:
         seen = []
 
         def second():
-            with numerics._one_blas_thread():
+            with numerics.one_blas_thread():
                 seen.append(_blas_threads(setter))
 
         thread = threading.Thread(target=second)
-        with numerics._one_blas_thread():
+        with numerics.one_blas_thread():
             thread.start()
             thread.join(0.2)
             assert thread.is_alive() and not seen
@@ -449,7 +478,7 @@ class TestSnapshotFactor:
     # rows, and each later one 60 rows over the 4-row R; of 12 columns, 64
     # and then 52.  Default leaves have 2,048 rows at N_d = 36, 16,384 at
     # N_d = 2, and 4 N_d = 800 at N_d = 200.
-    @pytest.mark.parametrize("cap,rows,n_d,split", [
+    leaf_cases = pytest.mark.parametrize("cap,rows,n_d,split", [
         ("64-row", 64 + 7 * 60, 2, None), ("64-row", 200, 6, None),
         ("64-row", 64 + 52 + 5, 6, None), ("64-row", 5, 6, None),
         ("64-row", 200, 6, (7, 50, 1, 90, 52)), ("default", 2048 + 1976 + 700, 36, None),
@@ -458,10 +487,11 @@ class TestSnapshotFactor:
     ], ids=["full", "short-last", "last-below-2Nd", "N<2Nd", "split-across-reads",
             "default-short-last", "default-narrow", "default-wide", "default-N<2Nd",
             "default-N<4Nd"])
-    def test_factor_is_numpy_qr_of_each_leaf(self, cap, rows, n_d, split, request):
-        # the factor is numpy.linalg.qr(mode="r") of each leaf, the next rows
-        # over the R of the rows before them, bit for bit and at one BLAS
-        # thread: this pins the in-place LAPACK route to numpy's own wrapper
+
+    @staticmethod
+    def _assert_factor_is_leaf_qr(leaf_qr, cap, rows, n_d, split, request):
+        """The factor is ``leaf_qr`` of each leaf, the next rows over the R
+        of the rows before them, bit for bit and at one BLAS thread."""
         if cap == "64-row":
             request.getfixturevalue("small_blocks")
         leaf_rows = max(4 * n_d, min(numerics._BLOCK_ROWS,
@@ -469,16 +499,45 @@ class TestSnapshotFactor:
         rng = np.random.Generator(np.random.PCG64(800 + rows))
         M = rng.standard_normal((rows, 2 * n_d)) * np.exp(rng.uniform(-9, 9, 2 * n_d))
         R, start = M[:0], 0
-        with numerics._one_blas_thread():
+        with numerics.one_blas_thread():
             while start < rows:
                 take = leaf_rows - len(R)
-                R = np.linalg.qr(np.vstack([M[start:start + take], R]), mode="r")
+                R = leaf_qr(np.vstack([M[start:start + take], R]))
                 start += take
         if split is None:
             factor = koopid.snapshot_factor(M[:, :n_d], M[:, n_d:])
         else:
             factor = numerics._factor_blocks(n_d, _reads(M, split))
         assert np.array_equal(np.hstack([factor.RX, factor.RY]), R)
+
+    @leaf_cases
+    def test_factor_is_numpy_qr_of_each_leaf(self, cap, rows, n_d, split, request,
+                                             without_dgeqrt):
+        # where numpy's LAPACK has no dgeqrt, the factor is
+        # numpy.linalg.qr(mode="r") of each leaf: this pins the in-place
+        # dgeqrf route to numpy's own wrapper
+        self._assert_factor_is_leaf_qr(lambda A: np.linalg.qr(A, mode="r"),
+                                       cap, rows, n_d, split, request)
+
+    @leaf_cases
+    def test_factor_is_dgeqrt_of_each_leaf(self, cap, rows, n_d, split, request):
+        # the in-place route through dgeqrt against a call of the kernel on
+        # a copy of each leaf
+        if numerics._dgeqrt() is None:
+            pytest.skip("numpy's LAPACK does not export dgeqrt")
+        self._assert_factor_is_leaf_qr(_dgeqrt_r, cap, rows, n_d, split, request)
+
+    def test_dgeqrt_factor_is_numpy_qr_to_rounding(self):
+        # 5,000 rows in three leaves, against one numpy.linalg.qr of all
+        # rows; each R is unique up to the signs of its rows
+        rng = np.random.Generator(np.random.PCG64(17))
+        M = rng.standard_normal((5000, 72))
+        factor = koopid.snapshot_factor(M[:, :36], M[:, 36:])
+        R = np.hstack([factor.RX, factor.RY])
+        R_numpy = np.linalg.qr(M, mode="r")
+        signs = np.sign(np.diag(R)) * np.sign(np.diag(R_numpy))
+        np.testing.assert_allclose(signs[:, None] * R, R_numpy,
+                                   rtol=0, atol=1e-13 * np.abs(R_numpy).max())
 
     def test_a_factor_given_as_data_takes_its_own_rows_of_block(self, vdp_dictionary,
                                                                 vdp_snapshots):
@@ -494,15 +553,24 @@ class TestSnapshotFactor:
         assert peak < numerics._BLOCK_BYTES / 10
 
     def test_lapack_failure_names_info_and_shape(self, monkeypatch):
-        dgeqrf = numerics.lapack_lite.dgeqrf
+        # each kernel's info, that of dgeqrf with the dgeqrt lookup disabled
+        dgeqrf, dgeqrt = numerics.lapack_lite.dgeqrf, numerics._dgeqrt()
 
-        def failing(m, n, a, lda, tau, work, lwork, info):
-            result = dgeqrf(m, n, a, lda, tau, work, lwork, info)
-            return result if lwork == -1 else {**result, "info": -4}
+        def failing_dgeqrf(m, n, a, lda, tau, work, lwork, info):
+            return {**dgeqrf(m, n, a, lda, tau, work, lwork, info), "info": -4}
 
-        monkeypatch.setattr(numerics.lapack_lite, "dgeqrf", failing)
-        with pytest.raises(InternalInvariantViolation, match=r"info -4 on a 10 x 6 block"):
-            koopid.snapshot_factor(np.ones((10, 3)), np.ones((10, 3)))
+        def failing_dgeqrt(*addresses):
+            dgeqrt(*addresses)
+            ctypes.c_int64.from_address(addresses[-1]).value = -4
+
+        kernels = [("dgeqrf", None)] + ([("dgeqrt", failing_dgeqrt)] if dgeqrt else [])
+        for name, kernel in kernels:
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics.lapack_lite, "dgeqrf", failing_dgeqrf)
+                patch.setattr(numerics, "_dgeqrt", lambda: kernel)
+                with pytest.raises(InternalInvariantViolation,
+                                   match=rf"LAPACK {name} returned info -4 on a 10 x 6 block"):
+                    koopid.snapshot_factor(np.ones((10, 3)), np.ones((10, 3)))
 
     def test_rejects_unequal_shapes(self):
         with pytest.raises(InvalidInput):

@@ -244,6 +244,29 @@ class TestSnapshotCsv:
             koopid.evaluate_factor(koopid.monomials_up_to_degree(2, 7), back.X, back.Y)
         assert excinfo.value.row == 100
 
+    @pytest.mark.parametrize("twin", [True, False], ids=["twin", "parsed"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_overflow_in_a_later_leaf_reports_its_csv_row(self, side, twin, tmp_path,
+                                                          small_blocks, monkeypatch):
+        # 400 samples of the degree-7 dictionary, whose leaves take 144 rows
+        # and then 72 over the carried R here: sample 333 is in the fourth
+        # leaf (rows 288-359) and in the seventh 50-row block of the reader.
+        # The error names that sample's index in the file and its side.
+        spec = koopid.SystemSpec.continuous("vanderpol", 5e-3, [(-4, 4)] * 2, seed=5)
+        snap = koopid.generate(spec, 400)
+        X, Y = snap.X.copy(), snap.Y.copy()
+        (X, Y)[side][333] = 1e50
+        path = tmp_path / "snap.csv"
+        koopid.write_snapshot_csv(koopid.SnapshotSet(X, Y), path)
+        if not twin:
+            (tmp_path / ("snap" + systems.TWIN_SUFFIX)).unlink()
+        monkeypatch.setattr(systems, "_READ_BYTES", 50 * 32)
+        dictionary = koopid.monomials_up_to_degree(2, 7)
+        with pytest.raises(EvaluationOverflow, match="on " + "XY"[side]) as excinfo:
+            koopid.SnapshotStream(path).scan(
+                lambda blocks: koopid.evaluate_factor(dictionary, blocks))
+        assert excinfo.value.row == 333
+
 
 def _csv_writer_reference(snapshots):
     """The bytes the stdlib csv module writes for a snapshot set."""
