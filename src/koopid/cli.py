@@ -319,7 +319,9 @@ def cmd_identify(args):
     if args.method != "ssd-approx" and args.eps is not None:
         raise InvalidInput("--eps is only valid with --method ssd-approx")
 
-    # every step below works on the R-factor blocks of [D(X), D(Y)]
+    # every step below works on the R-factor blocks of [D(X), D(Y)], which
+    # the factor file binds to the CSV's checksum as it was before the read
+    snapshots.checksum
     factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
     RX, RY = factor.RX, factor.RY
 
@@ -379,6 +381,7 @@ def cmd_identify(args):
         with open(out_path, "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    snapshots.save_factor(out_path.with_suffix(systems.FACTOR_SUFFIX), factor, dictionary)
     print(f"identified {len(evolutions)} linear evolution(s); wrote {out_path}")
     return EXIT_OK
 
@@ -527,7 +530,11 @@ def cmd_verify(args):
     if dictionary.state_dim != snapshots.state_dim:
         raise InvalidInput("result dictionary does not match the snapshot state dim")
 
-    factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
+    # the R factor identify saved beside the result when it is bound to this
+    # CSV and dictionary, else the data's, computed as identify computes it
+    factor = (snapshots.load_factor(pathlib.Path(args.result).with_suffix(systems.FACTOR_SUFFIX),
+                                    dictionary)
+              or snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks)))
     RX, RY = factor.RX, factor.RY
 
     # each stage of the stored run is replayed on its stored input, and the

@@ -231,42 +231,42 @@ def forward_backward_eigenpairs(DX, DY, tol=DEFAULT_TOL):
 
     Requires both dictionary matrices to have full column rank.
     """
-    F = numerics.snapshot_factor(DX, DY)
-    k_f, k_b = _full_rank_pair(F, tol)
-    f_pairs = numerics.eig(k_f.matrix)
-    b_pairs = numerics.eig(k_b.matrix)
-    norm_kb = np.linalg.norm(k_b.matrix)
-    atol = tol.eig_match_atol
+    with numerics.one_blas_thread():
+        F = numerics.snapshot_factor(DX, DY)
+        k_f, k_b = _full_rank_pair(F, tol)
+        f_pairs = numerics.eig(k_f.matrix)
+        b_pairs = numerics.eig(k_b.matrix)
+        norm_kb = np.linalg.norm(k_b.matrix)
+        atol = tol.eig_match_atol
 
-    real_idx = [i for i in range(len(f_pairs)) if f_pairs.is_real[i]]
-    upper_idx = [i for i in range(len(f_pairs)) if f_pairs.values[i].imag > 0.0]
+        real_idx = [i for i in range(len(f_pairs)) if f_pairs.is_real[i]]
+        upper_idx = [i for i in range(len(f_pairs)) if f_pairs.values[i].imag > 0.0]
 
-    matched = []
-    for cluster in (_cluster_indices(f_pairs.values, real_idx, atol)
-                    + _cluster_indices(f_pairs.values, upper_idx, atol)):
-        lam = complex(np.mean(f_pairs.values[cluster]))
-        if _negligible(lam, len(cluster)):
-            continue
-        for v in _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
-            v = numerics._normalize_eigenvector(v)
-            backward_defect = float(np.linalg.norm(k_b.matrix @ v - v / lam))
-            lam_b = complex(np.vdot(v, k_b.matrix @ v))
-            if backward_defect > atol * norm_kb:
+        matched = []
+        for cluster in (_cluster_indices(f_pairs.values, real_idx, atol)
+                        + _cluster_indices(f_pairs.values, upper_idx, atol)):
+            lam = complex(np.mean(f_pairs.values[cluster]))
+            if _negligible(lam, len(cluster)):
                 continue
-            if abs(lam_b - 1.0 / lam) > atol * (1.0 + 1.0 / abs(lam)):
-                continue
-            ok, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
-            if not ok:
-                raise InternalInvariantViolation(
-                    "vector passed the forward-backward test but violates the "
-                    f"data relation (defect {data_defect:.3e}); inconsistent "
-                    "tolerances or rank decisions"
-                )
-            ev = _evolution(k_f, k_b, lam, v, data_defect)
-            matched.append(ev)
-            if lam.imag != 0.0:
-                # conjugate partner: exact by symmetry of the real-data problem
-                matched.append(replace(
-                    ev, eigenvalue=lam.conjugate(), coefficients=np.conj(v)))
-    return sort_evolutions(matched)
-
+            for v in _candidate_vectors(cluster, f_pairs, b_pairs, lam, tol):
+                v = numerics._normalize_eigenvector(v)
+                backward_defect = float(np.linalg.norm(k_b.matrix @ v - v / lam))
+                lam_b = complex(np.vdot(v, k_b.matrix @ v))
+                if backward_defect > atol * norm_kb:
+                    continue
+                if abs(lam_b - 1.0 / lam) > atol * (1.0 + 1.0 / abs(lam)):
+                    continue
+                ok, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
+                if not ok:
+                    raise InternalInvariantViolation(
+                        "vector passed the forward-backward test but violates the "
+                        f"data relation (defect {data_defect:.3e}); inconsistent "
+                        "tolerances or rank decisions"
+                    )
+                ev = _evolution(k_f, k_b, lam, v, data_defect)
+                matched.append(ev)
+                if lam.imag != 0.0:
+                    # conjugate partner: exact by symmetry of the real-data problem
+                    matched.append(replace(
+                        ev, eigenvalue=lam.conjugate(), coefficients=np.conj(v)))
+        return sort_evolutions(matched)

@@ -168,6 +168,18 @@ def _dgeqrt():
     return kernel
 
 
+@functools.cache
+def _blas_identity():
+    """The BLAS's description of itself: OpenBLAS's configuration (version,
+    build options and the CPU core it dispatches to) from numpy's
+    scipy-openblas, or else numpy's record of the BLAS it was built with."""
+    config = getattr(_lapack(), "scipy_openblas_get_config64_", None)
+    if config is None:
+        return repr(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies"))
+    config.restype = ctypes.c_char_p
+    return config().decode()
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block at one BLAS thread, and restore the count after it, where

@@ -199,7 +199,8 @@ def ssd(DX, DY, tol=DEFAULT_TOL):
     below, DX and DY are factored first (:func:`numerics.snapshot_factor`);
     to share one factorization, pass its blocks ``RX, RY``.
     """
-    return _ssd_loop(DX, DY, tol, epsilon=None)
+    with numerics.one_blas_thread():
+        return _ssd_loop(DX, DY, tol, epsilon=None)
 
 
 def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
@@ -215,7 +216,8 @@ def approximate_ssd(DX, DY, epsilon, tol=DEFAULT_TOL):
     """
     if epsilon is None or not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie strictly between 0 and 1")
-    return _ssd_loop(DX, DY, tol, epsilon=float(epsilon))
+    with numerics.one_blas_thread():
+        return _ssd_loop(DX, DY, tol, epsilon=float(epsilon))
 
 
 def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL):
@@ -229,22 +231,23 @@ def reduced_koopman(DX, DY, result, tol=DEFAULT_TOL):
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
-    F = numerics.snapshot_factor(DX, DY)
-    DXC, DYC = F.RX @ result.C, F.RY @ result.C
-    K = numerics.pseudo_inverse(DXC, tol) @ DYC
-    e_r = relative_residual(DXC, DYC, K)
-    if result.mode == "exact":
-        if e_r > 10.0 * tol.subspace_atol:
-            warnings.warn(
-                f"exact-mode reduced Koopman residual e_r = {e_r:.3e} exceeds "
-                "the expected tolerance",
-                UserWarning,
-                stacklevel=2,
-            )
-        if numerics.numerical_rank(K, tol) < K.shape[1]:
-            warnings.warn("exact-mode reduced Koopman matrix is singular",
-                          UserWarning, stacklevel=2)
-    return ReducedKoopman(matrix=K, e_r=e_r)
+    with numerics.one_blas_thread():
+        F = numerics.snapshot_factor(DX, DY)
+        DXC, DYC = F.RX @ result.C, F.RY @ result.C
+        K = numerics.pseudo_inverse(DXC, tol) @ DYC
+        e_r = relative_residual(DXC, DYC, K)
+        if result.mode == "exact":
+            if e_r > 10.0 * tol.subspace_atol:
+                warnings.warn(
+                    f"exact-mode reduced Koopman residual e_r = {e_r:.3e} exceeds "
+                    "the expected tolerance",
+                    UserWarning,
+                    stacklevel=2,
+                )
+            if numerics.numerical_rank(K, tol) < K.shape[1]:
+                warnings.warn("exact-mode reduced Koopman matrix is singular",
+                              UserWarning, stacklevel=2)
+        return ReducedKoopman(matrix=K, e_r=e_r)
 
 
 def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
@@ -262,17 +265,18 @@ def lift_eigenvectors(DX, DY, result, reduced, tol=DEFAULT_TOL):
     """
     if result.is_zero:
         raise InvalidInput("the decomposition returned the zero subspace")
-    F = numerics.snapshot_factor(DX, DY)
-    k_f, k_b = _full_rank_pair(F, tol)
-    lifted = []
-    for lam, w in numerics.eig(reduced.matrix).pairs():
-        lam = complex(lam)
-        if _negligible(lam):
-            continue
-        v = numerics._normalize_eigenvector(result.C @ w)
-        _, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
-        lifted.append(_evolution(k_f, k_b, lam, v, data_defect))
-    return sort_evolutions(lifted)
+    with numerics.one_blas_thread():
+        F = numerics.snapshot_factor(DX, DY)
+        k_f, k_b = _full_rank_pair(F, tol)
+        lifted = []
+        for lam, w in numerics.eig(reduced.matrix).pairs():
+            lam = complex(lam)
+            if _negligible(lam):
+                continue
+            v = numerics._normalize_eigenvector(result.C @ w)
+            _, data_defect = check_linear_evolution(F.RX, F.RY, v, lam, tol)
+            lifted.append(_evolution(k_f, k_b, lam, v, data_defect))
+        return sort_evolutions(lifted)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ over one sampling interval for continuous vector fields.  Initial conditions
 are drawn uniformly from a box with the PCG64 generator, so a (spec, N) pair
 reproduces bit-identical data on any platform.
 A snapshot CSV written here gets a checksum-bound binary twin that
-:class:`SnapshotStream` reads in place of parsing the text.
+:class:`SnapshotStream` reads in place of parsing the text, and a stream can
+save the R factor it gave to a file bound to the CSV's bytes, from which it
+reads that factor back in place of reading the snapshots again.
 """
 
 import csv
@@ -15,6 +17,7 @@ import json
 import logging
 import os
 import pathlib
+import sys
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib import format as npy_format
 
+from . import dictionary as dict_mod
 from . import numerics
 from .errors import EvaluationOverflow, InvalidInput, KoopidError, artifact_io
 
@@ -46,6 +50,10 @@ PRNG_NAME = "PCG64"
 #: provenance key that binds the twin to the CSV.
 TWIN_SUFFIX = ".snapshots.npy"
 TWIN_KEY = "binary_twin"
+
+#: Suffix of the factor file written next to a result, see
+#: :meth:`SnapshotStream.save_factor`.
+FACTOR_SUFFIX = ".factor.npy"
 
 
 def _vanderpol(X):
@@ -272,12 +280,15 @@ def _format_rows(chunk):
     integer D = round(|x| * 10**(16 - k)).  Each value is laid out in a
     26-byte slot (24 bytes of sign and number, 2 of separator) with a mask
     of the bytes to keep.  Every other value, and any whose D the arithmetic
-    does not place in [1e16, 1e17), is printed by ``%`` into its slot."""
+    does not place in [1e16, 1e17), is printed by ``%`` into its slot; a
+    chunk with no value in that range is printed by one ``%``."""
     rows, cols = chunk.shape
     v = chunk.ravel()
     n = v.size
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e17)  # false for NaN
+    if not fast.any():  # nothing for the arithmetic: one % prints the chunk
+        return ((("%.17g," * cols)[:-1] + "\r\n") * rows % tuple(v.tolist())).encode()
     a = np.where(fast, a, 1.0)
     k = np.clip(np.floor(np.log10(a)).astype(np.int8), -4, 16)
     D = _digits(a, k)
@@ -453,14 +464,16 @@ def _read_sidecar(path):
     return {}
 
 
-def _file_crc32(path):
-    """The file's CRC-32, read through one 1 MiB buffer."""
-    crc, buffer = 0, bytearray(1 << 20)
+def _file_checksum(path):
+    """The file's byte count and CRC-32, read through one 1 MiB buffer."""
+    total = crc = 0
+    buffer = bytearray(1 << 20)
     view = memoryview(buffer)
     with open(path, "rb") as fh:
         while size := fh.readinto(buffer):
             crc = zlib.crc32(view[:size], crc)
-    return crc
+            total += size
+    return total, crc
 
 
 # Bytes per block the snapshot reader yields: 16,384 rows of 2 x 2 values.
@@ -502,8 +515,8 @@ class _Twin:
         return self.read_crc == self.crc
 
 
-def _bound_twin(path, binding, cols):
-    """The :class:`_Twin` that ``binding`` ties to the CSV at ``path``, or
+def _bound_twin(stream, binding, cols):
+    """The :class:`_Twin` that ``binding`` ties to the CSV of ``stream``, or
     None when the CSV has to be parsed.
 
     The twin is used only when the CSV's byte count and CRC-32 equal the
@@ -513,6 +526,7 @@ def _bound_twin(path, binding, cols):
     :meth:`SnapshotStream.scan`).  A changed CSV or a deleted twin is logged
     at INFO, anything else at WARNING.
     """
+    path = stream.path
     try:
         twin = path.with_name(binding["file"])
         size, csv_crc, payload_crc = (int(binding[key]) for key in
@@ -520,7 +534,7 @@ def _bound_twin(path, binding, cols):
     except (TypeError, KeyError, ValueError) as exc:
         logger.warning("ignoring malformed %s binding of %s: %r", TWIN_KEY, path, exc)
         return None
-    if path.stat().st_size != size or _file_crc32(path) != csv_crc:
+    if path.stat().st_size != size or stream.checksum != (size, csv_crc):
         logger.info("%s changed after its binary twin was written; parsing it", path)
         return None
     try:
@@ -538,6 +552,29 @@ def _bound_twin(path, binding, cols):
         logger.warning("ignoring binary twin %s: not the array bound to %s", twin, path)
         return None
     return _Twin(twin, offset, shape[0], cols, payload_crc)
+
+
+@functools.cache
+def _code_crc32():
+    """The CRC-32 of the modules that read the snapshots, evaluate the
+    dictionary and factor it: koopid's own part of what fixes R's bits."""
+    crc = 0
+    for module in (numerics, dict_mod, sys.modules[__name__]):
+        with open(module.__file__, "rb") as fh:
+            crc = zlib.crc32(fh.read(), crc)
+    return crc
+
+
+def _factor_build():
+    """What fixes the bits of a factor besides the CSV and the dictionary: the
+    leaf kernel, numpy's version, the BLAS's description of itself and
+    :func:`_code_crc32`; None where the factor runs at the BLAS's own thread
+    count, on which its last bits depend."""
+    if numerics._thread_setter() is None:
+        return None
+    return {"kernel": "dgeqrf" if numerics._dgeqrt() is None else "dgeqrt",
+            "numpy": np.__version__, "blas": numerics._blas_identity(),
+            "code_crc32": _code_crc32()}
 
 
 class SnapshotStream:
@@ -566,14 +603,22 @@ class SnapshotStream:
         self.state_dim = n
         binding = self.provenance.get(TWIN_KEY)
         with self._reading():  # the CSV's CRC-32
-            self._twin = None if binding is None else _bound_twin(self.path, binding, 2 * n)
+            self._twin = None if binding is None else _bound_twin(self, binding, 2 * n)
         self._rows = None if self._twin is None else self._twin.rows
+
+    @functools.cached_property
+    def checksum(self):
+        """The CSV's byte count and CRC-32, read on first use: when a twin is
+        bound, as the stream opens."""
+        with self._reading():
+            return _file_checksum(self.path)
 
     @property
     def count(self):
         """The number of snapshot pairs: the rows of the bound twin, or the
         non-blank lines after the CSV's header, counted on first use; after a
-        :meth:`scan`, the rows it read."""
+        :meth:`scan`, the rows it read, and after a :meth:`load_factor` that
+        finds the factor, the rows the factor file binds to the CSV."""
         if self._rows is None:
             rows, fresh = 0, True  # whether the text read so far ends a line
             with self._reading(), self._open() as fh:
@@ -612,6 +657,85 @@ class SnapshotStream:
                                twin.path, self.path)
                 self._twin = None
             return consume(self._pairs(self._parsed(rows_per_block)))
+
+    def save_factor(self, path, factor, dictionary):
+        """Write ``factor``, the factor of ``[D(X), D(Y)]`` that a :meth:`scan`
+        of this CSV gave for ``dictionary``, to the file ``path`` with what
+        binds it: the CSV's :attr:`checksum`, the snapshot count, the
+        dictionary's descriptor, R's shape and CRC-32, and :func:`_factor_build`.
+
+        The file is one ``.npy`` record of two fields, ``binding`` (that
+        binding as JSON) and ``R`` (``[RX, RY]``), written to a temporary
+        file that then replaces ``path``, so no reader sees part of it.
+        Where the factor's bits are not fixed, nothing is written."""
+        build = _factor_build()
+        if build is None:
+            return
+        R = np.hstack([factor.RX, factor.RY])
+        size, crc = self.checksum
+        binding = json.dumps({
+            "csv_bytes": size, "csv_crc32": crc, "count": self.count,
+            "dictionary": dictionary.descriptor(), "shape": list(R.shape),
+            "r_crc32": zlib.crc32(R), "build": build}, sort_keys=True).encode()
+        record = np.empty((), [("binding", f"S{len(binding)}"), ("R", "<f8", R.shape)])
+        record["binding"], record["R"] = binding, R
+        path = pathlib.Path(path)
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        with artifact_io("write factor file"):
+            try:
+                with open(temporary, "wb") as fh:
+                    np.save(fh, record, allow_pickle=False)
+                os.replace(temporary, path)
+            finally:
+                temporary.unlink(missing_ok=True)
+
+    def load_factor(self, path, dictionary):
+        """The factor that :meth:`save_factor` wrote to ``path``, if the file
+        binds it to this CSV as it is now and to ``dictionary``, and this
+        build of koopid and its BLAS is the one that wrote it; else None.
+
+        The file is read as ``np.load`` reads it, with pickles refused, and
+        R's CRC-32 is checked, and so is the count against a bound twin's.  A
+        hit sets :attr:`count` to the rows the file binds to the CSV.  A
+        missing file is logged at INFO, any other mismatch at WARNING;
+        neither is an error, since the factor can always be taken from the
+        data."""
+        build = _factor_build()
+        if build is None:
+            return None
+        try:
+            with open(path, "rb") as fh:
+                record = npy_format.read_array(fh, allow_pickle=False)
+            binding = json.loads(record["binding"].item())
+            R = record["R"].copy()  # aligned and C-ordered, as a scan leaves R
+            count, n_d = binding["count"], dictionary.size
+            if type(count) is not int or count < 1:
+                raise ValueError(f"snapshot count {count!r}")
+            shape = [min(count, 2 * n_d), 2 * n_d]
+            # a bound twin has counted the rows already
+            expected = {"build": build, "dictionary": dictionary.descriptor(),
+                        "count": self._rows or count, "shape": shape,
+                        "r_crc32": zlib.crc32(R)}
+            mismatch = next((key for key, value in expected.items() if binding[key] != value),
+                            "array" if R.dtype != np.float64 or list(R.shape) != shape
+                            else None)
+            # the CSV is read last, and only when all else matches
+            if mismatch is None and (binding["csv_bytes"], binding["csv_crc32"]) != self.checksum:
+                mismatch = "CSV checksum"
+        except FileNotFoundError:
+            logger.info("factor file %s is missing; factoring %s", path, self.path)
+            return None
+        except KoopidError:
+            raise  # the CSV could not be read
+        except Exception as exc:  # the file is a cache: no failure to read it is fatal
+            logger.warning("ignoring unreadable factor file %s: %r", path, exc)
+            return None
+        if mismatch is not None:
+            logger.warning("ignoring factor file %s of %s: its %s differs",
+                           path, self.path, mismatch)
+            return None
+        self._rows = count
+        return numerics.SnapshotFactor(R[:, :n_d], R[:, n_d:])
 
     def _reading(self):
         """The rule for a failed read of the snapshot file or its twin."""

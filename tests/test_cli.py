@@ -527,21 +527,37 @@ class TestTamperedArtifacts:
         assert _verify_edited(linear3, tmp_path, method, reverse) == cli.EXIT_OK
 
 
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """The factors the CLI computes from the data; the factors it reads from
+    a factor file, or None for each miss."""
+    computed, loaded = [], []
+    evaluate_factor = koopid.dictionary.evaluate_factor
+    load_factor = koopid.systems.SnapshotStream.load_factor
+
+    def evaluated(*args):
+        computed.append(evaluate_factor(*args))
+        return computed[-1]
+
+    def read(*args):
+        loaded.append(load_factor(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli.dict_mod, "evaluate_factor", evaluated)
+    monkeypatch.setattr(koopid.systems.SnapshotStream, "load_factor", read)
+    return computed, loaded
+
+
 class TestStreamedFactor:
     @pytest.mark.parametrize("twin", ["kept", "deleted"])
     @pytest.mark.parametrize("rows", [63, 64, 65, 3 * 64 + 7])
-    def test_cli_factor_is_the_in_memory_factor(self, tmp_path, monkeypatch,
+    def test_cli_factor_is_the_in_memory_factor(self, tmp_path, monkeypatch, evaluations,
                                                 small_blocks, rows, twin):
-        # the reader's 50-row blocks straddle the factor's 64-row ones
+        # the reader's 50-row blocks straddle the factor's 64-row ones.
+        # identify computes R; verify reads it from identify's factor file
+        # and, with that file deleted, computes it again
         monkeypatch.setattr(koopid.systems, "_READ_BYTES", 50 * 32)
-        factors = []
-        evaluate_factor = koopid.dictionary.evaluate_factor
-
-        def recorded(*args):
-            factors.append(evaluate_factor(*args))
-            return factors[-1]
-
-        monkeypatch.setattr(cli.dict_mod, "evaluate_factor", recorded)
+        computed, loaded = evaluations
         snap = tmp_path / "snap.csv"
         assert cli.main(["generate", "--system", "linear", "--A", "0.8,0.5,-0.5,0.8",
                          "--n", str(rows), "--box", "-2,2,-2,2", "--seed", "3",
@@ -552,14 +568,121 @@ class TestStreamedFactor:
         assert cli.main(["identify", "--snapshots", str(snap), "--degree", "3",
                          "--method", "ssd", "--out", str(out)]) == 0
         assert cli.main(["verify", str(out), str(snap)]) == 0
+        out.with_suffix(".factor.npy").unlink()
+        assert cli.main(["verify", str(out), str(snap)]) == 0
         assert json.loads(out.read_text())["snapshots"]["count"] == rows
+        assert len(computed) == 2 and loaded[0] is not None and loaded[1:] == [None]
+        factors = computed + loaded[:1]
         data = koopid.generate(koopid.SystemSpec.discrete_linear(
             [[0.8, 0.5], [-0.5, 0.8]], [(-2, 2), (-2, 2)], seed=3), rows)
-        expected = evaluate_factor(koopid.monomials_up_to_degree(2, 3), data.X, data.Y)
-        assert len(factors) == 2
+        expected = koopid.evaluate_factor(koopid.monomials_up_to_degree(2, 3), data.X, data.Y)
         for factor in factors:
-            assert np.array_equal(factor.RX, expected.RX)
-            assert np.array_equal(factor.RY, expected.RY)
+            assert factor.RX.tobytes() == expected.RX.tobytes()
+            assert factor.RY.tobytes() == expected.RY.tobytes()
+
+
+def _run_verify(result, snap, capsys):
+    """verify's exit code and its printed report."""
+    code = cli.main(["verify", str(result), str(snap)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestFactorFile:
+    """identify saves R beside the result; verify reads it only while it is
+    bound to the CSV and dictionary it is given, and its report is the same
+    either way."""
+
+    @pytest.mark.parametrize("method", [["ssd"], ["ssd-approx", "--eps", "1e-4"],
+                                        ["fb-edmd"]], ids=["ssd", "ssd-approx", "fb-edmd"])
+    def test_result_and_report_do_not_depend_on_the_factor_file(self, workdir, capsys,
+                                                                evaluations, method):
+        computed, loaded = evaluations
+        _, out = run_identify(workdir, "--method", *method)
+        factor_file = workdir / "result.factor.npy"
+        first = out.read_bytes()
+        assert factor_file.exists()
+        # identify never reads the file, and computes R again
+        assert run_identify(workdir, "--method", *method)[0] == cli.EXIT_OK
+        assert out.read_bytes() == first and len(computed) == 2
+        capsys.readouterr()
+        with_file = _run_verify(out, workdir / "snap.csv", capsys)
+        assert len(computed) == 2 and loaded[-1] is not None
+        factor_file.unlink()
+        without_file = _run_verify(out, workdir / "snap.csv", capsys)
+        assert len(computed) == 3 and loaded[-1] is None
+        assert with_file == without_file and with_file[0] == cli.EXIT_OK
+
+    @pytest.mark.parametrize("edit", ["one-digit", "one-row-more"])
+    def test_a_csv_edited_after_identify_is_factored_again(self, workdir, capsys, caplog,
+                                                           evaluations, edit):
+        # the sidecar is left as it was, so neither the twin nor the factor
+        # file is bound to the edited CSV: verify reads the edited data, as
+        # it does with no factor file at all
+        computed, loaded = evaluations
+        _, out = run_identify(workdir, "--method", "ssd")
+        snap = workdir / "snap.csv"
+        data = bytearray(snap.read_bytes())
+        if edit == "one-digit":
+            at = data.index(b".", data.index(b"\r\n")) + 2
+            data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+        else:
+            data += data[data.rindex(b"\r\n", 0, -2) + 2:]
+        snap.write_bytes(bytes(data))
+        capsys.readouterr()
+        with caplog.at_level("WARNING", logger="koopid.systems"):
+            edited = _run_verify(out, snap, capsys)
+        assert loaded == [None] and len(computed) == 2
+        assert any("its CSV checksum differs" in rec.getMessage() for rec in caplog.records)
+        (workdir / "result.factor.npy").unlink()
+        assert _run_verify(out, snap, capsys) == edited
+        if edit == "one-row-more":
+            assert edited[0] == cli.EXIT_VERIFY_FAILED
+            assert "stored snapshot count 2000 and state dim 2 match the data: " \
+                   "difference inf, bound 0.0e+00: FAIL" in edited[1]
+
+    @pytest.mark.parametrize("change", ["payload", "dictionary", "blas", "code"])
+    def test_a_file_that_is_not_bound_falls_back_to_the_data(self, workdir, capsys,
+                                                             monkeypatch, evaluations,
+                                                             change):
+        computed, loaded = evaluations
+        _, out = run_identify(workdir, "--method", "ssd-approx", "--eps", "1e-4")
+        factor_file = workdir / "result.factor.npy"
+        if change == "payload":
+            data = bytearray(factor_file.read_bytes())
+            data[-1] ^= 1
+            factor_file.write_bytes(bytes(data))
+        elif change == "dictionary":
+            # the factor of the degree-3 dictionary, of the same size as
+            # the stored one, saved where verify looks for the stored one's
+            assert cli.main(["identify", "--snapshots", str(workdir / "snap.csv"),
+                             "--degree", "3", "--method", "ssd",
+                             "--out", str(workdir / "degree3.json")]) == 0
+            (workdir / "degree3.factor.npy").replace(factor_file)
+        elif change == "blas":
+            monkeypatch.setattr(koopid.numerics, "_blas_identity", lambda: "another BLAS")
+        else:
+            monkeypatch.setattr(koopid.systems, "_code_crc32", lambda: 0)
+        capsys.readouterr()
+        report = _run_verify(out, workdir / "snap.csv", capsys)
+        assert loaded == [None] and len(computed) == 2 + (change == "dictionary")
+        factor_file.unlink()
+        assert _run_verify(out, workdir / "snap.csv", capsys) == report
+        assert report[0] == cli.EXIT_OK
+
+    def test_a_csv_without_twin_gets_a_file_and_is_not_read_again(self, workdir, capsys,
+                                                                  monkeypatch, evaluations):
+        computed, loaded = evaluations
+        (workdir / "snap.snapshots.npy").unlink()
+        _, out = run_identify(workdir, "--method", "ssd")
+        assert (workdir / "result.factor.npy").exists()
+        capsys.readouterr()
+        # only the CSV's checksum is read: no parse, no count
+        monkeypatch.setattr(koopid.systems.np, "loadtxt", None)
+        monkeypatch.setattr(koopid.systems.SnapshotStream, "_open", None)
+        code, report, _ = _run_verify(out, workdir / "snap.csv", capsys)
+        assert code == cli.EXIT_OK and len(computed) == 1 and loaded[0] is not None
+        assert "stored snapshot count 2000 and state dim 2 match the data" in report
 
 
 class TestConfigFile:
@@ -754,8 +877,9 @@ class TestFileFailures:
          "cannot read result file"),
         (["identify", "--config", "{d}/run.json"], "run.json", "cannot read config file"),
         (_IDENTIFY, "dict9.json", "cannot read dictionary file"),
+        (_IDENTIFY, "result.factor.npy", "cannot write factor file"),
     ], ids=["csv", "binary-twin", "provenance", "result", "grid-directory", "snapshots",
-            "verify-result", "config", "dictionary"])
+            "verify-result", "config", "dictionary", "factor-file"])
     def test_an_unusable_path_is_an_io_error_naming_the_action(self, workdir, capsys,
                                                               argv, target, message):
         path = workdir / target

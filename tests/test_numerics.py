@@ -406,6 +406,32 @@ class TestOneBlasThread:
         thread.join(30)
         assert seen == [1] and _blas_threads(setter) == 2
 
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("entry", ["ssd", "approximate_ssd", "reduced_koopman",
+                                       "lift_eigenvectors", "forward_backward_eigenpairs"])
+    def test_library_entry_points_run_at_one_thread(self, setter, monkeypatch,
+                                                    ex2_matrices, tol, entry, raises):
+        # each reaches the rank rule after its own factor, whose pin has
+        # ended by then; the count the caller had comes back however it ends
+        F = koopid.snapshot_factor(*ex2_matrices)
+        result = koopid.ssd(F.RX, F.RY, tol)
+        reduced = koopid.reduced_koopman(F.RX, F.RY, result, tol)
+        args = {"ssd": (), "approximate_ssd": (1e-4,), "reduced_koopman": (result,),
+                "lift_eigenvectors": (result, reduced),
+                "forward_backward_eigenpairs": ()}[entry]
+        svd, seen = numerics._svd, []
+
+        def recording(*svd_args):
+            seen.append(_blas_threads(setter))
+            if raises:
+                raise KeyError("stopped inside the entry point")
+            return svd(*svd_args)
+
+        monkeypatch.setattr(numerics, "_svd", recording)
+        with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+            getattr(koopid, entry)(F.RX, F.RY, *args, tol)
+        assert seen and set(seen) == {1}
+        assert _blas_threads(setter) == 2
 
     def test_concurrent_factors_restore_the_count(self, setter, small_blocks):
         # more threads than cores, switching often: a block that began inside

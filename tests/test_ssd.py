@@ -223,6 +223,21 @@ class TestReducedKoopman:
             reduced = koopid.reduced_koopman(DX, DY, result)
         assert reduced.e_r > 10.0 * koopid.DEFAULT_TOL.subspace_atol
 
+    def test_consistency_index_is_the_squared_sine_of_the_range_angle(self, vdp_matrices,
+                                                                      tol):
+        # the eigenvalues of K_f K_b, for the forward and backward matrices of
+        # the reduced pair, are the squared cosines of the principal angles
+        # between the ranges of D(X) C and D(Y) C, so the forward-backward
+        # consistency index lambda_max(I - K_f K_b) is sin^2 of the largest
+        F = koopid.snapshot_factor(*vdp_matrices)
+        result = koopid.approximate_ssd(F.RX, F.RY, 1e-4, tol)
+        DXC, DYC = F.RX @ result.C, F.RY @ result.C
+        K_f = koopid.reduced_koopman(F.RX, F.RY, result, tol).matrix
+        K_b = koopid.pseudo_inverse(DYC, tol) @ DXC
+        index = np.linalg.eigvals(np.eye(len(K_f)) - K_f @ K_b).real.max()
+        assert result.subspace_dim == 25 and index > 1e-3
+        assert abs(index - np.sin(result.max_range_angle) ** 2) <= 1e-12
+
     def test_zero_result_rejected(self):
         rng = np.random.Generator(np.random.PCG64(14))
         x = rng.uniform(1.0, 2.0, size=50)

@@ -351,6 +351,17 @@ def test_format_rows_prints_what_percent_prints(case):
     assert systems._format_rows(chunk) == _percent_reference(chunk)
 
 
+def test_a_chunk_of_only_small_values_skips_the_digit_arithmetic(monkeypatch):
+    # zeros and |x| < 1e-4 all print in exponent notation or as 0, so the
+    # chunk goes to % without the arithmetic
+    rng = np.random.Generator(np.random.PCG64(29))
+    chunk = rng.uniform(-1e-4, 1e-4, (300, 3)) * 10.0 ** -rng.integers(0, 300, (300, 3))
+    chunk[::7] = 0.0
+    chunk[1, 1], chunk[2, 2], chunk[3, 0] = -0.0, 5e-324, np.nextafter(1e-4, 0.0)
+    monkeypatch.setattr(systems, "_digits", None)
+    assert systems._format_rows(chunk) == _percent_reference(chunk)
+
+
 class TestSnapshotCsvFormat:
     EDGE = np.array([
         [-0.0, 5e-324, 1e300, -1.7976931348623157e308],
@@ -612,6 +623,165 @@ class TestBinaryTwin:
         assert [rec.levelname for rec in caplog.records] == ([level] if level else [])
         if change is _edit_one_digit:
             assert back.X[0, 0] != snap.X[0, 0]
+
+
+_DEGREE_3 = koopid.monomials_up_to_degree(2, 3)
+
+
+def _flip_a_bit_of_r(path, factor_file, monkeypatch):
+    data = bytearray(factor_file.read_bytes())
+    data[-1] ^= 1  # the sign of R's last entry, an upper-triangle value
+    factor_file.write_bytes(bytes(data))
+    return _DEGREE_3
+
+
+def _foreign_dictionary(path, factor_file, monkeypatch):
+    # the same size, so only the descriptor tells the two apart
+    return koopid.MonomialDictionary(2, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                                         (3, 0), (2, 1), (1, 2), (0, 4)))
+
+
+def _other_blas(path, factor_file, monkeypatch):
+    monkeypatch.setattr(koopid.numerics, "_blas_identity", lambda: "OpenBLAS 9.9 Other")
+    return _DEGREE_3
+
+
+def _other_kernel(path, factor_file, monkeypatch):
+    monkeypatch.setattr(koopid.numerics, "_dgeqrt", lambda: None)
+    return _DEGREE_3
+
+
+def _other_code(path, factor_file, monkeypatch):
+    monkeypatch.setattr(systems, "_code_crc32", lambda: 12345)
+    return _DEGREE_3
+
+
+def _edit_the_csv(path, factor_file, monkeypatch):
+    _edit_one_digit(path, None, None)
+    return _DEGREE_3
+
+
+def _delete_factor_file(path, factor_file, monkeypatch):
+    factor_file.unlink()
+    return _DEGREE_3
+
+
+def _truncate_factor_file(path, factor_file, monkeypatch):
+    factor_file.write_bytes(factor_file.read_bytes()[:300])
+    return _DEGREE_3
+
+
+def _pickled_factor_file(path, factor_file, monkeypatch):
+    data = np.empty((), dtype=object)
+    data[()] = _Tripwire()
+    np.save(factor_file, data, allow_pickle=True)
+    return _DEGREE_3
+
+
+def _other_count(path, factor_file, monkeypatch):
+    # a binding that names another N, with R and everything else kept
+    record = np.load(factor_file)
+    binding = json.loads(record["binding"].item())
+    binding["count"] += 1
+    text = json.dumps(binding, sort_keys=True).encode()
+    other = np.empty((), [("binding", f"S{len(text)}"), ("R", "<f8", record["R"].shape)])
+    other["binding"], other["R"] = text, record["R"]
+    np.save(factor_file, other)
+    return _DEGREE_3
+
+
+class TestFactorFile:
+    @staticmethod
+    def saved(tmp_path, twin="kept", rows=300):
+        path = tmp_path / "snap.csv"
+        koopid.write_snapshot_csv(koopid.generate(koopid.SystemSpec.continuous(
+            "vanderpol", 5e-3, [(-4, 4)] * 2, seed=3), rows), path)
+        if twin == "deleted":
+            path.with_suffix(".snapshots.npy").unlink()
+        stream = systems.SnapshotStream(path)
+        factor = stream.scan(lambda b: koopid.evaluate_factor(_DEGREE_3, b))
+        factor_file = tmp_path / "result.factor.npy"
+        stream.save_factor(factor_file, factor, _DEGREE_3)
+        return path, factor_file, factor
+
+    @twin_case
+    @pytest.mark.parametrize("rows", [12, 300])
+    def test_a_saved_factor_loads_bit_for_bit(self, tmp_path, parses, twin, rows):
+        # from fewer rows than 2 N_d too, where R has N rows
+        path, factor_file, factor = self.saved(tmp_path, twin, rows)
+        parsed = len(parses)
+        stream = systems.SnapshotStream(path)
+        loaded = stream.load_factor(factor_file, _DEGREE_3)
+        assert loaded.RX.tobytes() == factor.RX.tobytes()
+        assert loaded.RY.tobytes() == factor.RY.tobytes()
+        assert loaded.RX.shape == (min(rows, 20), 10)
+        # the count is the one bound to the CSV: the CSV is neither parsed
+        # nor counted
+        assert stream.count == rows and len(parses) == parsed
+
+    def test_the_file_binds_r_to_the_csv_dictionary_and_build(self, tmp_path):
+        path, factor_file, factor = self.saved(tmp_path)
+        record = np.load(factor_file, allow_pickle=False)
+        R = np.hstack([factor.RX, factor.RY])
+        assert record["R"].tobytes() == R.tobytes()
+        build = json.loads(record["binding"].item()).pop("build")
+        assert json.loads(record["binding"].item()) == {
+            "csv_bytes": len(path.read_bytes()), "csv_crc32": zlib.crc32(path.read_bytes()),
+            "count": 300, "dictionary": _DEGREE_3.descriptor(), "shape": [20, 20],
+            "r_crc32": zlib.crc32(R), "build": build}
+        assert set(build) == {"kernel", "numpy", "blas", "code_crc32"}
+        assert build["numpy"] == np.__version__ and build["kernel"] in ("dgeqrt", "dgeqrf")
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    # each change leaves the factor computable from the data: the file is
+    # ignored, and why is logged (a missing file at INFO, all else at WARNING)
+    @pytest.mark.parametrize("change, level", [
+        (_delete_factor_file, "INFO"),
+        (_edit_the_csv, "WARNING"),
+        (_flip_a_bit_of_r, "WARNING"),
+        (_foreign_dictionary, "WARNING"),
+        (_other_blas, "WARNING"),
+        (_other_kernel, "WARNING"),
+        (_other_code, "WARNING"),
+        (_other_count, "WARNING"),
+        (_truncate_factor_file, "WARNING"),
+        (_pickled_factor_file, "WARNING"),
+    ], ids=lambda case: getattr(case, "__name__", str(case)).lstrip("_"))
+    def test_an_unusable_factor_file_is_ignored(self, tmp_path, monkeypatch, caplog,
+                                                change, level):
+        TRIPPED.clear()
+        path, factor_file, _ = self.saved(tmp_path)
+        dictionary = change(path, factor_file, monkeypatch)
+        with caplog.at_level("INFO", logger="koopid.systems"):
+            stream = systems.SnapshotStream(path)
+            assert stream.load_factor(factor_file, dictionary) is None
+        assert not TRIPPED
+        records = [rec for rec in caplog.records if "factor file" in rec.getMessage()]
+        assert [rec.levelname for rec in records] == [level]
+        assert str(factor_file) in records[0].getMessage()
+
+    def test_without_a_pinned_thread_count_no_file_is_written_or_read(self, tmp_path,
+                                                                       monkeypatch):
+        path, factor_file, factor = self.saved(tmp_path)
+        monkeypatch.setattr(koopid.numerics, "_thread_setter", lambda: None)
+        stream = systems.SnapshotStream(path)
+        assert stream.load_factor(factor_file, _DEGREE_3) is None
+        factor_file.unlink()
+        stream.save_factor(factor_file, factor, _DEGREE_3)
+        assert not factor_file.exists()
+
+    def test_a_failed_write_leaves_neither_file(self, tmp_path, monkeypatch):
+        path, factor_file, factor = self.saved(tmp_path)
+        factor_file.unlink()
+
+        def refused(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(systems.os, "replace", refused)
+        with pytest.raises(ArtifactIOError, match="^cannot write factor file: "):
+            systems.SnapshotStream(path).save_factor(factor_file, factor, _DEGREE_3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snap.csv", "snap.provenance.json", "snap.snapshots.npy"]
 
 
 def _bound_csv(path, data):
