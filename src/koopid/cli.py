@@ -65,7 +65,6 @@ def _fail(exc):
         if isinstance(exc, cls):
             print(f"error[{label}]: {exc}", file=sys.stderr)
             return code
-    raise exc
 
 
 @contextlib.contextmanager

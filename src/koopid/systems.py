@@ -5,10 +5,11 @@ the map: directly for discrete linear systems, via classical fixed-step RK4
 over one sampling interval for continuous vector fields.  Initial conditions
 are drawn uniformly from a box with the PCG64 generator, so a (spec, N) pair
 reproduces bit-identical data on any platform.
-A snapshot CSV written here gets a checksum-bound binary twin that
-:class:`SnapshotStream` reads in place of parsing the text, and a stream can
-save the R factor it gave to a file bound to the CSV's bytes, from which it
-reads that factor back in place of reading the snapshots again.
+A snapshot CSV written here gets a binary twin that :class:`SnapshotStream`
+reads in place of parsing the text, and a stream can save the R factor it
+gave to a factor file that it reads back in place of the snapshots.  Each
+file holds its own binding to the CSV's bytes (see :func:`_save_bound`), and
+both are used or ignored under one rule (see :meth:`SnapshotStream._bound`).
 """
 
 import csv
@@ -46,13 +47,10 @@ logger = logging.getLogger(__name__)
 
 PRNG_NAME = "PCG64"
 
-#: Suffix of the binary twin written next to each snapshot CSV, and the
-#: provenance key that binds the twin to the CSV.
+#: Suffix of the binary twin written next to each snapshot CSV.
 TWIN_SUFFIX = ".snapshots.npy"
-TWIN_KEY = "binary_twin"
 
-#: Suffix of the factor file written next to a result, see
-#: :meth:`SnapshotStream.save_factor`.
+#: Suffix of the factor file written next to a result.
 FACTOR_SUFFIX = ".factor.npy"
 
 
@@ -413,27 +411,41 @@ def write_snapshot_csv(snapshots, path):
     """Write snapshots as CSV with header x_1..x_n,y_1..y_n.
 
     Values are printed with 17 significant digits so parsing them back
-    reproduces the exact IEEE-754 doubles.  The same array is saved with
-    ``np.save`` as the binary twin ``<stem>.snapshots.npy``, and a provenance
-    JSON sidecar ``<stem>.provenance.json``, written last, records under
-    ``binary_twin`` the twin's file name, the CSV's byte count and CRC-32,
-    and the CRC-32 of the array buffer.
+    reproduces the exact IEEE-754 doubles.  The same array is saved as the
+    binary twin ``<stem>.snapshots.npy`` (see :func:`_save_bound`), and the
+    provenance is saved as the JSON sidecar ``<stem>.provenance.json``.
     """
     path = pathlib.Path(path)
     n = snapshots.state_dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
     data = np.hstack([snapshots.X, snapshots.Y])
-    size, crc = _write_csv(path, header, data)
-    twin = path.with_suffix(TWIN_SUFFIX)
-    with artifact_io("write binary snapshot file"), open(twin, "wb") as fh:
-        np.save(fh, data, allow_pickle=False)
-    binding = {"file": twin.name, "csv_bytes": size, "csv_crc32": crc,
-               "payload_crc32": zlib.crc32(data)}
+    checksum = _write_csv(path, header, data)
+    _save_bound(path.with_suffix(TWIN_SUFFIX), data, checksum, "write binary snapshot file")
     sidecar = path.with_suffix(".provenance.json")
     with artifact_io("write provenance file"), open(sidecar, "w") as fh:
-        json.dump({**snapshots.provenance, TWIN_KEY: binding}, fh, indent=2, sort_keys=True)
+        json.dump(snapshots.provenance, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _save_bound(path, payload, checksum, action, **binding):
+    """``np.save`` the float64 matrix ``payload`` to ``path``, then its
+    binding as a 0-d bytes array of JSON: the CSV's ``checksum`` (byte count
+    and CRC-32), the payload's CRC-32 and ``binding``.  A temporary file then
+    replaces ``path``, so no reader sees part of one."""
+    size, crc = checksum
+    text = json.dumps({**binding, "csv_bytes": size, "csv_crc32": crc,
+                       "payload_crc32": zlib.crc32(payload)}, sort_keys=True)
+    path = pathlib.Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with artifact_io(action):
+        try:
+            with open(temporary, "wb") as fh:
+                np.save(fh, payload, allow_pickle=False)
+                np.save(fh, np.array(text.encode()), allow_pickle=False)
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
 
 
 def write_grid_csv(grid, path):
@@ -479,22 +491,39 @@ def _file_checksum(path):
 # Bytes per block the snapshot reader yields: 16,384 rows of 2 x 2 values.
 _READ_BYTES = 1 << 19
 
-_NPY_HEADERS = {(1, 0): npy_format.read_array_header_1_0,
-                (2, 0): npy_format.read_array_header_2_0}
+
+def _npy_header(fh):
+    """The shape, Fortran order and dtype of the ``.npy`` header at ``fh``."""
+    read = {(1, 0): npy_format.read_array_header_1_0, (2, 0): npy_format.read_array_header_2_0}
+    return read[npy_format.read_magic(fh)](fh)
 
 
-class _Twin:
-    """The payload of a bound binary twin: ``rows`` x ``cols`` float64
-    values from byte ``offset`` of ``path``, whose CRC-32 must be ``crc``."""
+class _BoundFile:
+    """A file of :func:`_save_bound`, opened by reading its ``.npy`` headers
+    and ``binding``: a ``rows`` x ``cols`` C-ordered float64 payload from byte
+    ``offset``, then a 0-d bytes array of JSON that ends the file.  Nothing
+    is unpickled; a file that is not so raises ValueError."""
 
-    def __init__(self, path, offset, rows, cols, crc):
-        self.path, self.offset, self.rows, self.cols, self.crc = path, offset, rows, cols, crc
-        self.read_crc = None
+    def __init__(self, path, cols):
+        with open(path, "rb") as fh:
+            shape, fortran_order, dtype = _npy_header(fh)
+            if not (dtype == np.float64 and not fortran_order and shape[1:] == (cols,)):
+                raise ValueError(f"its payload is not a float64 matrix of {cols} columns")
+            self.offset, self.rows = fh.tell(), shape[0]
+            fh.seek(self.offset + 8 * self.rows * cols)
+            shape, _, dtype = _npy_header(fh)
+            if not (shape == () and dtype.kind == "S"
+                    and fh.tell() + dtype.itemsize == os.fstat(fh.fileno()).st_size):
+                raise ValueError("no binding ends the file")
+            binding = json.loads(fh.read())
+        keys = ("csv_bytes", "csv_crc32", "payload_crc32")
+        if not isinstance(binding, dict) or any(type(binding.get(k)) is not int for k in keys):
+            raise ValueError(f"its binding is not a JSON object with integer {keys}")
+        self.path, self.cols, self.binding = path, cols, binding
 
     def blocks(self, rows_per_block):
         """The payload in blocks of ``rows_per_block`` rows, read into one
-        reused buffer.  The CRC-32 is accumulated on the way and kept in
-        ``read_crc`` once all of it is read."""
+        reused buffer, and its CRC-32 in ``read_crc`` once all is read."""
         self.read_crc, crc = None, 0
         buffer = np.empty((rows_per_block, self.cols))
         with open(self.path, "rb") as fh:
@@ -512,46 +541,7 @@ class _Twin:
         end, has the bound CRC-32."""
         for _ in blocks:
             pass
-        return self.read_crc == self.crc
-
-
-def _bound_twin(stream, binding, cols):
-    """The :class:`_Twin` that ``binding`` ties to the CSV of ``stream``, or
-    None when the CSV has to be parsed.
-
-    The twin is used only when the CSV's byte count and CRC-32 equal the
-    binding's and the twin's ``.npy`` header describes a C-ordered float64
-    array of ``cols`` columns that fills the rest of the file; nothing in it
-    is unpickled.  The payload's CRC-32 is checked as it is read (see
-    :meth:`SnapshotStream.scan`).  A changed CSV or a deleted twin is logged
-    at INFO, anything else at WARNING.
-    """
-    path = stream.path
-    try:
-        twin = path.with_name(binding["file"])
-        size, csv_crc, payload_crc = (int(binding[key]) for key in
-                                      ("csv_bytes", "csv_crc32", "payload_crc32"))
-    except (TypeError, KeyError, ValueError) as exc:
-        logger.warning("ignoring malformed %s binding of %s: %r", TWIN_KEY, path, exc)
-        return None
-    if path.stat().st_size != size or stream.checksum != (size, csv_crc):
-        logger.info("%s changed after its binary twin was written; parsing it", path)
-        return None
-    try:
-        with open(twin, "rb") as fh:
-            shape, fortran_order, dtype = _NPY_HEADERS[npy_format.read_magic(fh)](fh)
-            offset, total = fh.tell(), os.fstat(fh.fileno()).st_size
-    except FileNotFoundError:
-        logger.info("binary twin %s is missing; parsing %s", twin, path)
-        return None
-    except Exception as exc:  # the twin is a cache: no failure to read it is fatal
-        logger.warning("ignoring unreadable binary twin %s: %r", twin, exc)
-        return None
-    if not (dtype == np.float64 and not fortran_order and len(shape) == 2
-            and shape[1] == cols and total == offset + 8 * shape[0] * cols):
-        logger.warning("ignoring binary twin %s: not the array bound to %s", twin, path)
-        return None
-    return _Twin(twin, offset, shape[0], cols, payload_crc)
+        return self.read_crc == self.binding["payload_crc32"]
 
 
 @functools.cache
@@ -582,10 +572,10 @@ class SnapshotStream:
     the same header layout), read as a stream of row blocks.
 
     Opening it reads the provenance sidecar, checks the header and decides
-    whether the sidecar binds a binary twin that still matches the CSV (see
-    :func:`_bound_twin`).  :meth:`scan` then reads the twin, or parses the
-    CSV, one block of rows at a time, so no more than one block of the
-    snapshots is held.
+    whether the binary twin ``<stem>.snapshots.npy`` is bound to the CSV as
+    it is now (see :meth:`_bound`).  :meth:`scan` then reads the twin, or
+    parses the CSV, one block of rows at a time, so no more than one block
+    of the snapshots is held.
     """
 
     def __init__(self, path):
@@ -601,9 +591,7 @@ class SnapshotStream:
         if n == 0 or self._names != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
             raise InvalidInput(f"{self.path}: header must be x_1..x_n,y_1..y_n")
         self.state_dim = n
-        binding = self.provenance.get(TWIN_KEY)
-        with self._reading():  # the CSV's CRC-32
-            self._twin = None if binding is None else _bound_twin(self, binding, 2 * n)
+        self._twin = self._bound(self.path.with_suffix(TWIN_SUFFIX), "binary twin", 2 * n)
         self._rows = None if self._twin is None else self._twin.rows
 
     @functools.cached_property
@@ -659,83 +647,67 @@ class SnapshotStream:
             return consume(self._pairs(self._parsed(rows_per_block)))
 
     def save_factor(self, path, factor, dictionary):
-        """Write ``factor``, the factor of ``[D(X), D(Y)]`` that a :meth:`scan`
-        of this CSV gave for ``dictionary``, to the file ``path`` with what
-        binds it: the CSV's :attr:`checksum`, the snapshot count, the
-        dictionary's descriptor, R's shape and CRC-32, and :func:`_factor_build`.
-
-        The file is one ``.npy`` record of two fields, ``binding`` (that
-        binding as JSON) and ``R`` (``[RX, RY]``), written to a temporary
-        file that then replaces ``path``, so no reader sees part of it.
-        Where the factor's bits are not fixed, nothing is written."""
+        """Save the factor a :meth:`scan` gave for ``dictionary`` as ``[RX, RY]``
+        bound (see :func:`_save_bound`) to the CSV, the ``count``, the
+        ``dictionary`` and the ``build`` of :func:`_factor_build`, if any."""
         build = _factor_build()
-        if build is None:
-            return
-        R = np.hstack([factor.RX, factor.RY])
-        size, crc = self.checksum
-        binding = json.dumps({
-            "csv_bytes": size, "csv_crc32": crc, "count": self.count,
-            "dictionary": dictionary.descriptor(), "shape": list(R.shape),
-            "r_crc32": zlib.crc32(R), "build": build}, sort_keys=True).encode()
-        record = np.empty((), [("binding", f"S{len(binding)}"), ("R", "<f8", R.shape)])
-        record["binding"], record["R"] = binding, R
-        path = pathlib.Path(path)
-        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        with artifact_io("write factor file"):
-            try:
-                with open(temporary, "wb") as fh:
-                    np.save(fh, record, allow_pickle=False)
-                os.replace(temporary, path)
-            finally:
-                temporary.unlink(missing_ok=True)
+        if build is not None:
+            _save_bound(path, np.hstack([factor.RX, factor.RY]), self.checksum,
+                        "write factor file", count=self.count,
+                        dictionary=dictionary.descriptor(), build=build)
 
     def load_factor(self, path, dictionary):
-        """The factor that :meth:`save_factor` wrote to ``path``, if the file
-        binds it to this CSV as it is now and to ``dictionary``, and this
-        build of koopid and its BLAS is the one that wrote it; else None.
-
-        The file is read as ``np.load`` reads it, with pickles refused, and
-        R's CRC-32 is checked, and so is the count against a bound twin's.  A
-        hit sets :attr:`count` to the rows the file binds to the CSV.  A
-        missing file is logged at INFO, any other mismatch at WARNING;
-        neither is an error, since the factor can always be taken from the
-        data."""
+        """The factor :meth:`save_factor` wrote to ``path`` if it is bound to
+        this CSV as it is now, to ``dictionary`` and to this build, else None
+        (see :meth:`_bound`).  The count must be a positive integer, equal to
+        a bound twin's rows, and R must have min(count, 2 N_d) rows."""
         build = _factor_build()
         if build is None:
             return None
-        try:
-            with open(path, "rb") as fh:
-                record = npy_format.read_array(fh, allow_pickle=False)
-            binding = json.loads(record["binding"].item())
-            R = record["R"].copy()  # aligned and C-ordered, as a scan leaves R
-            count, n_d = binding["count"], dictionary.size
+        n_d = dictionary.size
+
+        def check(bound):
+            count = bound.binding.get("count")
             if type(count) is not int or count < 1:
-                raise ValueError(f"snapshot count {count!r}")
-            shape = [min(count, 2 * n_d), 2 * n_d]
+                raise ValueError(f"its count {count!r} is not a positive integer")
             # a bound twin has counted the rows already
-            expected = {"build": build, "dictionary": dictionary.descriptor(),
-                        "count": self._rows or count, "shape": shape,
-                        "r_crc32": zlib.crc32(R)}
-            mismatch = next((key for key, value in expected.items() if binding[key] != value),
-                            "array" if R.dtype != np.float64 or list(R.shape) != shape
-                            else None)
-            # the CSV is read last, and only when all else matches
-            if mismatch is None and (binding["csv_bytes"], binding["csv_crc32"]) != self.checksum:
-                mismatch = "CSV checksum"
-        except FileNotFoundError:
-            logger.info("factor file %s is missing; factoring %s", path, self.path)
+            for key, value in (("build", build), ("dictionary", dictionary.descriptor()),
+                               ("count", self._rows or count)):
+                if bound.binding.get(key) != value:
+                    raise ValueError(f"its {key} differs")
+            blocks = bound.blocks(bound.rows)  # R is one block, as a scan leaves it
+            R = next(blocks, None) if bound.rows == min(count, 2 * n_d) else None
+            if R is None or not bound.intact(blocks):
+                raise ValueError(f"not the array bound to {self.path}")
+            return count, R
+
+        loaded = self._bound(path, "factor file", 2 * n_d, check)
+        if loaded is None:
             return None
+        self._rows, R = loaded
+        return numerics.SnapshotFactor(R[:, :n_d], R[:, n_d:])
+
+    def _bound(self, path, what, cols, check=lambda bound: bound):
+        """``check(bound)`` of the :class:`_BoundFile` of ``cols`` columns at
+        ``path``, logged as a ``what``, if it is bound to this CSV as it is
+        now, else None.  The CSV's checksum is compared last, after ``check``,
+        which raises ValueError naming what differs.  A missing file or a
+        changed CSV is logged at INFO, all else at WARNING, and the caller
+        reads the data instead; a failed read of the CSV is raised."""
+        try:
+            bound = _BoundFile(path, cols)
+            value = check(bound)
+            if (bound.binding["csv_bytes"], bound.binding["csv_crc32"]) == self.checksum:
+                return value
+            logger.info("%s changed after its %s %s was written; reading its data",
+                        self.path, what, path)
+        except FileNotFoundError:
+            logger.info("%s %s is missing; reading the data of %s", what, path, self.path)
         except KoopidError:
             raise  # the CSV could not be read
         except Exception as exc:  # the file is a cache: no failure to read it is fatal
-            logger.warning("ignoring unreadable factor file %s: %r", path, exc)
-            return None
-        if mismatch is not None:
-            logger.warning("ignoring factor file %s of %s: its %s differs",
-                           path, self.path, mismatch)
-            return None
-        self._rows = count
-        return numerics.SnapshotFactor(R[:, :n_d], R[:, n_d:])
+            logger.warning("ignoring %s %s: %s", what, path, exc)
+        return None
 
     def _reading(self):
         """The rule for a failed read of the snapshot file or its twin."""

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,25 @@ EX2_EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
 # |0.8 + 0.5i|^2 = 0.89.
 EX2_SPECTRUM = np.sort_complex(np.array(
     [1.0, 0.89, 0.8 + 0.5j, 0.8 - 0.5j, 0.39 + 0.8j, 0.39 - 0.8j]))
+
+
+def bound_parts(path):
+    """The payload and the binding of a binary twin or factor file, read by
+    two ``np.load`` calls in turn, and the byte at which the payload ends."""
+    with open(path, "rb") as fh:
+        payload = np.load(fh)
+        end = fh.tell()
+        binding = json.loads(np.load(fh).item())
+    return payload, binding, end
+
+
+def rewrite_payload(path, payload):
+    """Put the bytes of ``payload`` in place of those of a twin or factor
+    file's payload, leaving its headers and its binding as they were."""
+    end = bound_parts(path)[2]
+    data = bytearray(path.read_bytes())
+    data[end - payload.nbytes:end] = payload.tobytes()
+    path.write_bytes(bytes(data))
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ import pytest
 
 import koopid
 from koopid import cli
-from conftest import EX2_EXPONENTS
+from conftest import EX2_EXPONENTS, rewrite_payload
 
 GEN_LINEAR = ["generate", "--system", "linear", "--A", "0.8,0.5,-0.5,0.8",
               "--n", "2000", "--box", "-2,2,-2,2", "--seed", "42"]
@@ -616,9 +616,8 @@ class TestFactorFile:
     @pytest.mark.parametrize("edit", ["one-digit", "one-row-more"])
     def test_a_csv_edited_after_identify_is_factored_again(self, workdir, capsys, caplog,
                                                            evaluations, edit):
-        # the sidecar is left as it was, so neither the twin nor the factor
-        # file is bound to the edited CSV: verify reads the edited data, as
-        # it does with no factor file at all
+        # neither the twin nor the factor file is bound to the edited CSV:
+        # verify reads the edited data, as it does with no factor file at all
         computed, loaded = evaluations
         _, out = run_identify(workdir, "--method", "ssd")
         snap = workdir / "snap.csv"
@@ -630,11 +629,15 @@ class TestFactorFile:
             data += data[data.rindex(b"\r\n", 0, -2) + 2:]
         snap.write_bytes(bytes(data))
         capsys.readouterr()
-        with caplog.at_level("WARNING", logger="koopid.systems"):
+        factor_file = workdir / "result.factor.npy"
+        with caplog.at_level("INFO", logger="koopid.systems"):
             edited = _run_verify(out, snap, capsys)
         assert loaded == [None] and len(computed) == 2
-        assert any("its CSV checksum differs" in rec.getMessage() for rec in caplog.records)
-        (workdir / "result.factor.npy").unlink()
+        assert [(rec.levelname, rec.getMessage()) for rec in caplog.records
+                if "factor file" in rec.getMessage()] == [
+            ("INFO", f"{snap} changed after its factor file {factor_file} was written; "
+                     "reading its data")]
+        factor_file.unlink()
         assert _run_verify(out, snap, capsys) == edited
         if edit == "one-row-more":
             assert edited[0] == cli.EXIT_VERIFY_FAILED
@@ -649,9 +652,9 @@ class TestFactorFile:
         _, out = run_identify(workdir, "--method", "ssd-approx", "--eps", "1e-4")
         factor_file = workdir / "result.factor.npy"
         if change == "payload":
-            data = bytearray(factor_file.read_bytes())
-            data[-1] ^= 1
-            factor_file.write_bytes(bytes(data))
+            R = np.load(factor_file)
+            R.view(np.uint8)[-1] ^= 1
+            rewrite_payload(factor_file, R)
         elif change == "dictionary":
             # the factor of the degree-3 dictionary, of the same size as
             # the stored one, saved where verify looks for the stored one's
@@ -737,6 +740,21 @@ class TestConfigFile:
 _DELETE = object()
 
 
+def _shorten_coefficients(result):
+    for entry in result["evolutions"]:
+        entry["coefficients_re"].pop()
+        entry["coefficients_im"].pop()
+
+
+def _three_dim_dictionary(result):
+    # as many functions as the stored one, so only the state dim differs
+    result["dictionary"] = {"state_dim": 3, "exponents": [[k, 0, 0] for k in range(9)],
+                            "coeffs": None}
+
+
+_NOT_JSON = {"bad.json": "{not json"}
+
+
 class TestMalformedInputs:
     """Malformed JSON inputs exit 2 with error[invalid-input], never with a
     traceback or the verification-failed code."""
@@ -763,6 +781,76 @@ class TestMalformedInputs:
         code = cli.main(["verify", str(out), str(workdir / "snap.csv")])
         assert code == cli.EXIT_INVALID_INPUT
         assert "error[invalid-input]" in capsys.readouterr().err
+
+    # (the argv, "{d}" standing for the directory; the files written there
+    # first; the start of the message)
+    @pytest.mark.parametrize("argv, files, message", [
+        (["generate", "--n", "10", "--box", "-1,1", "--out", "{d}/g.csv"], {},
+         "generate requires --system, --n and --box"),
+        (["generate", "--system", "linear", "--A", "1,0,0", "--n", "10",
+          "--box", "-1,1,-1,1", "--out", "{d}/g.csv"], {},
+         "--A needs 4 entries for a 2-dimensional box"),
+        (["generate", "--system", "vanderpol", "--n", "10", "--box", "-1,1,-1,1",
+          "--out", "{d}/g.csv"], {}, "--system vanderpol requires --dt"),
+        (["generate", "--system", "linear", "--A", "1", "--n", "10", "--box", "a,b",
+          "--out", "{d}/g.csv"], {},
+         "cannot parse --box 'a,b': could not convert string to float: 'a'"),
+        (["identify", "--degree", "2", "--method", "ssd"], {},
+         "identify requires --snapshots and --method"),
+        (["identify", "--snapshots", "{d}/snap.csv", "--degree", "2"], {},
+         "identify requires --snapshots and --method"),
+        (["identify", "--snapshots", "{d}/snap.csv", "--degree", "-1", "--method", "ssd"],
+         {}, "--degree must be nonnegative"),
+        (["identify", "--snapshots", "{d}/snap.csv", "--dict-file", "{d}/dict3.json",
+          "--method", "ssd"],
+         {"dict3.json": '{"state_dim": 3, "exponents": [[0, 0, 0], [1, 0, 0]]}'},
+         "dictionary state dim 3 does not match snapshot state dim 2"),
+        (["identify", "--snapshots", "{d}/snap.csv", "--degree", "2", "--method", "ssd",
+          "--grid-box", "-2,2"], {}, "--grid-box must describe 2 dimensions"),
+        (["verify", "{d}/bad.json", "{d}/snap.csv"], _NOT_JSON,
+         "result file is not valid JSON: "),
+        (["identify", "--config", "{d}/bad.json"], _NOT_JSON,
+         "config file is not valid JSON: "),
+        (["identify", "--snapshots", "{d}/snap.csv", "--dict-file", "{d}/bad.json",
+          "--method", "ssd"], _NOT_JSON, "dictionary file is not valid JSON: "),
+        (["generate", "--config", "{d}/list.json"], {"list.json": "[1]"},
+         "config file must hold a JSON object"),
+    ], ids=["generate-without-system", "wrong-A-size", "vanderpol-without-dt",
+            "non-numeric-box", "identify-without-snapshots", "identify-without-method",
+            "negative-degree", "dict-file-of-another-dim", "grid-box-of-another-dim",
+            "result-not-json", "config-not-json", "dict-file-not-json",
+            "config-not-object"])
+    def test_invalid_command_line_names_the_problem(self, workdir, capsys, argv, files,
+                                                    message):
+        for name, text in files.items():
+            (workdir / name).write_text(text)
+        code = cli.main([arg.replace("{d}", str(workdir)) for arg in argv])
+        assert code == cli.EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[invalid-input]: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda result: result.update(snapshots=[2000, 2]),
+         "result field 'snapshots' must be an object"),
+        (lambda result: result.update(ssd="exact"), "result field 'ssd' must be an object"),
+        (_shorten_coefficients, "stored coefficients do not match the dictionary size"),
+        (lambda result: result["ssd"]["C"].pop(),
+         "stored C does not match the dictionary size"),
+        (lambda result: result["reduced_koopman"].pop(),
+         "stored reduced_koopman does not match C"),
+        (_three_dim_dictionary, "result dictionary does not match the snapshot state dim"),
+    ], ids=["snapshots-not-object", "ssd-not-object", "short-coefficients",
+            "C-of-another-row-count", "reduced-koopman-of-another-shape",
+            "dictionary-of-another-state-dim"])
+    def test_result_of_the_wrong_shape_names_the_problem(self, workdir, capsys, edit,
+                                                         message):
+        _, out = run_identify(workdir, "--method", "ssd")
+        result = json.loads(out.read_text())
+        edit(result)
+        out.write_text(json.dumps(result))
+        code = cli.main(["verify", str(out), str(workdir / "snap.csv")])
+        assert code == cli.EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error[invalid-input]: {message}\n"
 
     @pytest.mark.parametrize("descriptor", [
         {"state_dim": 2},

@@ -49,6 +49,10 @@ class TestMonomialDictionary:
         with pytest.raises(InvalidInput):
             koopid.MonomialDictionary(2, [])
 
+    def test_rejects_a_state_dim_below_one(self):
+        with pytest.raises(InvalidInput, match="^state_dim must be at least 1$"):
+            koopid.MonomialDictionary(0, [()])
+
     def test_descriptor_round_trip(self, ex2_dictionary):
         rebuilt = dictionary_from_descriptor(ex2_dictionary.descriptor())
         assert rebuilt == ex2_dictionary
@@ -223,6 +227,15 @@ class TestRestrict:
     def test_wrong_row_count_raises(self, ex2_dictionary):
         with pytest.raises(InvalidInput):
             koopid.restrict(ex2_dictionary, np.eye(5))
+
+    @pytest.mark.parametrize("coeffs, message", [
+        (np.eye(5), "coeffs has 5 rows but the base dictionary has 9 functions"),
+        (np.zeros((9, 0)), "coeffs must have at least one column"),
+    ], ids=["wrong-row-count", "no-column"])
+    def test_derived_dictionary_checks_its_coefficients(self, ex2_dictionary, coeffs,
+                                                        message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            koopid.DerivedDictionary(base=ex2_dictionary, coeffs=coeffs)
 
     def test_derived_descriptor_round_trip(self, ex2_dictionary):
         rng = np.random.Generator(np.random.PCG64(8))

@@ -107,6 +107,23 @@ class TestCheckLinearEvolution:
         with pytest.raises(InvalidInput):
             koopid.check_linear_evolution(DX, DY, np.zeros(9), 1.0)
 
+    @pytest.mark.parametrize("v, message", [
+        (np.ones(8), "v length must equal the dictionary size"),
+        (np.r_[np.ones(8), np.nan], "v contains non-finite entries"),
+        (np.r_[np.ones(8), np.inf], "v contains non-finite entries"),
+    ], ids=["short", "nan", "inf"])
+    def test_invalid_vector_rejected(self, ex2_matrices, v, message):
+        DX, DY = ex2_matrices
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            koopid.check_linear_evolution(DX, DY, v, 1.0)
+
+    def test_a_function_that_vanishes_on_the_data_is_rejected(self):
+        # x1 - x2 is zero on data with x1 = x2
+        DX = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(InvalidInput, match="^D\\(X\\) v vanishes on the data; "
+                                               "defect undefined$"):
+            koopid.check_linear_evolution(DX, 2.0 * DX, [1.0, -1.0], 2.0)
+
 
 class TestForwardBackward:
     def test_identity_data_matches_every_direction(self):

@@ -252,6 +252,10 @@ class TestEig:
         with pytest.raises(InvalidInput):
             koopid.eig(np.ones((2, 3)))
 
+    def test_rejects_a_complex_matrix(self):
+        with pytest.raises(InvalidInput, match="^M must be real-valued$"):
+            koopid.eig(np.eye(2) * 1j)
+
     @pytest.mark.parametrize("tied", [1, 2])
     def test_phase_ignores_one_ulp_between_tied_entries(self, tied):
         # x1 - i x2 has entries 1/sqrt(2) and -i/sqrt(2): a last-bit change
@@ -367,6 +371,19 @@ def setter():
 
 
 class TestOneBlasThread:
+    def test_blas_identity_without_openblas_config_is_numpys_build_record(
+            self, monkeypatch):
+        class Lapack:  # a LAPACK that exports no scipy_openblas_get_config64_
+            pass
+
+        numerics._blas_identity.cache_clear()
+        monkeypatch.setattr(numerics, "_lapack", Lapack)
+        try:
+            assert numerics._blas_identity() == repr(
+                np.__config__.CONFIG["Build Dependencies"])
+        finally:
+            numerics._blas_identity.cache_clear()
+
     def test_finds_the_setter_of_numpys_openblas(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         if blas != "scipy-openblas":

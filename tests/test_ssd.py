@@ -258,6 +258,17 @@ class TestLiftEigenvectors:
         direction = vdp_ssd.C[:, 0] / np.linalg.norm(vdp_ssd.C[:, 0])
         assert abs(np.vdot(ev.coefficients, direction)) > 1.0 - 1e-10
 
+    def test_zero_result_rejected(self):
+        rng = np.random.Generator(np.random.PCG64(14))
+        x = rng.uniform(1.0, 2.0, size=50)
+        DX, DY = x[:, None], (1.0 / x)[:, None]
+        result = koopid.ssd(DX, DY)
+        assert result.is_zero
+        reduced = koopid.ReducedKoopman(matrix=np.zeros((0, 0)), e_r=0.0)
+        with pytest.raises(InvalidInput, match="^the decomposition returned the "
+                                               "zero subspace$"):
+            koopid.lift_eigenvectors(DX, DY, result, reduced)
+
     def test_zero_reduced_eigenvalues_are_skipped(self, ex2_snapshots):
         linear = koopid.MonomialDictionary(2, [(1, 0), (0, 1)])
         DX = koopid.evaluate(linear, ex2_snapshots.X)
@@ -363,6 +374,11 @@ class TestEigenfunctionGrid:
         with pytest.raises(InvalidInput):
             koopid.eigenfunction_grid(ex2_dictionary, np.ones(4),
                                       [(-1, 1), (-1, 1)], 5)
+
+    def test_box_dimension_checked(self, ex2_dictionary):
+        with pytest.raises(InvalidInput, match="^box dimension must match the "
+                                               "dictionary state dim$"):
+            koopid.eigenfunction_grid(ex2_dictionary, np.ones(9), [(-1, 1)] * 3, 5)
 
     def test_grid_csv(self, ex2_dictionary, tmp_path):
         v = np.zeros(9)
