@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import logging
 import math
 import pathlib
 import sys
@@ -318,9 +319,7 @@ def cmd_identify(args):
     if args.method != "ssd-approx" and args.eps is not None:
         raise InvalidInput("--eps is only valid with --method ssd-approx")
 
-    # every step below works on the R-factor blocks of [D(X), D(Y)], which
-    # the factor file binds to the CSV's checksum as it was before the read
-    snapshots.checksum
+    # every step below works on the R-factor blocks of [D(X), D(Y)]
     factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
     RX, RY = factor.RX, factor.RY
 
@@ -597,15 +596,23 @@ def main(argv=None):
             command_parser = commands[args.command]
             command_parser.set_defaults(**_config_defaults(args.config, command_parser))
             args = parser.parse_args(argv)
-        # the commands' matrix products are narrow (at most 2N_d columns,
-        # the factor's leaves included), where a second BLAS thread does
-        # not pay and was seen to stall
-        with numerics.one_blas_thread():
-            if args.command == "generate":
-                return cmd_generate(args)
-            if args.command == "identify":
-                return cmd_identify(args)
-            return cmd_verify(args)
+        # a WARNING record of the library is a line of the output, as its warnings are
+        handler = logging.StreamHandler(sys.stdout)
+        handler.setLevel(logging.WARNING)
+        handler.setFormatter(logging.Formatter(f"{args.command}: warning: %(message)s"))
+        logging.getLogger("koopid").addHandler(handler)
+        try:
+            # the commands' matrix products are narrow (at most 2N_d columns,
+            # the factor's leaves included), where a second BLAS thread does
+            # not pay and was seen to stall
+            with numerics.one_blas_thread():
+                if args.command == "generate":
+                    return cmd_generate(args)
+                if args.command == "identify":
+                    return cmd_identify(args)
+                return cmd_verify(args)
+        finally:
+            logging.getLogger("koopid").removeHandler(handler)
     except KoopidError as exc:
         return _fail(exc)
 

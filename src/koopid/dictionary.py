@@ -276,38 +276,34 @@ def evaluate_factor(dictionary, X, Y=None):
 
     X and Y are N-row sample matrices; or X yields ``(X, Y)`` row blocks of
     them in order, with Y None, as :meth:`koopid.systems.SnapshotStream.scan`
-    passes them.  The dictionary is evaluated on a few rows at a time,
-    straight into the block the QR factors, so ``D(X)`` and ``D(Y)`` are
-    never held in full, and the factor does not depend on how the samples
-    are split into blocks.  An EvaluationOverflow names the row of X or Y.
+    passes them.  Each block is checked, and the dictionary is evaluated on a
+    few rows at a time, straight into the leaf the QR factors, so ``D(X)``
+    and ``D(Y)`` are never held in full, and the factor does not depend on
+    how the samples are split into blocks.  An EvaluationOverflow names the
+    row of X or Y.
     """
     blocks = X if Y is None and not isinstance(X, np.ndarray) else [(X, Y)]
-
-    def parts():
-        offset = 0
-        for X_block, Y_block in blocks:
-            X_block, Y_block = numerics._pair(X_block, Y_block, ("X", "Y"))
-            _check_state_dim(dictionary, X_block)
-            yield len(X_block), _filler(dictionary, X_block, Y_block, offset)
-            offset += len(X_block)
-
-    return numerics._factor_blocks(dictionary.size, parts())
+    return numerics._factor_blocks(dictionary.size, _checked_blocks(dictionary, blocks),
+                                   functools.partial(_fill, dictionary))
 
 
-def _filler(dictionary, X, Y, offset):
-    """The ``fill`` of :func:`numerics._factor_blocks` for the samples X, Y,
-    which start at row ``offset`` of the data."""
-    n_d = dictionary.size
+def _checked_blocks(dictionary, blocks):
+    """The ``(X, Y)`` blocks, each checked as samples for ``dictionary``."""
+    for X, Y in blocks:
+        X, Y = numerics._pair(X, Y, ("X", "Y"))
+        _check_state_dim(dictionary, X)
+        yield X, Y
 
-    def fill(M, start):
-        for name, S, out in (("X", X, M[:, :n_d]), ("Y", Y, M[:, n_d:])):
-            row = _evaluate_into(dictionary, S[start:start + len(M)], out)
-            if row is not None:
-                raise EvaluationOverflow(
-                    f"dictionary evaluation on {name} produced a non-finite value",
-                    row=offset + start + row)
 
-    return fill
+def _fill(dictionary, M, X, Y, first_row):
+    """Write ``[D(X), D(Y)]`` into M, where X, Y start at data row
+    ``first_row``: the ``fill`` of :func:`numerics._factor_blocks`."""
+    for name, S, out in zip("XY", (X, Y), np.hsplit(M, 2)):
+        row = _evaluate_into(dictionary, S, out)
+        if row is not None:
+            raise EvaluationOverflow(
+                f"dictionary evaluation on {name} produced a non-finite value",
+                row=first_row + row)
 
 
 def restrict(dictionary, C):

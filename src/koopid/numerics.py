@@ -228,32 +228,30 @@ def _qr_r(M, rows, work):
     return k
 
 
-def _factor_blocks(n_d, parts, total=None):
+def _factor_blocks(n_d, blocks, fill, total=None):
     """The :class:`SnapshotFactor` of the N x 2N_d matrix ``[DX, DY]``, built
     one leaf of rows at a time (flat TSQR) at one BLAS thread.
 
-    ``parts`` yields ``(rows, fill)`` for consecutive row ranges of
-    ``[DX, DY]``: ``fill(M, start)`` writes rows ``start : start + len(M)``
-    of the range into the Fortran-ordered leaf M.  A leaf, the next rows
-    over the R factor of the rows before them, is filled across ranges and
-    reduced in place to its R factor, so any split of the same rows gives
-    the same leaves and a bitwise-identical factor.  A known ``total`` of
-    rows N below a leaf's rows sizes the leaf to N.
+    ``blocks`` yields the data in consecutive ``(X, Y)`` row blocks, and
+    ``fill(M, X, Y, first_row)`` writes the ``[DX, DY]`` of rows of them,
+    from data row ``first_row`` on, into the Fortran-ordered leaf M.  A leaf,
+    the next rows over the R factor of the rows before them, is filled
+    across blocks and reduced in place to its R factor, so any split of the
+    same rows gives the same leaves and a bitwise-identical factor.  A known
+    ``total`` of rows N below a leaf's rows sizes the leaf to N.
     """
     if n_d == 0:
         return SnapshotFactor(np.zeros((0, 0)), np.zeros((0, 0)))
     leaf_rows = max(4 * n_d, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * n_d)))
     M = np.empty((min(leaf_rows, total or leaf_rows), 2 * n_d), order="F")
     work = np.empty(2 * _QR_PANEL * 2 * n_d)
-    r = filled = 0  # rows of the R carried at the leaf's end; rows of data before it
+    r = filled = first = 0  # rows of the R at the leaf's end, of data over it, of data before
     with one_blas_thread():
-        for rows, fill in parts:
-            start = 0
-            while start < rows:
-                take = min(rows - start, len(M) - r - filled)
-                fill(M[filled:filled + take], start)
-                start += take
-                filled += take
+        for X, Y in blocks:
+            while len(X):
+                take = min(len(X), len(M) - r - filled)
+                fill(M[filled:filled + take], X[:take], Y[:take], first)
+                X, Y, filled, first = X[take:], Y[take:], filled + take, first + take
                 if filled + r == len(M):
                     r, filled = _qr_r(M, len(M), work), 0
                     M[len(M) - r:] = M[:r]
@@ -265,6 +263,11 @@ def _factor_blocks(n_d, parts, total=None):
     return SnapshotFactor(R[:, :n_d], R[:, n_d:])
 
 
+def _copy_rows(M, X, Y, first_row):
+    """The ``fill`` of :func:`_factor_blocks` for rows of ``[DX, DY]``."""
+    M[:, :X.shape[1]], M[:, X.shape[1]:] = X, Y
+
+
 def snapshot_factor(DX, DY):
     """The :class:`SnapshotFactor` of N-row snapshot matrices DX, DY.
 
@@ -273,13 +276,7 @@ def snapshot_factor(DX, DY):
     the Householder QR of a triangular matrix leaves it as it is.
     """
     DX, DY = _pair(DX, DY)
-    rows, n_d = DX.shape
-
-    def fill(M, start):
-        M[:, :n_d] = DX[start:start + len(M)]
-        M[:, n_d:] = DY[start:start + len(M)]
-
-    return _factor_blocks(n_d, [(rows, fill)], rows)
+    return _factor_blocks(DX.shape[1], [(DX, DY)], _copy_rows, len(DX))
 
 
 def numerical_rank(M, tol=DEFAULT_TOL):

@@ -14,7 +14,6 @@ subspaces that evolve only approximately linearly.  And only exact mode
 orthonormalizes the upper block before the reduction.
 """
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,8 +44,6 @@ __all__ = [
     "lift_eigenvectors",
     "eigenfunction_grid",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -155,9 +152,6 @@ def _ssd_loop(DX, DY, tol, epsilon):
         else:
             k, ratio, fallback = _truncation_split(s, epsilon, rank)
             kept_rank = k
-            if fallback:
-                logger.info("iteration %d: no truncation index satisfies the ratio condition "
-                            "for epsilon=%g; using the exact rank decision", iteration, epsilon)
             # continue with the rank-deficient replacement of [A, B]: project
             # out the truncated trailing directions
             kept = V[:, :k]

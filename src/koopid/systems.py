@@ -9,9 +9,12 @@ A snapshot CSV written here gets a binary twin that :class:`SnapshotStream`
 reads in place of parsing the text, and a stream can save the R factor it
 gave to a factor file that it reads back in place of the snapshots.  Each
 file holds its own binding to the CSV's bytes (see :func:`_save_bound`), and
-both are used or ignored under one rule (see :meth:`SnapshotStream._bound`).
+both are used or ignored under one rule (see :meth:`SnapshotStream._bound`),
+against the CSV's checksum as the stream opened it.  The provenance sidecar
+is read only by :func:`read_snapshot_csv`.
 """
 
+import contextlib
 import csv
 import functools
 import json
@@ -355,8 +358,9 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _format_chunks(chunks, put):
-    """Call ``put`` on the encoded text of each chunk, in chunk order.
+def _format_chunks(header, data):
+    """The encoded text of the CSV: the header line, then each chunk of
+    ``_CSV_CHUNK_ROWS`` rows of ``data``, in order.
 
     With more than one usable CPU and chunk, the chunks are formatted by a
     pool of threads, one per CPU: numpy releases the GIL for the elementwise
@@ -364,6 +368,9 @@ def _format_chunks(chunks, put):
     parallel, while the ``%`` of the few values they leave holds it.  With
     one worker, or when a thread cannot start, every chunk is formatted
     in-process."""
+    yield (",".join(header) + "\r\n").encode()
+    chunks = [data[start:start + _CSV_CHUNK_ROWS]
+              for start in range(0, len(data), _CSV_CHUNK_ROWS)]
     workers = min(_usable_cpus(), len(chunks))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -371,16 +378,14 @@ def _format_chunks(chunks, put):
         with ThreadPoolExecutor(workers) as pool:
             try:
                 # map submits every chunk, starting the threads, before it
-                # yields the first, so nothing has been put when this fails
+                # yields the first, so no chunk has been yielded when this fails
                 formatted = pool.map(_format_rows, chunks)
             except RuntimeError as exc:  # out of threads or process ids
                 logger.info("formatting the CSV chunks in-process: %r", exc)
             else:
-                for encoded in formatted:
-                    put(encoded)
+                yield from formatted
                 return
-    for encoded in map(_format_rows, chunks):
-        put(encoded)
+    yield from map(_format_rows, chunks)
 
 
 def _write_csv(path, header, data):
@@ -391,19 +396,13 @@ def _write_csv(path, header, data):
     The rows are formatted in chunks, on threads when there are several
     CPUs (see :func:`_format_chunks`), and written in order; the bytes do
     not depend on how many threads format them."""
-    chunks = [data[start:start + _CSV_CHUNK_ROWS]
-              for start in range(0, len(data), _CSV_CHUNK_ROWS)]
     size = crc = 0
-
-    def put(encoded):
-        nonlocal size, crc
-        fh.write(encoded)
-        size += len(encoded)
-        crc = zlib.crc32(encoded, crc)
-
-    with artifact_io("write CSV file"), open(path, "wb") as fh:
-        put((",".join(header) + "\r\n").encode())
-        _format_chunks(chunks, put)
+    with artifact_io("write CSV file"), open(path, "wb") as fh, \
+            contextlib.closing(_format_chunks(header, data)) as encoded_chunks:
+        for encoded in encoded_chunks:
+            fh.write(encoded)
+            size += len(encoded)
+            crc = zlib.crc32(encoded, crc)
     return size, crc
 
 
@@ -571,17 +570,15 @@ class SnapshotStream:
     """A snapshot CSV written by :func:`write_snapshot_csv` (or any file with
     the same header layout), read as a stream of row blocks.
 
-    Opening it reads the provenance sidecar, checks the header and decides
-    whether the binary twin ``<stem>.snapshots.npy`` is bound to the CSV as
-    it is now (see :meth:`_bound`).  :meth:`scan` then reads the twin, or
-    parses the CSV, one block of rows at a time, so no more than one block
-    of the snapshots is held.
+    Opening it checks the header, reads the CSV's byte count and CRC-32
+    (``checksum``), which both derived files bind, and decides whether the
+    binary twin ``<stem>.snapshots.npy`` is bound to the CSV as opened (see
+    :meth:`_bound`).  :meth:`scan` then reads the twin, or parses the CSV, one
+    block of rows at a time, so no more than one block of the snapshots is held.
     """
 
     def __init__(self, path):
         self.path = pathlib.Path(path)
-        self.provenance = {"system": "ingested", "path": str(self.path)}
-        self.provenance.update(_read_sidecar(self.path))
         with self._reading(), open(self.path, newline="") as fh:
             header = next(csv.reader(fh), None)
         if header is None:
@@ -591,15 +588,10 @@ class SnapshotStream:
         if n == 0 or self._names != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
             raise InvalidInput(f"{self.path}: header must be x_1..x_n,y_1..y_n")
         self.state_dim = n
+        with self._reading():
+            self.checksum = _file_checksum(self.path)
         self._twin = self._bound(self.path.with_suffix(TWIN_SUFFIX), "binary twin", 2 * n)
         self._rows = None if self._twin is None else self._twin.rows
-
-    @functools.cached_property
-    def checksum(self):
-        """The CSV's byte count and CRC-32, read on first use: when a twin is
-        bound, as the stream opens."""
-        with self._reading():
-            return _file_checksum(self.path)
 
     @property
     def count(self):
@@ -658,7 +650,7 @@ class SnapshotStream:
 
     def load_factor(self, path, dictionary):
         """The factor :meth:`save_factor` wrote to ``path`` if it is bound to
-        this CSV as it is now, to ``dictionary`` and to this build, else None
+        this CSV as opened, to ``dictionary`` and to this build, else None
         (see :meth:`_bound`).  The count must be a positive integer, equal to
         a bound twin's rows, and R must have min(count, 2 N_d) rows."""
         build = _factor_build()
@@ -689,11 +681,11 @@ class SnapshotStream:
 
     def _bound(self, path, what, cols, check=lambda bound: bound):
         """``check(bound)`` of the :class:`_BoundFile` of ``cols`` columns at
-        ``path``, logged as a ``what``, if it is bound to this CSV as it is
-        now, else None.  The CSV's checksum is compared last, after ``check``,
+        ``path``, logged as a ``what``, if it is bound to this CSV as opened,
+        else None.  The CSV's checksum is compared last, after ``check``,
         which raises ValueError naming what differs.  A missing file or a
         changed CSV is logged at INFO, all else at WARNING, and the caller
-        reads the data instead; a failed read of the CSV is raised."""
+        reads the data instead."""
         try:
             bound = _BoundFile(path, cols)
             value = check(bound)
@@ -703,8 +695,6 @@ class SnapshotStream:
                         self.path, what, path)
         except FileNotFoundError:
             logger.info("%s %s is missing; reading the data of %s", what, path, self.path)
-        except KoopidError:
-            raise  # the CSV could not be read
         except Exception as exc:  # the file is a cache: no failure to read it is fatal
             logger.warning("ignoring %s %s: %s", what, path, exc)
         return None
@@ -763,7 +753,8 @@ class SnapshotStream:
         cols, rows = 2 * self.state_dim, 0
         with self._open() as fh:
             for number, line in enumerate(fh, start=2):
-                if not line.strip("\r\n"):
+                line = line.rstrip("\r\n")
+                if not line:
                     continue
                 rows += 1
                 try:
@@ -774,15 +765,16 @@ class SnapshotStream:
                     ok = False
                 if not ok:
                     return InvalidInput(f"{self.path}: line {number} is not {cols} "
-                                        f"comma-separated numbers: {line.rstrip()!r}")
+                                        f"comma-separated numbers: {line!r}")
         return InvalidInput(f"{self.path}: the rows from data row {start + 1} on "
                             f"are not {cols} comma-separated numbers")
 
 
 def read_snapshot_csv(path):
-    """Read a snapshot CSV into memory: the concatenation of the blocks of
-    :meth:`SnapshotStream.scan`."""
+    """Read a snapshot CSV into memory: the blocks of :meth:`SnapshotStream.scan`
+    with the provenance its sidecar records, if that can be read."""
     stream = SnapshotStream(path)
     data = stream.scan(lambda blocks: np.concatenate([np.hstack(b) for b in blocks]))
     n = stream.state_dim
-    return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=stream.provenance)
+    provenance = {"system": "ingested", "path": str(stream.path), **_read_sidecar(stream.path)}
+    return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=provenance)

@@ -1,6 +1,7 @@
 import ast
 import functools
 import json
+import logging
 import operator
 import os
 import pathlib
@@ -426,13 +427,16 @@ class TestTamperedArtifacts:
         ("ssd", lambda r: r.update(evolutions=r["evolutions"][:1])),
         ("ssd", _constant_subspace),
         ("ssd-approx", lambda r: r["ssd"]["log"][0].update(kept_rank=1)),
+        ("ssd-approx", lambda r: r["ssd"]["log"][0].update(
+            kept_rank=float(r["ssd"]["log"][0]["kept_rank"]))),
         ("ssd-approx", lambda r: r["ssd"].update(max_range_angle=0.5)),
         ("ssd", lambda r: r["reduced_koopman"][0].__setitem__(0, 2.0)),
         ("ssd", _surplus_column(lambda C: [0.0] * len(C))),
         ("ssd-approx", _surplus_column(lambda C: [row[0] for row in C])),
         ("fb-edmd", lambda r: r["snapshots"].update(count=7, state_dim=5)),
     ], ids=["fb-edmd-defects", "ssd-defects", "ssd-incomplete-evolutions",
-            "ssd-non-maximal-subspace", "approx-decision", "approx-range-angle",
+            "ssd-non-maximal-subspace", "approx-decision", "approx-decision-as-float",
+            "approx-range-angle",
             "ssd-reduced-matrix", "ssd-zero-column", "approx-repeated-column",
             "snapshot-count-and-dim"])
     def test_changed_claim_fails(self, linear3, tmp_path, method, edit):
@@ -581,6 +585,17 @@ class TestStreamedFactor:
             assert factor.RY.tobytes() == expected.RY.tobytes()
 
 
+def _save_factor_of_another_dictionary(workdir, factor_file):
+    """Save as ``factor_file`` the factor of a dictionary of as many functions
+    as dict9.json's, x1^3 in place of its x2^3."""
+    other = workdir / "other9.json"
+    other.write_text(json.dumps({"state_dim": 2, "coeffs": None, "exponents": [
+        list(e) for e in EX2_EXPONENTS[:-1]] + [[3, 0]]}))
+    assert cli.main(["identify", "--snapshots", str(workdir / "snap.csv"), "--dict-file",
+                     str(other), "--method", "ssd", "--out", str(workdir / "other.json")]) == 0
+    (workdir / "other.factor.npy").replace(factor_file)
+
+
 def _run_verify(result, snap, capsys):
     """verify's exit code and its printed report."""
     code = cli.main(["verify", str(result), str(snap)])
@@ -656,22 +671,20 @@ class TestFactorFile:
             R.view(np.uint8)[-1] ^= 1
             rewrite_payload(factor_file, R)
         elif change == "dictionary":
-            # the factor of the degree-3 dictionary, of the same size as
-            # the stored one, saved where verify looks for the stored one's
-            assert cli.main(["identify", "--snapshots", str(workdir / "snap.csv"),
-                             "--degree", "3", "--method", "ssd",
-                             "--out", str(workdir / "degree3.json")]) == 0
-            (workdir / "degree3.factor.npy").replace(factor_file)
+            _save_factor_of_another_dictionary(workdir, factor_file)
         elif change == "blas":
             monkeypatch.setattr(koopid.numerics, "_blas_identity", lambda: "another BLAS")
         else:
             monkeypatch.setattr(koopid.systems, "_code_crc32", lambda: 0)
         capsys.readouterr()
-        report = _run_verify(out, workdir / "snap.csv", capsys)
+        code, printed, err = _run_verify(out, workdir / "snap.csv", capsys)
         assert loaded == [None] and len(computed) == 2 + (change == "dictionary")
+        # the ignored file is one warning line before the report
+        warning, *report = printed.splitlines(keepends=True)
+        assert warning.startswith(f"verify: warning: ignoring factor file {factor_file}: ")
         factor_file.unlink()
-        assert _run_verify(out, workdir / "snap.csv", capsys) == report
-        assert report[0] == cli.EXIT_OK
+        assert _run_verify(out, workdir / "snap.csv", capsys) == (code, "".join(report), err)
+        assert code == cli.EXIT_OK
 
     def test_a_csv_without_twin_gets_a_file_and_is_not_read_again(self, workdir, capsys,
                                                                   monkeypatch, evaluations):
@@ -1009,6 +1022,47 @@ def test_span_gap_needs_full_column_rank_in_as_many_columns(tol):
     assert cli._span_gap(np.zeros((8, 0)), np.zeros((8, 0)), tol) == 0.0
     # a gap beyond the bound is reported as it is
     assert tol.subspace_atol < cli._span_gap(rng.standard_normal((8, 3)), Q, tol) < np.inf
+
+
+def test_diff_of_a_type_or_shape_mismatch_is_infinite():
+    assert cli._diff(4.0, 4) == cli._diff(np.zeros(2), np.zeros(3)) == np.inf
+    assert cli._diff(np.ones(2), np.ones(2)) == cli._diff(4, 4) == 0.0
+
+
+class TestLogRecords:
+    """A WARNING record of the library is one line of the command's output,
+    as its warnings are; an INFO record is not shown, and the exit code is
+    the same."""
+
+    @staticmethod
+    def lines(code, capsys):
+        assert logging.getLogger("koopid").handlers == []
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK and captured.err == ""
+        return captured.out.splitlines()
+
+    def test_identify_on_a_truncated_twin(self, workdir, capsys):
+        twin = workdir / "snap.snapshots.npy"
+        twin.write_bytes(twin.read_bytes()[:1000])
+        # identify never opens the provenance sidecar, so a broken one adds no line
+        (workdir / "snap.provenance.json").write_text("{not json")
+        capsys.readouterr()
+        warning, done = self.lines(run_identify(workdir, "--method", "ssd")[0], capsys)
+        assert warning.startswith(f"identify: warning: ignoring binary twin {twin}: ")
+        assert done.startswith("identified ")
+        # a missing twin is an INFO record
+        twin.unlink()
+        assert self.lines(run_identify(workdir, "--method", "ssd")[0], capsys) == [done]
+
+    def test_verify_with_a_factor_file_of_another_dictionary(self, workdir, capsys):
+        _, out = run_identify(workdir, "--method", "ssd")
+        factor_file = workdir / "result.factor.npy"
+        _save_factor_of_another_dictionary(workdir, factor_file)
+        capsys.readouterr()
+        lines = self.lines(cli.main(["verify", str(out), str(workdir / "snap.csv")]), capsys)
+        assert [line for line in lines if "warning" in line] == [lines[0]] == [
+            f"verify: warning: ignoring factor file {factor_file}: its dictionary differs"]
+        assert lines[-1].startswith("verification passed")
 
 
 def test_tolerance_defaults_follow_tolerance_config():

@@ -232,13 +232,41 @@ class TestForwardBackward:
     def test_collapsed_direction_violates_the_rank_assumption(self):
         # a direction whose image shrinks to the order of the rank threshold
         # makes D(Y) rank deficient, which the forward-backward theorem
-        # excludes up front (an eigenvalue below the small-eigenvalue cutoff
-        # cannot occur under the full-rank precondition)
+        # excludes up front
         rng = np.random.Generator(np.random.PCG64(5))
         DX = rng.standard_normal((60, 3))
         DY = DX @ np.diag([1e-13, 0.5, 2.0])
         with pytest.raises(AssumptionViolation):
             koopid.forward_backward_eigenpairs(DX, DY)
+
+
+    def test_an_eigenvalue_below_the_cutoff_is_skipped_and_logged(self, caplog):
+        # full rank, but D(Y) v is orthogonal to the range of D(X), so K_f = 0
+        DX, DY = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+        with caplog.at_level("INFO", logger="koopid.edmd"):
+            assert koopid.forward_backward_eigenpairs(DX, DY) == []
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "skipping 1 eigenpair(s) with |lambda| = 0.000e+00 < 1e-12"]
+
+    def test_a_repeated_eigenvalue_without_a_backward_match_is_dropped(self):
+        # D(Y) = D(X) / 2 + W, W orthogonal to the range of D(X) with
+        # W^T W = D(X)^T D(X): K_f = I / 2, twice, but K_b = 0.4 I, not 2 I
+        DX = np.vstack([np.eye(2), np.zeros((2, 2))])
+        DY = np.vstack([0.5 * np.eye(2), np.eye(2)])
+        k_f, k_b = (koopid.edmd_matrix(*pair).matrix for pair in ((DX, DY), (DY, DX)))
+        assert np.allclose(k_f, 0.5 * np.eye(2)) and np.allclose(k_b, 0.4 * np.eye(2))
+        assert koopid.forward_backward_eigenpairs(DX, DY) == []
+
+    def test_a_candidate_off_by_its_backward_rayleigh_quotient_is_dropped(self):
+        # K_f = diag(1, 1e-3) and K_b = diag(1 / (1 + 1e-6), 1e3): e_1 misses
+        # 1 / lambda = 1 by 1e-6, within eig_match_atol * ||K_b|| = 1e-5 as a
+        # backward defect but not within eig_match_atol * (1 + 1 / |lambda|)
+        # as a Rayleigh quotient; e_2 matches exactly
+        DX = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        DY = np.array([[1.0, 0.0], [0.0, 1e-3], [1e-3, 0.0]])
+        (ev,) = koopid.forward_backward_eigenpairs(DX, DY)
+        assert ev.eigenvalue == pytest.approx(1e-3, rel=1e-12)
+        assert np.allclose(np.abs(ev.coefficients), [0.0, 1.0])
 
 
 class TestLemmaOneProperty:

@@ -41,14 +41,10 @@ def rank_deficient_matrix(rng, rows, cols, rank):
 
 
 def _reads(M, sizes):
-    """The ``parts`` of ``numerics._factor_blocks`` for the rows of M, read
-    in blocks of the given sizes."""
-    def filler(block):
-        def fill(out, start):
-            out[:] = block[start:start + len(out)]
-        return fill
+    """The ``(X, Y)`` blocks of ``numerics._factor_blocks`` for the rows of
+    M = [X, Y], read in blocks of the given sizes."""
     bounds = np.cumsum((0,) + sizes)
-    return [(b - a, filler(M[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+    return [np.hsplit(M[a:b], 2) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class TestToleranceConfig:
@@ -550,8 +546,12 @@ class TestSnapshotFactor:
         if split is None:
             factor = koopid.snapshot_factor(M[:, :n_d], M[:, n_d:])
         else:
-            factor = numerics._factor_blocks(n_d, _reads(M, split))
+            factor = numerics._factor_blocks(n_d, _reads(M, split), numerics._copy_rows)
         assert np.array_equal(np.hstack([factor.RX, factor.RY]), R)
+
+    def test_factor_of_no_columns_is_empty(self):
+        factor = koopid.snapshot_factor(np.zeros((5, 0)), np.zeros((5, 0)))
+        assert factor.RX.shape == factor.RY.shape == (0, 0)
 
     @leaf_cases
     def test_factor_is_numpy_qr_of_each_leaf(self, cap, rows, n_d, split, request,

@@ -122,6 +122,17 @@ class TestLoopEdges:
         fragile = [w for w in caught if "fewer than 2 * N_d" in str(w.message)]
         assert [(w.filename, w.lineno) for w in fragile] == [(__file__, line)]
 
+    @pytest.mark.parametrize("epsilon", [None, 1e-4], ids=["exact", "approximate"])
+    def test_no_columns_is_the_zero_subspace_after_one_empty_round(self, epsilon):
+        # an empty spectrum: the truncation rule cuts at 0 with ratio 0
+        DX = DY = np.zeros((5, 0))
+        result = koopid.ssd(DX, DY) if epsilon is None else koopid.approximate_ssd(DX, DY, epsilon)
+        assert result.is_zero and result.iterations == 1
+        (entry,) = result.log
+        assert (entry.subspace_dim, entry.null_dim, entry.action) == (0, 0, "empty")
+        assert (entry.kept_rank, entry.truncation_ratio) == (
+            (None, None) if epsilon is None else (0, 0.0))
+
     # x -> s x scales each monomial by s^|alpha|, a rescaling of the columns
     # of [D(X), D(Y)] that keeps their span, so the exact decision (the
     # constant alone) should not move
@@ -166,20 +177,17 @@ class TestApproximateSsd:
             if not entry.exact_fallback:
                 assert entry.truncation_ratio <= 1e-4
 
-    def test_no_admissible_truncation_falls_back_to_the_exact_rank(self, caplog):
+    def test_no_admissible_truncation_falls_back_to_the_exact_rank(self):
         # independent X and Y under {x1, x2}: every trailing singular-value
         # sum of [D(X), D(Y)] exceeds eps, so the round keeps the exact rank
-        # 4, which leaves no null direction
+        # 4, which leaves no null direction; the log entry records the fallback
         rng = np.random.Generator(np.random.PCG64(21))
         X, Y = rng.uniform(-1.0, 1.0, size=(2, 500, 2))
-        with caplog.at_level("INFO", logger="koopid.ssd"):
-            result = koopid.approximate_ssd(X, Y, 1e-4)
+        result = koopid.approximate_ssd(X, Y, 1e-4)
         assert result.is_zero
         (entry,) = result.log
         assert (entry.action, entry.kept_rank, entry.exact_fallback) == ("empty", 4, True)
         assert entry.truncation_ratio == 0.0
-        assert any("using the exact rank decision" in rec.getMessage()
-                   for rec in caplog.records)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -1e-3, None])
     def test_epsilon_out_of_range(self, ex2_matrices, eps):

@@ -885,12 +885,27 @@ class TestFactorFile:
         assert [rec.levelname for rec in records] == [level]
         assert str(factor_file) in records[0].getMessage()
 
-    def test_a_csv_that_cannot_be_read_is_an_io_error(self, tmp_path):
-        path, factor_file, _ = self.saved(tmp_path, twin="deleted")
-        stream = systems.SnapshotStream(path)
-        path.unlink()  # with no twin, the file's check reads the CSV's checksum
+    def test_a_csv_that_cannot_be_read_is_an_io_error(self, tmp_path, monkeypatch):
+        # the checksum the derived files bind is read as the stream opens
+        path, _, _ = self.saved(tmp_path, twin="deleted")
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(systems, "_file_checksum", unreadable)
         with pytest.raises(ArtifactIOError, match="^cannot read snapshot file: "):
-            stream.load_factor(factor_file, _DEGREE_3)
+            systems.SnapshotStream(path)
+
+    @twin_case
+    def test_a_csv_deleted_after_opening_keeps_its_factor_file(self, tmp_path, twin):
+        # the file is bound to the CSV as the stream opened it
+        path, factor_file, factor = self.saved(tmp_path, twin)
+        stream = systems.SnapshotStream(path)
+        path.unlink()
+        loaded = stream.load_factor(factor_file, _DEGREE_3)
+        assert loaded.RX.tobytes() == factor.RX.tobytes()
+        assert loaded.RY.tobytes() == factor.RY.tobytes()
+        assert stream.count == 300
 
     def test_without_a_pinned_thread_count_no_file_is_written_or_read(self, tmp_path,
                                                                        monkeypatch):
@@ -955,7 +970,8 @@ class TestStreamedRead:
         # the twin, bound and intact, names the value without a parse
         assert (len(parses) > 0) == (twin == "deleted")
 
-    @pytest.mark.parametrize("bad", ["1,2,3", "1,2,x,4", "1,2,3,4,5"])
+    # a line of spaces is quoted as it is, only its line ending stripped
+    @pytest.mark.parametrize("bad", ["1,2,3", "1,2,x,4", "1,2,3,4,5", "   "])
     def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, read_blocks, bad):
         lines = [",".join("%.17g" % v for v in row) for row in _vdp_data(200)]
         lines[130] = bad
@@ -964,6 +980,17 @@ class TestStreamedRead:
         path.write_text("x_1,x_2,y_1,y_2\n" + "\n".join(lines) + "\n")
         with pytest.raises(InvalidInput, match=f"line 133 is not 4 comma-separated "
                                                f"numbers: '{bad}'"):
+            koopid.read_snapshot_csv(path)
+
+    def test_a_block_bad_only_as_a_whole_names_its_first_row(self, tmp_path, read_blocks):
+        # a quote left open joins the next line to its last field, though each
+        # line on its own is 4 numbers
+        lines = [",".join("%.17g" % v for v in row) for row in _vdp_data(200)]
+        lines[130] = '1,2,3,"4'
+        path = tmp_path / "snap.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(InvalidInput, match="snap.csv: the rows from data row 101 on are "
+                                               "not 4 comma-separated numbers$"):
             koopid.read_snapshot_csv(path)
 
     @pytest.mark.parametrize("value", [0.5, 1e200])
