@@ -6,8 +6,8 @@ forward-backward matching or the subspace decomposition on a snapshot file
 and writes a JSON result artifact (plus optional eigenfunction grid CSVs),
 and ``verify`` re-checks a stored result against its snapshot data.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 rank-assumption violation, 4 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (or an
+allocation too large), 3 rank-assumption violation, 4 I/O error.
 """
 
 import argparse
@@ -42,6 +42,7 @@ from .errors import (
     KoopidError,
     RankError,
     artifact_io,
+    replaced,
 )
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
@@ -58,6 +59,7 @@ _ERROR_CODES = (
     (RankError, "rank-error", EXIT_INVALID_INPUT),
     (InvalidInput, "invalid-input", EXIT_INVALID_INPUT),
     (KoopidError, "error", EXIT_INVALID_INPUT),
+    (MemoryError, "out-of-memory", EXIT_INVALID_INPUT),
 )
 
 
@@ -376,9 +378,8 @@ def cmd_identify(args):
 
     with artifact_io("write result file"):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with replaced(out_path, "write result file") as fh:
+        fh.write((json.dumps(result, indent=2, sort_keys=True) + "\n").encode())
     snapshots.save_factor(out_path.with_suffix(systems.FACTOR_SUFFIX), factor, dictionary)
     print(f"identified {len(evolutions)} linear evolution(s); wrote {out_path}")
     return EXIT_OK
@@ -613,7 +614,7 @@ def main(argv=None):
                 return cmd_verify(args)
         finally:
             logging.getLogger("koopid").removeHandler(handler)
-    except KoopidError as exc:
+    except (KoopidError, MemoryError) as exc:
         return _fail(exc)
 
 

@@ -1,7 +1,10 @@
-"""Exception and warning types shared by all koopid modules, and the one
-rule that turns a failed read or write into one of them."""
+"""Exception and warning types shared by all koopid modules, the one rule
+that turns a failed read or write into one of them, and the one rule by
+which every file is written."""
 
 import contextlib
+import os
+import pathlib
 
 
 class KoopidError(Exception):
@@ -51,6 +54,28 @@ def artifact_io(action, file=None):
         if file is None:
             raise
         raise InvalidInput(f"{file}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def replaced(path, action):
+    """A binary handle on the temporary file ``.<name>.<pid>.tmp`` beside
+    ``path``, which replaces ``path`` when the block ends and is removed on
+    any exception, KeyboardInterrupt too, so a failed or interrupted write
+    leaves the old file whole (nothing is synced); under ``artifact_io(action)``."""
+    with artifact_io(action):
+        # a device or pipe (/dev/null, /dev/stdout) is written in place
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                yield fh
+            return
+        path = pathlib.Path(os.path.realpath(path))  # a link's target is replaced
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temporary, "wb") as fh:
+                yield fh
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
 
 
 class RankWarning(UserWarning):

@@ -10,8 +10,10 @@ reads in place of parsing the text, and a stream can save the R factor it
 gave to a factor file that it reads back in place of the snapshots.  Each
 file holds its own binding to the CSV's bytes (see :func:`_save_bound`), and
 both are used or ignored under one rule (see :meth:`SnapshotStream._bound`),
-against the CSV's checksum as the stream opened it.  The provenance sidecar
-is read only by :func:`read_snapshot_csv`.
+against the CSV's checksum as the stream opened it.  The twin's binding also
+holds the generator's provenance, which :func:`read_snapshot_csv` reports
+only from a twin so used.  A failed or interrupted write of any file leaves
+the previous file whole (see :func:`koopid.errors.replaced`).
 """
 
 import contextlib
@@ -31,7 +33,7 @@ from numpy.lib import format as npy_format
 
 from . import dictionary as dict_mod
 from . import numerics
-from .errors import EvaluationOverflow, InvalidInput, KoopidError, artifact_io
+from .errors import EvaluationOverflow, InvalidInput, KoopidError, artifact_io, replaced
 
 __all__ = [
     "SystemSpec",
@@ -397,7 +399,7 @@ def _write_csv(path, header, data):
     CPUs (see :func:`_format_chunks`), and written in order; the bytes do
     not depend on how many threads format them."""
     size = crc = 0
-    with artifact_io("write CSV file"), open(path, "wb") as fh, \
+    with replaced(path, "write CSV file") as fh, \
             contextlib.closing(_format_chunks(header, data)) as encoded_chunks:
         for encoded in encoded_chunks:
             fh.write(encoded)
@@ -411,40 +413,29 @@ def write_snapshot_csv(snapshots, path):
 
     Values are printed with 17 significant digits so parsing them back
     reproduces the exact IEEE-754 doubles.  The same array is saved as the
-    binary twin ``<stem>.snapshots.npy`` (see :func:`_save_bound`), and the
-    provenance is saved as the JSON sidecar ``<stem>.provenance.json``.
+    binary twin ``<stem>.snapshots.npy``, with the provenance in its binding
+    (see :func:`_save_bound`).
     """
     path = pathlib.Path(path)
     n = snapshots.state_dim
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
     data = np.hstack([snapshots.X, snapshots.Y])
     checksum = _write_csv(path, header, data)
-    _save_bound(path.with_suffix(TWIN_SUFFIX), data, checksum, "write binary snapshot file")
-    sidecar = path.with_suffix(".provenance.json")
-    with artifact_io("write provenance file"), open(sidecar, "w") as fh:
-        json.dump(snapshots.provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save_bound(path.with_suffix(TWIN_SUFFIX), data, checksum, "write binary snapshot file",
+                provenance=snapshots.provenance)
     return path
 
 
 def _save_bound(path, payload, checksum, action, **binding):
     """``np.save`` the float64 matrix ``payload`` to ``path``, then its
     binding as a 0-d bytes array of JSON: the CSV's ``checksum`` (byte count
-    and CRC-32), the payload's CRC-32 and ``binding``.  A temporary file then
-    replaces ``path``, so no reader sees part of one."""
+    and CRC-32), the payload's CRC-32 and ``binding``."""
     size, crc = checksum
     text = json.dumps({**binding, "csv_bytes": size, "csv_crc32": crc,
                        "payload_crc32": zlib.crc32(payload)}, sort_keys=True)
-    path = pathlib.Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with artifact_io(action):
-        try:
-            with open(temporary, "wb") as fh:
-                np.save(fh, payload, allow_pickle=False)
-                np.save(fh, np.array(text.encode()), allow_pickle=False)
-            os.replace(temporary, path)
-        finally:
-            temporary.unlink(missing_ok=True)
+    with replaced(path, action) as fh:
+        np.save(fh, payload, allow_pickle=False)
+        np.save(fh, np.array(text.encode()), allow_pickle=False)
 
 
 def write_grid_csv(grid, path):
@@ -454,25 +445,6 @@ def write_grid_csv(grid, path):
     _write_csv(path, [f"x_{i+1}" for i in range(n)] + ["abs", "angle"],
                np.column_stack([grid.points, grid.abs_values, grid.angles]))
     return pathlib.Path(path)
-
-
-def _read_sidecar(path):
-    """The provenance sidecar of the CSV at ``path`` as a dict; empty, and
-    logged, when it is missing or unreadable."""
-    sidecar = path.with_suffix(".provenance.json")
-    if not sidecar.exists():
-        return {}
-    try:
-        with open(sidecar) as fh:
-            prov = json.load(fh)
-        if isinstance(prov, dict):
-            return prov
-        problem = "not a JSON object"
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        problem = exc
-    # provenance is advisory; a broken sidecar never blocks ingestion
-    logger.warning("ignoring unreadable provenance sidecar %s: %s", sidecar, problem)
-    return {}
 
 
 def _file_checksum(path):
@@ -772,9 +744,10 @@ class SnapshotStream:
 
 def read_snapshot_csv(path):
     """Read a snapshot CSV into memory: the blocks of :meth:`SnapshotStream.scan`
-    with the provenance its sidecar records, if that can be read."""
+    with the provenance bound in its twin, if the scan read them from it."""
     stream = SnapshotStream(path)
-    data = stream.scan(lambda blocks: np.concatenate([np.hstack(b) for b in blocks]))
-    n = stream.state_dim
-    provenance = {"system": "ingested", "path": str(stream.path), **_read_sidecar(stream.path)}
-    return SnapshotSet(X=data[:, :n], Y=data[:, n:], provenance=provenance)
+    X, Y = np.hsplit(stream.scan(lambda blocks: np.concatenate([np.hstack(b) for b in blocks])), 2)
+    bound = {} if stream._twin is None else stream._twin.binding.get("provenance")
+    provenance = {"system": "ingested", "path": str(stream.path),
+                  **(bound if isinstance(bound, dict) else {})}
+    return SnapshotSet(X=X, Y=Y, provenance=provenance)

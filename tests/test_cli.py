@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import functools
 import json
 import logging
@@ -50,7 +51,9 @@ class TestGenerate:
         lines = out.read_text().splitlines()
         assert lines[0] == "x_1,x_2,y_1,y_2"
         assert len(lines) == 2001
-        prov = json.loads((tmp_path / "data.provenance.json").read_text())
+        # the provenance is bound in the twin, the one other file written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.snapshots.npy"]
+        prov = koopid.read_snapshot_csv(out).provenance
         assert prov["seed"] == 42
         assert prov["system"] == "linear"
 
@@ -60,7 +63,7 @@ class TestGenerate:
                          "--box", "-4,4,-4,4", "--dt", "5e-3", "--seed", "7",
                          "--out", str(out)])
         assert code == 0
-        prov = json.loads((tmp_path / "vdp.provenance.json").read_text())
+        prov = koopid.read_snapshot_csv(out).provenance
         assert prov["dt"] == 5e-3
         assert prov["integrator"] == "rk4"
 
@@ -196,6 +199,37 @@ class TestIdentify:
                          "--degree", "2", "--method", "ssd",
                          "--out", str(workdir / "r.json")])
         assert code == cli.EXIT_IO_ERROR
+
+    def test_adds_exactly_the_result_and_its_factor_file(self, workdir):
+        before = {p.name for p in workdir.iterdir()}
+        assert run_identify(workdir, "--method", "ssd")[0] == 0
+        factor = {"result.factor.npy"} if koopid.numerics._thread_setter() else set()
+        assert {p.name for p in workdir.iterdir()} == before | {"result.json"} | factor
+
+    # a result write interrupted halfway leaves the previous result whole
+    def test_an_interrupted_result_write_leaves_the_previous_result(self, workdir,
+                                                                   monkeypatch):
+        run_identify(workdir, "--method", "ssd")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        real = cli.replaced
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise KeyboardInterrupt
+
+        @contextlib.contextmanager
+        def interrupted(path, action):
+            with real(path, action) as fh:
+                yield HalfWritten(fh)
+
+        monkeypatch.setattr(cli, "replaced", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_identify(workdir, "--method", "fb-edmd")
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
     def test_byte_identical_results(self, workdir):
         _, first = run_identify(workdir, "--method", "ssd")
@@ -968,8 +1002,6 @@ class TestFileFailures:
         (GEN_LINEAR + ["--out", "{d}/new.csv"], "new.csv", "cannot write CSV file"),
         (GEN_LINEAR + ["--out", "{d}/new.csv"], "new.snapshots.npy",
          "cannot write binary snapshot file"),
-        (GEN_LINEAR + ["--out", "{d}/new.csv"], "new.provenance.json",
-         "cannot write provenance file"),
         (_IDENTIFY, "result.json", "cannot write result file"),
         (_IDENTIFY + ["--grid-box", "-2,2,-2,2", "--out-dir", "{d}/grids"], "grids",
          "cannot create grid directory"),
@@ -979,7 +1011,7 @@ class TestFileFailures:
         (["identify", "--config", "{d}/run.json"], "run.json", "cannot read config file"),
         (_IDENTIFY, "dict9.json", "cannot read dictionary file"),
         (_IDENTIFY, "result.factor.npy", "cannot write factor file"),
-    ], ids=["csv", "binary-twin", "provenance", "result", "grid-directory", "snapshots",
+    ], ids=["csv", "binary-twin", "result", "grid-directory", "snapshots",
             "verify-result", "config", "dictionary", "factor-file"])
     def test_an_unusable_path_is_an_io_error_naming_the_action(self, workdir, capsys,
                                                               argv, target, message):
@@ -1008,6 +1040,32 @@ class TestFileFailures:
         assert code == cli.EXIT_INVALID_INPUT
         assert capsys.readouterr().err.startswith(
             f"error[invalid-input]: {path}: 'utf-8' codec can't decode byte 0xff ")
+
+
+class TestMemoryErrors:
+    """An allocation that the options make too large is one error line with
+    numpy's message and exit 2, not a traceback with exit 1, the code of a
+    failed verify.  The allocation is simulated: a real one can exhaust the
+    machine."""
+
+    MESSAGE = ("Unable to allocate 1.46 TiB for an array with shape (100000000000, 2) "
+               "and data type float64")
+
+    @pytest.mark.parametrize("argv, target", [
+        (GEN_LINEAR + ["--n", "100000000000", "--out", "{d}/big.csv"], "systems.generate"),
+        (_IDENTIFY + ["--grid-box", "-1,1,-1,1", "--grid-resolution", "100000"],
+         "eigenfunction_grid"),
+    ], ids=["generate", "identify-grid"])
+    def test_a_memory_error_is_exit_2(self, workdir, monkeypatch, capsys, argv, target):
+        def unable(*args):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(f"koopid.cli.{target}", unable)
+        before = sorted(workdir.iterdir())
+        code = cli.main([arg.replace("{d}", str(workdir)) for arg in argv])
+        assert code == cli.EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error[out-of-memory]: {self.MESSAGE}\n"
+        assert sorted(workdir.iterdir()) == before
 
 
 def test_span_gap_needs_full_column_rank_in_as_many_columns(tol):
@@ -1044,7 +1102,8 @@ class TestLogRecords:
     def test_identify_on_a_truncated_twin(self, workdir, capsys):
         twin = workdir / "snap.snapshots.npy"
         twin.write_bytes(twin.read_bytes()[:1000])
-        # identify never opens the provenance sidecar, so a broken one adds no line
+        # identify never opens a sidecar an older version left, so a broken one
+        # adds no line
         (workdir / "snap.provenance.json").write_text("{not json")
         capsys.readouterr()
         warning, done = self.lines(run_identify(workdir, "--method", "ssd")[0], capsys)

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import itertools
 import json
 import os
+import pathlib
 import signal
 import threading
 import tracemalloc
@@ -14,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 import koopid
 from koopid import systems
-from koopid.errors import ArtifactIOError, EvaluationOverflow, InvalidInput
+from koopid.errors import ArtifactIOError, EvaluationOverflow, InvalidInput, replaced
 from conftest import EX2_A, bound_parts, rewrite_payload
 
 
@@ -237,7 +239,7 @@ class TestSnapshotCsv:
         back = read_with_twin(path, twin, parses)
         assert np.array_equal(back.X, snap.X)
         assert np.array_equal(back.Y, snap.Y)
-        assert back.provenance["system"] == "vanderpol"
+        assert back.provenance["system"] == ("vanderpol" if twin == "kept" else "ingested")
 
     def test_header(self, tmp_path):
         spec = koopid.SystemSpec.discrete_linear(EX2_A, [(-2, 2), (-2, 2)])
@@ -467,7 +469,9 @@ class TestSnapshotCsvFormat:
             systems._write_csv(tmp_path / "failing.csv", ["x_1", "y_1"], data)
         assert threading.enumerate() == threads
 
-    # a failed write is an I/O error, and stops the formatting threads
+    # a failed write is an I/O error, and stops the formatting threads:
+    # through the device itself, written in place, and through the temporary
+    # file beside a regular target, which leaves no file behind
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failed_write_is_an_io_error(self, monkeypatch, time_limit, cpus):
@@ -477,6 +481,61 @@ class TestSnapshotCsvFormat:
         with pytest.raises(ArtifactIOError, match="cannot write CSV file"):
             systems._write_csv("/dev/full", ["x_1", "y_1"], data)
         assert threading.enumerate() == threads
+        assert pathlib.Path("/dev/full").is_char_device()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failed_temporary_file_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                                          time_limit, cpus):
+        monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
+
+        @contextlib.contextmanager
+        def onto_a_full_disk(path, action):
+            with replaced(path, action), open("/dev/full", "wb") as fh:
+                yield fh
+
+        monkeypatch.setattr(systems, "replaced", onto_a_full_disk)
+        data = np.ones((3 * systems._CSV_CHUNK_ROWS, 2))
+        threads = threading.enumerate()
+        with pytest.raises(ArtifactIOError, match="cannot write CSV file"):
+            systems._write_csv(tmp_path / "full.csv", ["x_1", "y_1"], data)
+        assert threading.enumerate() == threads
+        assert list(tmp_path.iterdir()) == []
+
+    # a link stays a link: a device it names is written in place, and a
+    # regular file it names is replaced through the temporary file beside it
+    def test_a_link_is_written_through(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("old")
+        old_inode = data.stat().st_ino
+        link = tmp_path / "link.csv"
+        for target in ("/dev/null", data):
+            link.unlink(missing_ok=True)
+            link.symlink_to(target)
+            systems._write_csv(link, ["x_1", "y_1"], np.ones((3, 2)))
+            assert link.is_symlink() and sorted(tmp_path.iterdir()) == [data, link]
+        assert data.read_bytes() == b"x_1,y_1\r\n" + b"1,1\r\n" * 3
+        assert data.stat().st_ino != old_inode
+
+    # an interrupted write through a link leaves the file it names whole
+    def test_an_interrupted_write_through_a_link_leaves_the_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        data.write_text("old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(data)
+        monkeypatch.setattr(systems, "_CSV_CHUNK_ROWS", 2)
+        calls = itertools.count()
+
+        def interrupted(chunk):
+            if next(calls) == 2:
+                raise KeyboardInterrupt
+            return _format_rows(chunk)
+
+        monkeypatch.setattr(systems, "_format_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            systems._write_csv(link, ["x_1", "y_1"], np.ones((7, 2)))
+        assert data.read_text() == "old"
+        assert sorted(tmp_path.iterdir()) == [data, link]
 
     def test_quoted_fields_parse(self, tmp_path):
         snap = koopid.SnapshotSet(X=self.EDGE[:, :2], Y=self.EDGE[:, 2:])
@@ -529,17 +588,21 @@ class TestSnapshotCsvFormat:
         with pytest.raises(InvalidInput, match="empty"):
             koopid.read_snapshot_csv(path)
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["not-json", "not-object"])
-    def test_broken_sidecar_is_logged_not_fatal(self, tmp_path, caplog, text):
-        spec = koopid.SystemSpec.discrete_linear(EX2_A, [(-2, 2), (-2, 2)])
+    # a sidecar an older version wrote beside the CSV is neither read, nor
+    # changed by a rewrite of the CSV
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"system": "edited"}'],
+                             ids=["not-json", "not-object", "another-run"])
+    def test_an_old_sidecar_is_neither_read_nor_changed(self, tmp_path, caplog, text):
+        snap = koopid.generate(koopid.SystemSpec.discrete_linear(EX2_A, [(-2, 2)] * 2), 4)
         path = tmp_path / "snap.csv"
-        koopid.write_snapshot_csv(koopid.generate(spec, 4), path)
-        path.with_suffix(".provenance.json").write_text(text)
-        with caplog.at_level("WARNING", logger="koopid.systems"):
+        sidecar = path.with_suffix(".provenance.json")
+        sidecar.write_text(text)
+        koopid.write_snapshot_csv(snap, path)
+        with caplog.at_level("INFO", logger="koopid.systems"):
             back = koopid.read_snapshot_csv(path)
-        assert back.count == 4
-        assert back.provenance["system"] == "ingested"
-        assert any("provenance" in rec.getMessage() for rec in caplog.records)
+        assert back.count == 4 and not caplog.records
+        assert back.provenance == {**snap.provenance, "path": str(path)}
+        assert sidecar.read_text() == text
 
 
 TRIPPED = []
@@ -579,27 +642,27 @@ def _pickle_payload(path, shape):
         fh.write(binding)
 
 
-def _edit_one_digit(path, twin, sidecar):
+def _edit_one_digit(path, twin):
     data = bytearray(path.read_bytes())
     at = data.index(b".", data.index(b"\r\n")) + 2  # a digit of the first value
     data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
     path.write_bytes(bytes(data))
 
 
-def _delete_twin(path, twin, sidecar):
+def _delete_twin(path, twin):
     twin.unlink()
 
 
-def _twin_is_a_directory(path, twin, sidecar):
+def _twin_is_a_directory(path, twin):
     twin.unlink()
     twin.mkdir()
 
 
-def _truncate_twin(path, twin, sidecar):
+def _truncate_twin(path, twin):
     twin.write_bytes(twin.read_bytes()[:200])
 
 
-def _change_payload(path, twin, sidecar):
+def _change_payload(path, twin):
     data = np.load(twin)
     data[3, 1] = np.nextafter(data[3, 1], np.inf)
     rewrite_payload(twin, data)
@@ -607,19 +670,19 @@ def _change_payload(path, twin, sidecar):
 
 # the same buffer, bound to the same CSV, so only the shape or the dtype
 # check can reject these
-def _save_wrong_shape(path, twin, sidecar):
+def _save_wrong_shape(path, twin):
     _rebind(twin, np.load(twin).reshape(-1, 2))
 
 
-def _save_other_dtype(path, twin, sidecar):
+def _save_other_dtype(path, twin):
     _rebind(twin, np.load(twin).view(np.int64))
 
 
-def _save_object_dtype(path, twin, sidecar):
+def _save_object_dtype(path, twin):
     _pickle_payload(twin, np.load(twin).shape)
 
 
-def _append_a_byte(path, twin, sidecar):
+def _append_a_byte(path, twin):
     twin.write_bytes(twin.read_bytes() + b"\n")
 
 
@@ -631,26 +694,24 @@ def _write_binding(twin, binding):
         np.save(fh, np.array(json.dumps(binding).encode()))
 
 
-def _garble_binding(path, twin, sidecar):
+def _garble_binding(path, twin):
     # the binding replaced by the twin's file name, a JSON string
     _write_binding(twin, "snap.snapshots.npy")
 
 
-def _drop_payload_crc(path, twin, sidecar):
+def _drop_payload_crc(path, twin):
     binding = bound_parts(twin)[1]
     del binding["payload_crc32"]
     _write_binding(twin, binding)
 
 
-def _previous_format(path, twin, sidecar):
-    # the twin alone, bound by the sidecar, as the previous format had it
+def _previous_format(path, twin):
+    # the twin alone, bound by the sidecar, as the format before the last had it
     data = np.load(twin)
     np.save(twin, data)
-    prov = json.loads(sidecar.read_text())
-    prov["binary_twin"] = {"file": twin.name, "csv_bytes": len(path.read_bytes()),
-                           "csv_crc32": zlib.crc32(path.read_bytes()),
-                           "payload_crc32": zlib.crc32(data)}
-    sidecar.write_text(json.dumps(prov))
+    binding = {"file": twin.name, "csv_bytes": len(path.read_bytes()),
+               "csv_crc32": zlib.crc32(path.read_bytes()), "payload_crc32": zlib.crc32(data)}
+    path.with_suffix(".provenance.json").write_text(json.dumps({"binary_twin": binding}))
 
 
 class TestBinaryTwin:
@@ -660,11 +721,10 @@ class TestBinaryTwin:
         snap = koopid.generate(spec, 200)
         path = tmp_path / "snap.csv"
         koopid.write_snapshot_csv(snap, path)
-        return snap, path, path.with_suffix(".snapshots.npy"), \
-            path.with_suffix(".provenance.json")
+        return snap, path, path.with_suffix(".snapshots.npy")
 
     def test_the_twin_binds_itself_to_the_csv(self, tmp_path):
-        snap, path, twin, sidecar = self.written(tmp_path)
+        snap, path, twin = self.written(tmp_path)
         data, binding, _ = bound_parts(twin)
         assert np.load(twin, allow_pickle=False).tobytes() == \
             np.hstack([snap.X, snap.Y]).tobytes() == data.tobytes()
@@ -672,23 +732,50 @@ class TestBinaryTwin:
             "csv_bytes": len(path.read_bytes()),
             "csv_crc32": zlib.crc32(path.read_bytes()),
             "payload_crc32": zlib.crc32(data),
+            "provenance": snap.provenance,
         }
-        # the sidecar holds provenance only
-        assert json.loads(sidecar.read_text()) == snap.provenance
-        assert not list(tmp_path.glob(".*.tmp"))
+        # the CSV and its twin are all that is written
+        assert sorted(tmp_path.iterdir()) == [path, twin]
 
+    # a sidecar an older version wrote, of this run or another, or none:
+    # the twin is used as it is, and its provenance is reported
     @pytest.mark.parametrize("edit", ["rewrite", "delete"])
     def test_the_sidecar_does_not_bind_the_twin(self, tmp_path, parses, caplog, edit):
-        snap, path, twin, sidecar = self.written(tmp_path)
-        if edit == "delete":
-            sidecar.unlink()
-        else:
-            sidecar.write_text(json.dumps({"system": "edited"}))
+        snap, path, twin = self.written(tmp_path)
+        if edit == "rewrite":
+            path.with_suffix(".provenance.json").write_text(json.dumps({"system": "edited"}))
         with caplog.at_level("INFO", logger="koopid.systems"):
             back = koopid.read_snapshot_csv(path)
         assert not parses and not caplog.records
         assert np.hstack([back.X, back.Y]).tobytes() == np.hstack([snap.X, snap.Y]).tobytes()
-        assert back.provenance["system"] == ("edited" if edit == "rewrite" else "ingested")
+        assert back.provenance == {**snap.provenance, "path": str(path)}
+
+    # a rewrite interrupted at its third chunk (of 1,000 rows) leaves the
+    # previous CSV and twin as they were, and no temporary file
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_interrupted_rewrite_leaves_the_previous_files_whole(
+            self, tmp_path, monkeypatch, time_limit, cpus):
+        monkeypatch.setattr(systems, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(systems, "_CSV_CHUNK_ROWS", 1000)
+        path = tmp_path / "snap.csv"
+        first, second = (koopid.generate(koopid.SystemSpec.continuous(
+            "vanderpol", 5e-3, [(-4, 4)] * 2, seed=seed), 5000) for seed in (1, 2))
+        koopid.write_snapshot_csv(first, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = itertools.count()
+
+        def interrupted(chunk):
+            if next(calls) == 2:
+                raise KeyboardInterrupt
+            return _format_rows(chunk)
+
+        monkeypatch.setattr(systems, "_format_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            koopid.write_snapshot_csv(second, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        back = koopid.read_snapshot_csv(path)
+        assert np.hstack([back.X, back.Y]).tobytes() == np.hstack([first.X, first.Y]).tobytes()
+        assert back.provenance == {**first.provenance, "path": str(path)}
 
     # each change leaves the CSV readable; the reader parses it and logs why
     # (a changed CSV or a missing twin at INFO, any other unusable twin at
@@ -710,13 +797,15 @@ class TestBinaryTwin:
     def test_unusable_twin_falls_back_to_parsing(self, tmp_path, parses, caplog,
                                                  change, level):
         TRIPPED.clear()
-        snap, path, twin, sidecar = self.written(tmp_path)
-        change(path, twin, sidecar)
+        snap, path, twin = self.written(tmp_path)
+        change(path, twin)
         with caplog.at_level("INFO", logger="koopid.systems"):
             back = koopid.read_snapshot_csv(path)
         assert len(parses) == 1 and not TRIPPED
         parsed = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.hstack([back.X, back.Y]).tobytes() == parsed.tobytes()
+        # provenance is reported only from a twin that gave the rows
+        assert back.provenance == {"system": "ingested", "path": str(path)}
         assert [rec.levelname for rec in caplog.records] == [level]
         assert str(twin) in caplog.records[0].getMessage()
         if change is _edit_one_digit:
@@ -755,7 +844,7 @@ def _other_code(path, factor_file, monkeypatch):
 
 
 def _edit_the_csv(path, factor_file, monkeypatch):
-    _edit_one_digit(path, None, None)
+    _edit_one_digit(path, None)
     return _DEGREE_3
 
 
@@ -927,8 +1016,7 @@ class TestFactorFile:
         monkeypatch.setattr(systems.os, "replace", refused)
         with pytest.raises(ArtifactIOError, match="^cannot write factor file: "):
             systems.SnapshotStream(path).save_factor(factor_file, factor, _DEGREE_3)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "snap.csv", "snap.provenance.json", "snap.snapshots.npy"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.csv", "snap.snapshots.npy"]
 
 
 def _bound_csv(path, data):
