@@ -11,7 +11,6 @@ allocation too large), 3 rank-assumption violation, 4 I/O error.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import logging
@@ -42,6 +41,7 @@ from .errors import (
     KoopidError,
     RankError,
     artifact_io,
+    is_stream,
     replaced,
 )
 from .numerics import DEFAULT_TOL, ToleranceConfig
@@ -68,19 +68,6 @@ def _fail(exc):
         if isinstance(exc, cls):
             print(f"error[{label}]: {exc}", file=sys.stderr)
             return code
-
-
-@contextlib.contextmanager
-def _printed_warnings(prefix):
-    """Record the warnings the block raises and print each, when the block
-    ends, as a line ``<prefix><message>`` of the command's output."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            yield
-        finally:
-            for warning in caught:
-                print(f"{prefix}{warning.message}")
 
 
 def _parse_floats(text, name):
@@ -127,7 +114,7 @@ def _read_json(path, what):
     try:
         with artifact_io(f"read {what}", path), open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep to decode
         raise InvalidInput(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -254,6 +241,7 @@ def _load_dictionary(args, snapshots):
             f"dictionary state dim {dictionary.state_dim} does not match "
             f"snapshot state dim {state_dim}"
         )
+    edmd._require_samples(snapshots.count, dictionary.size)  # before the scan, as above
     return dictionary
 
 
@@ -277,6 +265,8 @@ def _ssd_dict(result):
 def _parse_grid_options(args, state_dim):
     """The box and the eigenvalues (None for 'all') of the --grid-* options."""
     box = _parse_box(args.grid_box, "--grid-box", expected_dim=state_dim)
+    if args.out_dir is None and is_stream(args.out):
+        raise InvalidInput("--grid-box needs --out-dir when --out is not a regular file")
     if args.grid_resolution < 2:
         raise InvalidInput("--grid-resolution must be at least 2")
     if args.grid_eigenvalues.strip().lower() == "all":
@@ -306,7 +296,6 @@ def _edmd_residual(RX, RY, tol):
     return edmd.relative_residual(RX, RY, edmd.edmd_matrix(RX, RY, tol).matrix)
 
 
-@_printed_warnings("identify: warning: ")
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
@@ -380,7 +369,8 @@ def cmd_identify(args):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     with replaced(out_path, "write result file") as fh:
         fh.write((json.dumps(result, indent=2, sort_keys=True) + "\n").encode())
-    snapshots.save_factor(out_path.with_suffix(systems.FACTOR_SUFFIX), factor, dictionary)
+    if not is_stream(out_path):  # --out /dev/null gets no file beside it
+        snapshots.save_factor(out_path.with_suffix(systems.FACTOR_SUFFIX), factor, dictionary)
     print(f"identified {len(evolutions)} linear evolution(s); wrote {out_path}")
     return EXIT_OK
 
@@ -538,42 +528,41 @@ def cmd_verify(args):
 
     # each stage of the stored run is replayed on its stored input, and the
     # replay's output must match the stored output; a warning the replay
-    # raises becomes a line of the report
+    # raises is printed when raised, before the report
     checks = []
 
     def compare(stage, diff, bound):
         checks.append((f"{stage}: difference {diff:.3e}, bound {bound:.1e}", diff <= bound))
 
-    with _printed_warnings("verify: warning in the replay: "):
-        compare(f"stored snapshot count {shape[0]} and state dim {shape[1]} match the data",
-                _diff(shape, (snapshots.count, snapshots.state_dim)), 0.0)
-        if method == "fb-edmd":
-            compare("EDMD residual e_r reproducible",
-                    _diff(e_r, _edmd_residual(RX, RY, tol)), 1e-9)
-            replayed = edmd.forward_backward_eigenpairs(RX, RY, tol)
-        else:
-            rerun = (ssd(RX, RY, tol) if method == "ssd"
-                     else approximate_ssd(RX, RY, decomposition.epsilon, tol))
-            compare("ssd decisions and range angle reproducible",
-                    _diff(dataclasses.replace(decomposition, C=None),
-                          dataclasses.replace(rerun, C=None)), 1e-9)
-            # C spanning the re-run's C, in as many independent columns, makes
-            # it complete and maximal
-            C, C_rerun = (np.zeros((dictionary.size, 0)) if r.is_zero else r.C
-                          for r in (decomposition, rerun))
-            compare("C spans the re-run's subspace",
-                    _span_gap(RX @ C, RX @ C_rerun, tol), tol.subspace_atol)
-            if method == "ssd":
-                compare("range equality of DX@C and DY@C",
-                        _span_gap(RX @ C, RY @ C, tol), tol.subspace_atol)
-            replayed = []
-            if reduced is not None:
-                compare("reduced Koopman matrix and e_r reproducible",
-                        _diff(reduced, reduced_koopman(RX, RY, decomposition, tol)), 1e-9)
-                replayed = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
-        compare(f"evolutions ({len(evolutions)} stored, {len(replayed)} replayed) with "
-                "their forward, backward and data defects",
-                _evolution_gap(evolutions, replayed, tol), tol.eig_match_atol)
+    compare(f"stored snapshot count {shape[0]} and state dim {shape[1]} match the data",
+            _diff(shape, (snapshots.count, snapshots.state_dim)), 0.0)
+    if method == "fb-edmd":
+        compare("EDMD residual e_r reproducible",
+                _diff(e_r, _edmd_residual(RX, RY, tol)), 1e-9)
+        replayed = edmd.forward_backward_eigenpairs(RX, RY, tol)
+    else:
+        rerun = (ssd(RX, RY, tol) if method == "ssd"
+                 else approximate_ssd(RX, RY, decomposition.epsilon, tol))
+        compare("ssd decisions and range angle reproducible",
+                _diff(dataclasses.replace(decomposition, C=None),
+                      dataclasses.replace(rerun, C=None)), 1e-9)
+        # C spanning the re-run's C, in as many independent columns, makes
+        # it complete and maximal
+        C, C_rerun = (np.zeros((dictionary.size, 0)) if r.is_zero else r.C
+                      for r in (decomposition, rerun))
+        compare("C spans the re-run's subspace",
+                _span_gap(RX @ C, RX @ C_rerun, tol), tol.subspace_atol)
+        if method == "ssd":
+            compare("range equality of DX@C and DY@C",
+                    _span_gap(RX @ C, RY @ C, tol), tol.subspace_atol)
+        replayed = []
+        if reduced is not None:
+            compare("reduced Koopman matrix and e_r reproducible",
+                    _diff(reduced, reduced_koopman(RX, RY, decomposition, tol)), 1e-9)
+            replayed = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
+    compare(f"evolutions ({len(evolutions)} stored, {len(replayed)} replayed) with "
+            "their forward, backward and data defects",
+            _evolution_gap(evolutions, replayed, tol), tol.eig_match_atol)
 
     for name, ok in checks:
         print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
@@ -597,23 +586,25 @@ def main(argv=None):
             command_parser = commands[args.command]
             command_parser.set_defaults(**_config_defaults(args.config, command_parser))
             args = parser.parse_args(argv)
-        # a WARNING record of the library is a line of the output, as its warnings are
+        # a WARNING record of the library is a line of the output, printed when
+        # logged, and so is each warning it raises (all UserWarnings), logged as
+        # such a record; other categories (ResourceWarning) keep the caller's filters
+        logger = logging.getLogger("koopid")
         handler = logging.StreamHandler(sys.stdout)
         handler.setLevel(logging.WARNING)
         handler.setFormatter(logging.Formatter(f"{args.command}: warning: %(message)s"))
-        logging.getLogger("koopid").addHandler(handler)
+        logger.addHandler(handler)
         try:
             # the commands' matrix products are narrow (at most 2N_d columns,
             # the factor's leaves included), where a second BLAS thread does
             # not pay and was seen to stall
-            with numerics.one_blas_thread():
-                if args.command == "generate":
-                    return cmd_generate(args)
-                if args.command == "identify":
-                    return cmd_identify(args)
-                return cmd_verify(args)
+            with warnings.catch_warnings(), numerics.one_blas_thread():
+                warnings.simplefilter("always", UserWarning)
+                warnings.showwarning = lambda message, *_: logger.warning("%s", message)
+                return {"generate": cmd_generate, "identify": cmd_identify,
+                        "verify": cmd_verify}[args.command](args)
         finally:
-            logging.getLogger("koopid").removeHandler(handler)
+            logger.removeHandler(handler)
     except (KoopidError, MemoryError) as exc:
         return _fail(exc)
 

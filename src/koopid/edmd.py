@@ -68,13 +68,14 @@ def edmd_matrix(DX, DY, tol=DEFAULT_TOL, direction="forward"):
     and DY are factored first (:func:`numerics.snapshot_factor`); to share
     one factorization, pass its blocks ``RX, RY``.
     """
-    F = numerics.snapshot_factor(DX, DY)
-    U, s, V, rank = numerics._svd(F.RX, tol)
-    if rank < F.RX.shape[1]:
-        warnings.warn("source dictionary matrix is rank deficient (needs N >= N_d and "
-                      "independent samples); proceeding via pseudo-inverse",
-                      RankWarning, stacklevel=2)
-    return KoopmanMatrix(matrix=numerics._pinv(U, s, V, rank) @ F.RY, direction=direction)
+    with numerics.one_blas_thread():
+        F = numerics.snapshot_factor(DX, DY)
+        U, s, V, rank = numerics._svd(F.RX, tol)
+        if rank < F.RX.shape[1]:
+            warnings.warn("source dictionary matrix is rank deficient (needs N >= N_d and "
+                          "independent samples); proceeding via pseudo-inverse",
+                          RankWarning, stacklevel=2)
+        return KoopmanMatrix(matrix=numerics._pinv(U, s, V, rank) @ F.RY, direction=direction)
 
 
 def relative_residual(DX, DY, K):

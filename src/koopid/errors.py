@@ -56,15 +56,20 @@ def artifact_io(action, file=None):
         raise InvalidInput(f"{file}: {exc}") from exc
 
 
+def is_stream(path):
+    """Whether ``path`` names a device or pipe (/dev/null, /dev/stdout, a FIFO)."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 @contextlib.contextmanager
 def replaced(path, action):
     """A binary handle on the temporary file ``.<name>.<pid>.tmp`` beside
-    ``path``, which replaces ``path`` when the block ends and is removed on
-    any exception, KeyboardInterrupt too, so a failed or interrupted write
-    leaves the old file whole (nothing is synced); under ``artifact_io(action)``."""
+    ``path``, which replaces ``path``, taking its permission bits, when the
+    block ends and is removed on any exception, KeyboardInterrupt too, so a
+    failed or interrupted write leaves the old file whole (nothing is
+    synced); under ``artifact_io(action)``."""
     with artifact_io(action):
-        # a device or pipe (/dev/null, /dev/stdout) is written in place
-        if os.path.exists(path) and not os.path.isfile(path):
+        if is_stream(path):  # written in place: replacing it would swap the device
             with open(path, "wb") as fh:
                 yield fh
             return
@@ -73,6 +78,8 @@ def replaced(path, action):
         try:
             with open(temporary, "wb") as fh:
                 yield fh
+            with contextlib.suppress(FileNotFoundError):  # a rewrite keeps the mode
+                os.chmod(temporary, path.stat().st_mode & 0o7777)
             os.replace(temporary, path)
         finally:
             temporary.unlink(missing_ok=True)

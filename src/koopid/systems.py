@@ -33,7 +33,7 @@ from numpy.lib import format as npy_format
 
 from . import dictionary as dict_mod
 from . import numerics
-from .errors import EvaluationOverflow, InvalidInput, KoopidError, artifact_io, replaced
+from .errors import EvaluationOverflow, InvalidInput, KoopidError, artifact_io, is_stream, replaced
 
 __all__ = [
     "SystemSpec",
@@ -421,8 +421,9 @@ def write_snapshot_csv(snapshots, path):
     header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
     data = np.hstack([snapshots.X, snapshots.Y])
     checksum = _write_csv(path, header, data)
-    _save_bound(path.with_suffix(TWIN_SUFFIX), data, checksum, "write binary snapshot file",
-                provenance=snapshots.provenance)
+    if not is_stream(path):  # --out /dev/stdout gets no twin beside it
+        _save_bound(path.with_suffix(TWIN_SUFFIX), data, checksum, "write binary snapshot file",
+                    provenance=snapshots.provenance)
     return path
 
 

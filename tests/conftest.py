@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def rewrite_payload(path, payload):
     data = bytearray(path.read_bytes())
     data[end - payload.nbytes:end] = payload.tobytes()
     path.write_bytes(bytes(data))
+
+
+@pytest.fixture()
+def umask_022():
+    """The process's umask set to 022, so a new file is 0644, for the test."""
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
 
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ import logging
 import operator
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import warnings
@@ -56,6 +57,13 @@ class TestGenerate:
         prov = koopid.read_snapshot_csv(out).provenance
         assert prov["seed"] == 42
         assert prov["system"] == "linear"
+
+    # a CSV written to a device or pipe gets no twin beside it
+    def test_no_twin_beside_a_device(self, tmp_path):
+        link = tmp_path / "null.csv"
+        link.symlink_to(os.devnull)
+        assert cli.main(GEN_LINEAR + ["--out", str(link)]) == cli.EXIT_OK
+        assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
 
     def test_vanderpol_parameters(self, tmp_path):
         out = tmp_path / "vdp.csv"
@@ -171,6 +179,25 @@ class TestIdentify:
         self.test_degree_beyond_the_sample_count_stops_before_building(
             workdir, capsys, monkeypatch)
 
+    @pytest.mark.parametrize("twin", [True, False], ids=["twin", "csv-only"])
+    def test_a_dict_file_beyond_the_sample_count_stops_before_the_scan(
+            self, workdir, capsys, monkeypatch, twin):
+        snap = workdir / "few.csv"
+        assert cli.main(["generate", "--system", "linear", "--A", "0.8,0.5,-0.5,0.8",
+                         "--n", "5", "--box", "-2,2,-2,2", "--out", str(snap)]) == 0
+        if not twin:
+            snap.with_suffix(".snapshots.npy").unlink()
+
+        def unreachable(*args):
+            raise AssertionError("the dictionary was evaluated")
+
+        monkeypatch.setattr(cli.dict_mod, "evaluate_factor", unreachable)
+        code = cli.main(["identify", "--snapshots", str(snap), "--dict-file",
+                         str(workdir / "dict9.json"), "--method", "ssd"])
+        assert code == cli.EXIT_ASSUMPTION_VIOLATION
+        assert capsys.readouterr().err == ("error[assumption-violation]: need at least "
+                                           "N_d = 9 snapshots, got 5\n")
+
     def test_degree_and_dict_file_are_exclusive(self, workdir):
         out = workdir / "result.json"
         code = cli.main(["identify", "--snapshots", str(workdir / "snap.csv"),
@@ -205,6 +232,39 @@ class TestIdentify:
         assert run_identify(workdir, "--method", "ssd")[0] == 0
         factor = {"result.factor.npy"} if koopid.numerics._thread_setter() else set()
         assert {p.name for p in workdir.iterdir()} == before | {"result.json"} | factor
+
+    # a result written to a device or pipe gets no factor file beside it, and
+    # its grids need --out-dir, which is checked before the data is read
+    def test_no_derived_file_beside_a_device(self, workdir, capsys, monkeypatch):
+        link = workdir / "null.json"
+        link.symlink_to(os.devnull)
+        before = sorted(workdir.iterdir())
+        argv = ["identify", "--snapshots", str(workdir / "snap.csv"), "--dict-file",
+                str(workdir / "dict9.json"), "--method", "ssd", "--out", str(link)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert sorted(workdir.iterdir()) == before and link.is_symlink()
+
+        def unreachable(*args):
+            raise AssertionError("the data was read")
+
+        grid = ["--grid-box", "-2,2,-2,2", "--grid-resolution", "5"]
+        with monkeypatch.context() as patch:
+            patch.setattr(koopid.systems.SnapshotStream, "scan", unreachable)
+            capsys.readouterr()
+            assert cli.main(argv + grid) == cli.EXIT_INVALID_INPUT
+            assert capsys.readouterr().err == ("error[invalid-input]: --grid-box needs "
+                                               "--out-dir when --out is not a regular file\n")
+        grids = workdir / "grids"
+        assert cli.main(argv + grid + ["--out-dir", str(grids)]) == cli.EXIT_OK
+        assert sorted(workdir.iterdir()) == sorted(before + [grids])
+        assert len(list(grids.iterdir())) == 6
+
+    def test_a_rewritten_result_keeps_its_permission_bits(self, workdir, umask_022):
+        _, out = run_identify(workdir, "--method", "ssd")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        out.chmod(0o600)
+        assert run_identify(workdir, "--method", "ssd")[0] == cli.EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
 
     # a result write interrupted halfway leaves the previous result whole
     def test_an_interrupted_result_write_leaves_the_previous_result(self, workdir,
@@ -483,7 +543,7 @@ class TestTamperedArtifacts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _verify_edited(linear3, tmp_path, "ssd", edit) == cli.EXIT_VERIFY_FAILED
-        assert ("verify: warning in the replay: exact-mode reduced Koopman matrix is "
+        assert ("verify: warning: exact-mode reduced Koopman matrix is "
                 "singular\n") in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit", [
@@ -800,6 +860,7 @@ def _three_dim_dictionary(result):
 
 
 _NOT_JSON = {"bad.json": "{not json"}
+_DEEP_JSON = {"bad.json": "[" * 100_000}  # nested deeper than the decoder recurses
 
 
 class TestMalformedInputs:
@@ -860,13 +921,20 @@ class TestMalformedInputs:
          "config file is not valid JSON: "),
         (["identify", "--snapshots", "{d}/snap.csv", "--dict-file", "{d}/bad.json",
           "--method", "ssd"], _NOT_JSON, "dictionary file is not valid JSON: "),
+        (["verify", "{d}/bad.json", "{d}/snap.csv"], _DEEP_JSON,
+         "result file is not valid JSON: "),
+        (["identify", "--config", "{d}/bad.json"], _DEEP_JSON,
+         "config file is not valid JSON: "),
+        (["identify", "--snapshots", "{d}/snap.csv", "--dict-file", "{d}/bad.json",
+          "--method", "ssd"], _DEEP_JSON, "dictionary file is not valid JSON: "),
         (["generate", "--config", "{d}/list.json"], {"list.json": "[1]"},
          "config file must hold a JSON object"),
     ], ids=["generate-without-system", "wrong-A-size", "vanderpol-without-dt",
             "non-numeric-box", "identify-without-snapshots", "identify-without-method",
             "negative-degree", "dict-file-of-another-dim", "grid-box-of-another-dim",
             "result-not-json", "config-not-json", "dict-file-not-json",
-            "config-not-object"])
+            "result-nested-too-deep", "config-nested-too-deep",
+            "dict-file-nested-too-deep", "config-not-object"])
     def test_invalid_command_line_names_the_problem(self, workdir, capsys, argv, files,
                                                     message):
         for name, text in files.items():
@@ -1088,9 +1156,9 @@ def test_diff_of_a_type_or_shape_mismatch_is_infinite():
 
 
 class TestLogRecords:
-    """A WARNING record of the library is one line of the command's output,
-    as its warnings are; an INFO record is not shown, and the exit code is
-    the same."""
+    """A WARNING record of the library, and each warning it raises, is one
+    line of the command's output, printed when it happens; an INFO record is
+    not shown, and the exit code is the same."""
 
     @staticmethod
     def lines(code, capsys):
@@ -1112,6 +1180,62 @@ class TestLogRecords:
         # a missing twin is an INFO record
         twin.unlink()
         assert self.lines(run_identify(workdir, "--method", "ssd")[0], capsys) == [done]
+
+    def test_identify_prints_each_line_when_it_happens(self, tmp_path, capsys):
+        # 60 samples for the 36 monomials of degree 7, fewer than 2 * N_d, and
+        # a damaged twin: the record as the stream opens, the warning during
+        # the decomposition, then the result line
+        snap, out = tmp_path / "vdp.csv", tmp_path / "r.json"
+        assert cli.main(["generate", "--system", "vanderpol", "--n", "60", "--box",
+                         "-4,4,-4,4", "--dt", "5e-3", "--seed", "7",
+                         "--out", str(snap)]) == 0
+        twin = tmp_path / "vdp.snapshots.npy"
+        twin.write_bytes(twin.read_bytes()[:1000])
+        capsys.readouterr()
+        first, *lines = self.lines(cli.main(["identify", "--snapshots", str(snap), "--degree",
+                                             "7", "--method", "ssd", "--out", str(out)]),
+                                   capsys)
+        assert first.startswith(f"identify: warning: ignoring binary twin {twin}: ")
+        assert lines == ["identify: warning: fewer than 2 * N_d snapshots; rank decisions "
+                         "may be fragile", f"identified 1 linear evolution(s); wrote {out}"]
+
+    # a warning generate raises is a line too, and main gives back the
+    # handlers, the warning filters and showwarning it found however it ends
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_a_warning_in_generate_and_the_state_main_gives_back(self, tmp_path, capsys,
+                                                                 monkeypatch, raises):
+        inner = koopid.systems.generate
+
+        def warning(*args):
+            warnings.warn("a caveat of the sampling")
+            if raises:
+                raise RuntimeError("stopped inside generate")
+            return inner(*args)
+
+        monkeypatch.setattr(koopid.systems, "generate", warning)
+        out = tmp_path / "g.csv"
+        showwarning, filters = warnings.showwarning, list(warnings.filters)
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            assert cli.main(GEN_LINEAR + ["--out", str(out)]) == cli.EXIT_OK
+        assert logging.getLogger("koopid").handlers == []
+        assert warnings.showwarning is showwarning and warnings.filters == filters
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines() == [
+            "generate: warning: a caveat of the sampling",
+            *([] if raises else [f"wrote 2000 snapshot pairs to {out}"])]
+
+    # only the library's UserWarnings become lines: a ResourceWarning follows
+    # the caller's filters, so an "error" filter (as tier-1 sets) still raises it
+    def test_a_resource_warning_keeps_the_callers_filter(self, tmp_path, capsys, monkeypatch):
+        def leak(*args):
+            warnings.warn("unclosed file", ResourceWarning)
+
+        monkeypatch.setattr(koopid.systems, "generate", leak)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ResourceWarning, match="unclosed file"):
+                cli.main(GEN_LINEAR + ["--out", str(tmp_path / "g.csv")])
+        assert capsys.readouterr().out == ""
 
     def test_verify_with_a_factor_file_of_another_dictionary(self, workdir, capsys):
         _, out = run_identify(workdir, "--method", "ssd")

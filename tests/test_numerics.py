@@ -421,7 +421,8 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
     @pytest.mark.parametrize("entry", ["ssd", "approximate_ssd", "reduced_koopman",
-                                       "lift_eigenvectors", "forward_backward_eigenpairs"])
+                                       "lift_eigenvectors", "forward_backward_eigenpairs",
+                                       "edmd_matrix"])
     def test_library_entry_points_run_at_one_thread(self, setter, monkeypatch,
                                                     ex2_matrices, tol, entry, raises):
         # each reaches the rank rule after its own factor, whose pin has
@@ -431,7 +432,7 @@ class TestOneBlasThread:
         reduced = koopid.reduced_koopman(F.RX, F.RY, result, tol)
         args = {"ssd": (), "approximate_ssd": (1e-4,), "reduced_koopman": (result,),
                 "lift_eigenvectors": (result, reduced),
-                "forward_backward_eigenpairs": ()}[entry]
+                "forward_backward_eigenpairs": (), "edmd_matrix": ()}[entry]
         svd, seen = numerics._svd, []
 
         def recording(*svd_args):

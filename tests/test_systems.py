@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import signal
+import stat
 import threading
 import tracemalloc
 import zlib
@@ -516,6 +517,21 @@ class TestSnapshotCsvFormat:
             assert link.is_symlink() and sorted(tmp_path.iterdir()) == [data, link]
         assert data.read_bytes() == b"x_1,y_1\r\n" + b"1,1\r\n" * 3
         assert data.stat().st_ino != old_inode
+
+    # a rewrite keeps the file's permission bits, and a new file takes the
+    # umask's: through the CSV writer and the writer of the derived files
+    @pytest.mark.parametrize("write", [
+        lambda path: systems._write_csv(path, ["x_1", "y_1"], np.ones((3, 2))),
+        lambda path: systems._save_bound(path, np.ones((3, 2)), (0, 0), "write twin"),
+    ], ids=["csv", "bound-file"])
+    def test_a_rewrite_keeps_the_permission_bits(self, tmp_path, umask_022, write):
+        path = tmp_path / "file"
+        write(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        path.chmod(0o600)
+        write(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert list(tmp_path.iterdir()) == [path]
 
     # an interrupted write through a link leaves the file it names whole
     def test_an_interrupted_write_through_a_link_leaves_the_file(self, tmp_path, monkeypatch):
