@@ -15,6 +15,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import pathlib
 import sys
 import warnings
@@ -291,6 +292,15 @@ def _select_grid_evolutions(evolutions, targets):
     return chosen
 
 
+def _same_file(path, other):
+    """Whether two paths name one file: one inode (through a link, a hard
+    link too) when both exist, else one path once links are resolved."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return os.path.realpath(path) == os.path.realpath(other)
+
+
 def _edmd_residual(RX, RY, tol):
     """e_r of the forward EDMD matrix, the fit an fb-edmd result stores."""
     return edmd.relative_residual(RX, RY, edmd.edmd_matrix(RX, RY, tol).matrix)
@@ -299,6 +309,9 @@ def _edmd_residual(RX, RY, tol):
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
+    twin = pathlib.Path(args.snapshots).with_suffix(systems.TWIN_SUFFIX)
+    if any(_same_file(args.out, path) for path in (args.snapshots, twin)):
+        raise InvalidInput("--out must not be the --snapshots file or its binary twin")
     snapshots = systems.SnapshotStream(args.snapshots)
     if args.grid_box is not None:
         grid_box, grid_targets = _parse_grid_options(args, snapshots.state_dim)
@@ -310,8 +323,14 @@ def cmd_identify(args):
     if args.method != "ssd-approx" and args.eps is not None:
         raise InvalidInput("--eps is only valid with --method ssd-approx")
 
-    # every step below works on the R-factor blocks of [D(X), D(Y)]
-    factor = snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
+    # every step below works on the R-factor blocks of [D(X), D(Y)]: read from
+    # the factor file the last run left beside --out while it is bound, which
+    # gives R bit for bit, else computed and saved there (a device or pipe,
+    # such as /dev/null, has none)
+    out_path = pathlib.Path(args.out)
+    factor_file = None if is_stream(out_path) else out_path.with_suffix(systems.FACTOR_SUFFIX)
+    loaded = factor_file and snapshots.load_factor(factor_file, dictionary)
+    factor = loaded or snapshots.scan(lambda blocks: dict_mod.evaluate_factor(dictionary, blocks))
     RX, RY = factor.RX, factor.RY
 
     result = {
@@ -347,7 +366,6 @@ def cmd_identify(args):
             evolutions = lift_eigenvectors(RX, RY, decomposition, reduced, tol)
     result["evolutions"] = [_evolution_dict(ev) for ev in evolutions]
 
-    out_path = pathlib.Path(args.out)
     if args.grid_box is not None and evolutions:
         grid_dir = pathlib.Path(args.out_dir) if args.out_dir else out_path.parent
         with artifact_io("create grid directory"):
@@ -369,8 +387,8 @@ def cmd_identify(args):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     with replaced(out_path, "write result file") as fh:
         fh.write((json.dumps(result, indent=2, sort_keys=True) + "\n").encode())
-    if not is_stream(out_path):  # --out /dev/null gets no file beside it
-        snapshots.save_factor(out_path.with_suffix(systems.FACTOR_SUFFIX), factor, dictionary)
+    if factor_file and not loaded:
+        snapshots.save_factor(factor_file, factor, dictionary)
     print(f"identified {len(evolutions)} linear evolution(s); wrote {out_path}")
     return EXIT_OK
 

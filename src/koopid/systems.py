@@ -430,7 +430,12 @@ def write_snapshot_csv(snapshots, path):
 def _save_bound(path, payload, checksum, action, **binding):
     """``np.save`` the float64 matrix ``payload`` to ``path``, then its
     binding as a 0-d bytes array of JSON: the CSV's ``checksum`` (byte count
-    and CRC-32), the payload's CRC-32 and ``binding``."""
+    and CRC-32), the payload's CRC-32 and ``binding``.  A device or pipe at
+    ``path`` is left alone, logged at WARNING: a write into a FIFO blocks
+    until it has a reader."""
+    if is_stream(path) and not os.path.isdir(path):  # a directory fails the write
+        logger.warning("cannot %s %s: not a regular file", action, path)
+        return
     size, crc = checksum
     text = json.dumps({**binding, "csv_bytes": size, "csv_crc32": crc,
                        "payload_crc32": zlib.crc32(payload)}, sort_keys=True)
@@ -656,10 +661,12 @@ class SnapshotStream:
         """``check(bound)`` of the :class:`_BoundFile` of ``cols`` columns at
         ``path``, logged as a ``what``, if it is bound to this CSV as opened,
         else None.  The CSV's checksum is compared last, after ``check``,
-        which raises ValueError naming what differs.  A missing file or a
-        changed CSV is logged at INFO, all else at WARNING, and the caller
-        reads the data instead."""
+        which raises ValueError naming what differs.  A path that is not a
+        regular file is not opened.  A missing file or a changed CSV is logged
+        at INFO, all else at WARNING, and the caller reads the data instead."""
         try:
+            if is_stream(path):  # opening a FIFO blocks until it has a writer
+                raise ValueError("not a regular file")
             bound = _BoundFile(path, cols)
             value = check(bound)
             if (bound.binding["csv_bytes"], bound.binding["csv_crc32"]) == self.checksum:

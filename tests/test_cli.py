@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import functools
 import json
@@ -627,22 +628,28 @@ class TestTamperedArtifacts:
 
 @pytest.fixture()
 def evaluations(monkeypatch):
-    """The factors the CLI computes from the data; the factors it reads from
-    a factor file, or None for each miss."""
-    computed, loaded = [], []
-    evaluate_factor = koopid.dictionary.evaluate_factor
-    load_factor = koopid.systems.SnapshotStream.load_factor
+    """The factors the CLI computes from the data, and those it reads from a
+    factor file (None for each miss), each listed under the command that
+    made the call: ``computed["identify"]``, ``loaded["verify"]``."""
+    computed, loaded = collections.defaultdict(list), collections.defaultdict(list)
+    running = []
 
-    def evaluated(*args):
-        computed.append(evaluate_factor(*args))
-        return computed[-1]
+    def recorded(calls, function):
+        def call(*args):
+            calls[running[-1]].append(function(*args))
+            return calls[running[-1]][-1]
+        return call
 
-    def read(*args):
-        loaded.append(load_factor(*args))
-        return loaded[-1]
+    for command in ("identify", "verify"):
+        def run(args, handler=getattr(cli, f"cmd_{command}"), command=command):
+            running.append(command)
+            return handler(args)
 
-    monkeypatch.setattr(cli.dict_mod, "evaluate_factor", evaluated)
-    monkeypatch.setattr(koopid.systems.SnapshotStream, "load_factor", read)
+        monkeypatch.setattr(cli, f"cmd_{command}", run)
+    monkeypatch.setattr(cli.dict_mod, "evaluate_factor",
+                        recorded(computed, koopid.dictionary.evaluate_factor))
+    monkeypatch.setattr(koopid.systems.SnapshotStream, "load_factor",
+                        recorded(loaded, koopid.systems.SnapshotStream.load_factor))
     return computed, loaded
 
 
@@ -652,8 +659,9 @@ class TestStreamedFactor:
     def test_cli_factor_is_the_in_memory_factor(self, tmp_path, monkeypatch, evaluations,
                                                 small_blocks, rows, twin):
         # the reader's 50-row blocks straddle the factor's 64-row ones.
-        # identify computes R; verify reads it from identify's factor file
-        # and, with that file deleted, computes it again
+        # identify computes R, and a second identify reads it from the factor
+        # file; verify reads it from that file and, with the file deleted,
+        # computes it again
         monkeypatch.setattr(koopid.systems, "_READ_BYTES", 50 * 32)
         computed, loaded = evaluations
         snap = tmp_path / "snap.csv"
@@ -663,14 +671,20 @@ class TestStreamedFactor:
         if twin == "deleted":
             snap.with_suffix(".snapshots.npy").unlink()
         out = tmp_path / "result.json"
-        assert cli.main(["identify", "--snapshots", str(snap), "--degree", "3",
-                         "--method", "ssd", "--out", str(out)]) == 0
+        for _ in range(2):
+            assert cli.main(["identify", "--snapshots", str(snap), "--degree", "3",
+                             "--method", "ssd", "--out", str(out)]) == 0
         assert cli.main(["verify", str(out), str(snap)]) == 0
         out.with_suffix(".factor.npy").unlink()
         assert cli.main(["verify", str(out), str(snap)]) == 0
         assert json.loads(out.read_text())["snapshots"]["count"] == rows
-        assert len(computed) == 2 and loaded[0] is not None and loaded[1:] == [None]
-        factors = computed + loaded[:1]
+        assert len(computed["identify"]) == 1
+        assert loaded["identify"][0] is None and loaded["identify"][1] is not None
+        assert len(computed["verify"]) == 1
+        verify_loaded = loaded["verify"]
+        assert verify_loaded[0] is not None and verify_loaded[1:] == [None]
+        factors = (computed["identify"] + loaded["identify"][1:] + computed["verify"]
+                   + verify_loaded[:1])
         data = koopid.generate(koopid.SystemSpec.discrete_linear(
             [[0.8, 0.5], [-0.5, 0.8]], [(-2, 2), (-2, 2)], seed=3), rows)
         expected = koopid.evaluate_factor(koopid.monomials_up_to_degree(2, 3), data.X, data.Y)
@@ -698,9 +712,9 @@ def _run_verify(result, snap, capsys):
 
 
 class TestFactorFile:
-    """identify saves R beside the result; verify reads it only while it is
-    bound to the CSV and dictionary it is given, and its report is the same
-    either way."""
+    """identify saves R beside the result when it computes it; identify and
+    verify read it only while it is bound to the CSV and dictionary they are
+    given, and the result and the report are the same either way."""
 
     @pytest.mark.parametrize("method", [["ssd"], ["ssd-approx", "--eps", "1e-4"],
                                         ["fb-edmd"]], ids=["ssd", "ssd-approx", "fb-edmd"])
@@ -709,17 +723,19 @@ class TestFactorFile:
         computed, loaded = evaluations
         _, out = run_identify(workdir, "--method", *method)
         factor_file = workdir / "result.factor.npy"
-        first = out.read_bytes()
-        assert factor_file.exists()
-        # identify never reads the file, and computes R again
+        first, saved = out.read_bytes(), factor_file.read_bytes()
+        # a second identify reads R from the file, computes none, writes the
+        # same bytes and leaves the file as it was
         assert run_identify(workdir, "--method", *method)[0] == cli.EXIT_OK
-        assert out.read_bytes() == first and len(computed) == 2
+        assert out.read_bytes() == first and factor_file.read_bytes() == saved
+        assert len(computed["identify"]) == 1
+        assert loaded["identify"][0] is None and loaded["identify"][1] is not None
         capsys.readouterr()
         with_file = _run_verify(out, workdir / "snap.csv", capsys)
-        assert len(computed) == 2 and loaded[-1] is not None
+        assert len(computed["verify"]) == 0 and loaded["verify"][-1] is not None
         factor_file.unlink()
         without_file = _run_verify(out, workdir / "snap.csv", capsys)
-        assert len(computed) == 3 and loaded[-1] is None
+        assert len(computed["verify"]) == 1 and loaded["verify"][-1] is None
         assert with_file == without_file and with_file[0] == cli.EXIT_OK
 
     @pytest.mark.parametrize("edit", ["one-digit", "one-row-more"])
@@ -741,7 +757,8 @@ class TestFactorFile:
         factor_file = workdir / "result.factor.npy"
         with caplog.at_level("INFO", logger="koopid.systems"):
             edited = _run_verify(out, snap, capsys)
-        assert loaded == [None] and len(computed) == 2
+        assert loaded["identify"] == [None] and len(computed["identify"]) == 1
+        assert loaded["verify"] == [None] and len(computed["verify"]) == 1
         assert [(rec.levelname, rec.getMessage()) for rec in caplog.records
                 if "factor file" in rec.getMessage()] == [
             ("INFO", f"{snap} changed after its factor file {factor_file} was written; "
@@ -772,7 +789,11 @@ class TestFactorFile:
             monkeypatch.setattr(koopid.systems, "_code_crc32", lambda: 0)
         capsys.readouterr()
         code, printed, err = _run_verify(out, workdir / "snap.csv", capsys)
-        assert loaded == [None] and len(computed) == 2 + (change == "dictionary")
+        # the factor file of another dictionary is made by one more identify
+        identified = 1 + (change == "dictionary")
+        assert loaded["identify"] == [None] * identified
+        assert len(computed["identify"]) == identified
+        assert loaded["verify"] == [None] and len(computed["verify"]) == 1
         # the ignored file is one warning line before the report
         warning, *report = printed.splitlines(keepends=True)
         assert warning.startswith(f"verify: warning: ignoring factor file {factor_file}: ")
@@ -791,8 +812,158 @@ class TestFactorFile:
         monkeypatch.setattr(koopid.systems.np, "loadtxt", None)
         monkeypatch.setattr(koopid.systems.SnapshotStream, "_open", None)
         code, report, _ = _run_verify(out, workdir / "snap.csv", capsys)
-        assert code == cli.EXIT_OK and len(computed) == 1 and loaded[0] is not None
+        assert loaded["identify"] == [None] and len(computed["identify"]) == 1
+        assert code == cli.EXIT_OK and len(computed["verify"]) == 0
+        assert loaded["verify"][0] is not None
         assert "stored snapshot count 2000 and state dim 2 match the data" in report
+
+    @pytest.mark.parametrize("method", [["ssd-approx", "--eps", "1e-3"], ["fb-edmd"]],
+                             ids=["other-eps", "other-method"])
+    def test_a_rerun_with_another_method_or_eps_reads_r(self, workdir, evaluations, method):
+        computed, loaded = evaluations
+        run_identify(workdir, "--method", "ssd-approx", "--eps", "1e-4")
+        factor_file = workdir / "result.factor.npy"
+        saved = factor_file.read_bytes()
+        _, out = run_identify(workdir, "--method", *method)
+        hit = out.read_bytes()
+        assert len(computed["identify"]) == 1 and loaded["identify"][1] is not None
+        assert factor_file.read_bytes() == saved
+        # with the file deleted, the run computes R and writes the same bytes
+        factor_file.unlink()
+        assert run_identify(workdir, "--method", *method)[0] == cli.EXIT_OK
+        assert len(computed["identify"]) == 2 and loaded["identify"][2] is None
+        assert out.read_bytes() == hit and factor_file.read_bytes() == saved
+
+    def test_a_rerun_on_a_csv_without_twin_parses_nothing(self, workdir, monkeypatch,
+                                                          evaluations):
+        computed, loaded = evaluations
+        (workdir / "snap.snapshots.npy").unlink()
+        _, out = run_identify(workdir, "--method", "ssd")
+        first = out.read_bytes()
+        monkeypatch.setattr(koopid.systems.np, "loadtxt", None)
+        assert run_identify(workdir, "--method", "ssd")[0] == cli.EXIT_OK
+        assert out.read_bytes() == first
+        assert len(computed["identify"]) == 1 and loaded["identify"][1] is not None
+
+    # each change makes identify compute R again, logged as verify logs it, and
+    # leave a file bound to the new inputs, which the next run reads
+    @pytest.mark.parametrize("change, level, message", [
+        ("csv", "INFO", "{snap} changed after its factor file {factor_file} was written; "
+                        "reading its data"),
+        ("degree", "WARNING", "ignoring factor file {factor_file}: its payload is not a "
+                              "float64 matrix of 12 columns"),
+        ("blas", "WARNING", "ignoring factor file {factor_file}: its build differs"),
+        ("code", "WARNING", "ignoring factor file {factor_file}: its build differs"),
+        ("payload", "WARNING", "ignoring factor file {factor_file}: not the array bound "
+                               "to {snap}"),
+    ], ids=["csv", "degree", "blas", "code", "payload"])
+    def test_identify_computes_r_again_when_the_file_is_not_bound(
+            self, workdir, capsys, caplog, monkeypatch, evaluations, change, level, message):
+        computed, loaded = evaluations
+        snap, out = workdir / "snap.csv", workdir / "result.json"
+        factor_file = workdir / "result.factor.npy"
+        argv = ["identify", "--snapshots", str(snap), "--degree", "3", "--method", "ssd",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        if change == "csv":
+            data = bytearray(snap.read_bytes())
+            at = data.index(b".", data.index(b"\r\n")) + 2
+            data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+            snap.write_bytes(bytes(data))
+        elif change == "degree":
+            argv[argv.index("--degree") + 1] = "2"
+        elif change == "blas":
+            monkeypatch.setattr(koopid.numerics, "_blas_identity", lambda: "another BLAS")
+        elif change == "code":
+            monkeypatch.setattr(koopid.systems, "_code_crc32", lambda: 0)
+        else:
+            R = np.load(factor_file)
+            R.view(np.uint8)[-1] ^= 1
+            rewrite_payload(factor_file, R)
+        capsys.readouterr()
+        with caplog.at_level("INFO", logger="koopid.systems"):
+            assert cli.main(argv) == cli.EXIT_OK
+        expected = message.format(snap=snap, factor_file=factor_file)
+        assert [(rec.levelname, rec.getMessage()) for rec in caplog.records
+                if "factor file" in rec.getMessage()] == [(level, expected)]
+        warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        assert warnings == ([f"identify: warning: {expected}"] if level == "WARNING" else [])
+        assert len(computed["identify"]) == 2 and loaded["identify"] == [None, None]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(computed["identify"]) == 2 and loaded["identify"][2] is not None
+
+    def test_an_out_that_is_a_device_reads_no_factor_file(self, workdir, evaluations):
+        # a factor file bound to the data where the link's would be is not read
+        computed, loaded = evaluations
+        run_identify(workdir, "--method", "ssd")
+        link = workdir / "null.json"
+        link.symlink_to(os.devnull)
+        (workdir / "result.factor.npy").replace(workdir / "null.factor.npy")
+        saved = (workdir / "null.factor.npy").read_bytes()
+        assert cli.main(["identify", "--snapshots", str(workdir / "snap.csv"), "--dict-file",
+                         str(workdir / "dict9.json"), "--method", "ssd",
+                         "--out", str(link)]) == cli.EXIT_OK
+        assert loaded["identify"] == [None] and len(computed["identify"]) == 2
+        assert (workdir / "null.factor.npy").read_bytes() == saved
+
+
+# identify refuses an --out that would replace the data it reads, however it
+# is spelled, before it reads or writes anything
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink", "hard-link", "twin"])
+def test_an_out_that_is_the_snapshot_file_is_invalid_input(workdir, capsys, monkeypatch,
+                                                           spelling):
+    monkeypatch.chdir(workdir)
+    snap = workdir / "snap.csv"
+    out = {"same": "snap.csv", "dot-slash": "./snap.csv", "symlink": "link.csv",
+           "hard-link": "hard.csv", "twin": "snap.snapshots.npy"}[spelling]
+    if spelling == "symlink":
+        pathlib.Path(out).symlink_to(snap)
+    elif spelling == "hard-link":
+        os.link(snap, out)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    monkeypatch.setattr(koopid.systems, "SnapshotStream", None)  # nothing is read
+    code = cli.main(["identify", "--snapshots", "snap.csv", "--degree", "3",
+                     "--method", "ssd", "--out", out])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == ("error[invalid-input]: --out must not be the "
+                                       "--snapshots file or its binary twin\n")
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+# a twin or factor file that is a FIFO is neither opened nor written, which
+# would block until the FIFO had a writer or a reader; each command runs in a
+# child process, so a hang fails the test instead of stopping the suite
+@pytest.mark.parametrize("fifo, lines", [
+    ("snap.snapshots.npy", ["identify: warning: ignoring binary twin {fifo}: not a regular file"]),
+    ("result.factor.npy", ["identify: warning: ignoring factor file {fifo}: not a regular file",
+                           "identify: warning: cannot write factor file {fifo}: not a regular "
+                           "file"]),
+    ("verify.factor.npy", ["verify: warning: ignoring factor file {fifo}: not a regular file"]),
+    ("new.snapshots.npy", ["generate: warning: cannot write binary snapshot file {fifo}: not a "
+                           "regular file"]),
+], ids=["identify-twin", "identify-factor-file", "verify-factor-file", "generate-twin"])
+def test_a_fifo_in_place_of_a_derived_file_is_not_opened(workdir, fifo, lines):
+    snap = workdir / "snap.csv"
+    _, result = run_identify(workdir, "--method", "ssd")
+    verified = workdir / "verify.json"
+    result.replace(verified)
+    argv = {"snap.snapshots.npy": ["identify", "--snapshots", str(snap), "--degree", "3",
+                                   "--method", "ssd", "--out", str(workdir / "r.json")],
+            "result.factor.npy": ["identify", "--snapshots", str(snap), "--degree", "3",
+                                  "--method", "ssd", "--out", str(result)],
+            "verify.factor.npy": ["verify", str(verified), str(snap)],
+            "new.snapshots.npy": GEN_LINEAR + ["--out", str(workdir / "new.csv")]}[fifo]
+    path = workdir / fifo
+    path.unlink(missing_ok=True)
+    os.mkfifo(path)
+    src = pathlib.Path(koopid.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "koopid", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (cli.EXIT_OK, "")
+    assert [line for line in done.stdout.splitlines() if "warning" in line] == [
+        line.format(fifo=path) for line in lines]
+    assert stat.S_ISFIFO(path.stat().st_mode)
 
 
 class TestConfigFile:
