@@ -309,6 +309,10 @@ def _edmd_residual(RX, RY, tol):
 def cmd_identify(args):
     if args.snapshots is None or args.method is None:
         raise InvalidInput("identify requires --snapshots and --method")
+    if (args.method == "ssd-approx") != (args.eps is not None):
+        raise InvalidInput("--eps is required with --method ssd-approx and valid only with it")
+    if args.eps is not None and not 0.0 < args.eps < 1.0:  # nan too
+        raise InvalidInput(f"--eps must lie strictly between 0 and 1, got {args.eps}")
     twin = pathlib.Path(args.snapshots).with_suffix(systems.TWIN_SUFFIX)
     if any(_same_file(args.out, path) for path in (args.snapshots, twin)):
         raise InvalidInput("--out must not be the --snapshots file or its binary twin")
@@ -318,10 +322,6 @@ def cmd_identify(args):
     dictionary = _load_dictionary(args, snapshots)
     tol = ToleranceConfig(rank_rtol=args.rank_rtol, eig_match_atol=args.eig_atol,
                           subspace_atol=args.subspace_atol)
-    if args.method == "ssd-approx" and args.eps is None:
-        raise InvalidInput("--method ssd-approx requires --eps")
-    if args.method != "ssd-approx" and args.eps is not None:
-        raise InvalidInput("--eps is only valid with --method ssd-approx")
 
     # every step below works on the R-factor blocks of [D(X), D(Y)]: read from
     # the factor file the last run left beside --out while it is bound, which
@@ -368,8 +368,6 @@ def cmd_identify(args):
 
     if args.grid_box is not None and evolutions:
         grid_dir = pathlib.Path(args.out_dir) if args.out_dir else out_path.parent
-        with artifact_io("create grid directory"):
-            grid_dir.mkdir(parents=True, exist_ok=True)
         for idx in _select_grid_evolutions(evolutions, grid_targets):
             ev = evolutions[idx]
             grid = eigenfunction_grid(dictionary, ev.coefficients, grid_box,
@@ -383,8 +381,6 @@ def cmd_identify(args):
                 "resolution": int(args.grid_resolution),
             })
 
-    with artifact_io("write result file"):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     with replaced(out_path, "write result file") as fh:
         fh.write((json.dumps(result, indent=2, sort_keys=True) + "\n").encode())
     if factor_file and not loaded:

@@ -64,7 +64,8 @@ def is_stream(path):
 @contextlib.contextmanager
 def replaced(path, action):
     """A binary handle on the temporary file ``.<name>.<pid>.tmp`` beside
-    ``path``, which replaces ``path``, taking its permission bits, when the
+    ``path``, in the directories it makes if missing (kept if the write then
+    fails), which replaces ``path``, taking its permission bits, when the
     block ends and is removed on any exception, KeyboardInterrupt too, so a
     failed or interrupted write leaves the old file whole (nothing is
     synced); under ``artifact_io(action)``."""
@@ -74,6 +75,7 @@ def replaced(path, action):
                 yield fh
             return
         path = pathlib.Path(os.path.realpath(path))  # a link's target is replaced
+        path.parent.mkdir(parents=True, exist_ok=True)
         temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(temporary, "wb") as fh:

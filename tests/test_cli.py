@@ -66,6 +66,16 @@ class TestGenerate:
         assert cli.main(GEN_LINEAR + ["--out", str(link)]) == cli.EXIT_OK
         assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
 
+    # the missing directories of --out are made, and the files are those of
+    # a run into a directory that exists
+    def test_makes_the_missing_directories_of_out(self, tmp_path):
+        nested = tmp_path / "a" / "b"
+        assert cli.main(GEN_LINEAR + ["--out", str(nested / "snap.csv")]) == cli.EXIT_OK
+        assert cli.main(GEN_LINEAR + ["--out", str(tmp_path / "snap.csv")]) == cli.EXIT_OK
+        assert sorted(p.name for p in nested.iterdir()) == ["snap.csv", "snap.snapshots.npy"]
+        for name in ("snap.csv", "snap.snapshots.npy"):
+            assert (nested / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_vanderpol_parameters(self, tmp_path):
         out = tmp_path / "vdp.csv"
         code = cli.main(["generate", "--system", "vanderpol", "--n", "500",
@@ -1032,6 +1042,8 @@ def _three_dim_dictionary(result):
 
 _NOT_JSON = {"bad.json": "{not json"}
 _DEEP_JSON = {"bad.json": "[" * 100_000}  # nested deeper than the decoder recurses
+_APPROX = ["identify", "--snapshots", "{d}/snap.csv", "--degree", "2", "--method", "ssd-approx",
+           "--out", "{d}/r.json"]
 
 
 class TestMalformedInputs:
@@ -1100,14 +1112,25 @@ class TestMalformedInputs:
           "--method", "ssd"], _DEEP_JSON, "dictionary file is not valid JSON: "),
         (["generate", "--config", "{d}/list.json"], {"list.json": "[1]"},
          "config file must hold a JSON object"),
+        (_APPROX + ["--eps", "2"], {}, "--eps must lie strictly between 0 and 1, got 2.0"),
+        (_APPROX + ["--eps", "0"], {}, "--eps must lie strictly between 0 and 1, got 0.0"),
+        (_APPROX + ["--eps", "nan"], {}, "--eps must lie strictly between 0 and 1, got nan"),
+        (_APPROX + ["--config", "{d}/eps.json"], {"eps.json": '{"eps": "-1e-4"}'},
+         "--eps must lie strictly between 0 and 1, got -0.0001"),
     ], ids=["generate-without-system", "wrong-A-size", "vanderpol-without-dt",
             "non-numeric-box", "identify-without-snapshots", "identify-without-method",
             "negative-degree", "dict-file-of-another-dim", "grid-box-of-another-dim",
             "result-not-json", "config-not-json", "dict-file-not-json",
             "result-nested-too-deep", "config-nested-too-deep",
-            "dict-file-nested-too-deep", "config-not-object"])
-    def test_invalid_command_line_names_the_problem(self, workdir, capsys, argv, files,
-                                                    message):
+            "dict-file-nested-too-deep", "config-not-object", "eps-above-one", "eps-zero",
+            "eps-nan", "eps-of-the-config"])
+    def test_invalid_command_line_names_the_problem(self, workdir, capsys, monkeypatch,
+                                                    argv, files, message):
+        # every case stops before the data pass
+        def unreachable(*args):
+            raise AssertionError("the dictionary was evaluated")
+
+        monkeypatch.setattr(cli.dict_mod, "evaluate_factor", unreachable)
         for name, text in files.items():
             (workdir / name).write_text(text)
         code = cli.main([arg.replace("{d}", str(workdir)) for arg in argv])
@@ -1243,7 +1266,7 @@ class TestFileFailures:
          "cannot write binary snapshot file"),
         (_IDENTIFY, "result.json", "cannot write result file"),
         (_IDENTIFY + ["--grid-box", "-2,2,-2,2", "--out-dir", "{d}/grids"], "grids",
-         "cannot create grid directory"),
+         "cannot write CSV file"),
         (_IDENTIFY, "snap.csv", "cannot read snapshot file"),
         (["verify", "{d}/result.json", "{d}/snap.csv"], "result.json",
          "cannot read result file"),
@@ -1483,6 +1506,25 @@ def test_only_the_error_module_makes_an_io_error():
                 if name == "ArtifactIOError":
                     makers.append(path.stem)
     assert makers == ["errors"]
+
+
+def test_only_the_error_module_writes():
+    # every file is written, and its directory made, through errors.replaced,
+    # so no other module makes a directory or opens a file for writing
+    package = pathlib.Path(koopid.__file__).resolve().parent
+    writers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            # a mode that is not a literal string counts as a write
+            writes = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                         for m in modes)
+            if name in ("mkdir", "makedirs") or (name == "open" and writes):
+                writers.add(path.stem)
+    assert writers == {"errors"}
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -518,6 +518,19 @@ class TestSnapshotCsvFormat:
         assert data.read_bytes() == b"x_1,y_1\r\n" + b"1,1\r\n" * 3
         assert data.stat().st_ino != old_inode
 
+    # the missing directories above the path are made, above a link's target
+    # for a link
+    def test_a_missing_directory_is_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "file"
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "c" / "target")
+        for target in (path, link):
+            with replaced(target, "write file") as fh:
+                fh.write(b"data")
+            assert target.read_bytes() == b"data"
+        assert list(path.parent.iterdir()) == [path] and link.is_symlink()
+        assert list((tmp_path / "c").iterdir()) == [tmp_path / "c" / "target"]
+
     # a rewrite keeps the file's permission bits, and a new file takes the
     # umask's: through the CSV writer and the writer of the derived files
     @pytest.mark.parametrize("write", [
